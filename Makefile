@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json bench bench-smoke bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
+.PHONY: all build test race vet lint lint-json bench bench-smoke bench-test bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
 
 all: vet lint build test
 
@@ -34,6 +34,14 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench='E5|E9|E13|E14|E15|E18|E19' -benchtime=1x -run=NONE .
+
+# bench-test vets and tests the end-to-end benchmark in benchmark/, a
+# module of its own (repro/benchmark, replace repro => ../) that the root
+# ./... patterns do not reach. Its tests pin the benchmark's stage driver
+# to experiments.ScalePipeline, so a change to the congest, pipeline or mst
+# API it imports fails here.
+bench-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # scale-smoke runs the full zero-witness pipeline at 10⁵ nodes (grid +
 # wheel, hybrid mode) with a bounded wall-clock — the CI guard that the

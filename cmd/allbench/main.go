@@ -1,4 +1,4 @@
-// allbench regenerates every experiment table (E1-E15) in one run — the
+// allbench regenerates every experiment table (E1-E19) in one run — the
 // CLI twin of `go test -bench=. -benchtime=1x .` — or, with -table, a
 // single table by ID.
 package main

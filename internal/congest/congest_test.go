@@ -11,30 +11,34 @@ import (
 	"repro/internal/shortcut"
 )
 
+// everyNode adapts one RoundFunc, shared by every node, into a SyncProtocol.
+func everyNode(f congest.RoundFunc) congest.SyncProtocol {
+	return func(*congest.Node) congest.RoundFunc { return f }
+}
+
 func TestRunPingPong(t *testing.T) {
 	g := gen.Path(2)
 	vals := make([]uint64, 2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
-			n.Send(0, congest.Words{42})
+	step := func(n *congest.Node, msgs []congest.Message) bool {
+		switch n.Round() {
+		case 1:
+			if n.ID == 0 {
+				n.Send(0, congest.Words{42})
+			}
+		case 2:
+			for _, m := range msgs {
+				vals[n.ID] = m.Payload[0]
+				n.Send(m.Port, congest.Words{m.Payload[0] + 1})
+			}
+		default:
+			for _, m := range msgs {
+				vals[n.ID] = m.Payload[0]
+			}
+			return false
 		}
-		msgs, ok := n.Step()
-		if !ok {
-			return
-		}
-		for _, m := range msgs {
-			vals[n.ID] = m.Payload[0]
-			n.Send(m.Port, congest.Words{m.Payload[0] + 1})
-		}
-		msgs, ok = n.Step()
-		if !ok {
-			return
-		}
-		for _, m := range msgs {
-			vals[n.ID] = m.Payload[0]
-		}
+		return true
 	}
-	stats, err := congest.Run(g, f, congest.Options{})
+	stats, err := congest.RunSync(g, everyNode(step), congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,58 +52,55 @@ func TestRunPingPong(t *testing.T) {
 
 func TestBandwidthEnforced(t *testing.T) {
 	g := gen.Path(2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	step := func(n *congest.Node, _ []congest.Message) bool {
+		if n.Round() == 1 && n.ID == 0 {
 			n.Send(0, congest.Words{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 		}
-		n.Step()
+		return n.Round() < 2
 	}
-	if _, err := congest.Run(g, f, congest.Options{Bandwidth: 128}); err == nil {
+	if _, err := congest.RunSync(g, everyNode(step), congest.Options{Bandwidth: 128}); err == nil {
 		t.Fatal("oversized message accepted")
 	}
 }
 
 func TestDoubleSendRejected(t *testing.T) {
 	g := gen.Path(2)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	step := func(n *congest.Node, _ []congest.Message) bool {
+		if n.Round() == 1 && n.ID == 0 {
 			n.Send(0, congest.Words{1})
 			n.Send(0, congest.Words{2})
 		}
-		n.Step()
+		return n.Round() < 2
 	}
-	if _, err := congest.Run(g, f, congest.Options{}); err == nil {
+	if _, err := congest.RunSync(g, everyNode(step), congest.Options{}); err == nil {
 		t.Fatal("double send accepted")
 	}
 }
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := gen.Path(3)
-	f := func(n *congest.Node) {
-		for {
-			n.Broadcast(congest.Words{0})
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
+	step := func(n *congest.Node, _ []congest.Message) bool {
+		n.Broadcast(congest.Words{0})
+		return true
 	}
-	if _, err := congest.Run(g, f, congest.Options{MaxRounds: 10}); err == nil {
+	if _, err := congest.RunSync(g, everyNode(step), congest.Options{MaxRounds: 10}); err == nil {
 		t.Fatal("runaway protocol not aborted")
 	}
 }
 
 func TestUnevenTermination(t *testing.T) {
-	// Nodes exit after ID-many rounds; the engine must not deadlock.
+	// Node v stops in round v+2; the engine must run until the last one
+	// stops and not hang on the early leavers.
 	g := gen.Cycle(6)
-	f := func(n *congest.Node) {
-		for r := 0; r <= n.ID; r++ {
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
+	step := func(n *congest.Node, _ []congest.Message) bool {
+		return n.Round() <= n.ID+1
 	}
-	if _, err := congest.Run(g, f, congest.Options{}); err != nil {
+	stats, err := congest.RunSync(g, everyNode(step), congest.Options{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Rounds != 7 {
+		t.Fatalf("rounds %d want 7", stats.Rounds)
 	}
 }
 
@@ -107,22 +108,22 @@ func TestDeterministicDelivery(t *testing.T) {
 	// Same protocol twice: stats must match exactly.
 	e := gen.Grid(5, 5)
 	run := func() congest.Stats {
-		f := func(n *congest.Node) {
-			best := uint64(n.ID)
-			for r := 0; r < 10; r++ {
-				n.Broadcast(congest.Words{best})
-				msgs, ok := n.Step()
-				if !ok {
-					return
-				}
+		proto := func(nd *congest.Node) congest.RoundFunc {
+			best := uint64(nd.ID)
+			return func(n *congest.Node, msgs []congest.Message) bool {
 				for _, m := range msgs {
 					if m.Payload[0] < best {
 						best = m.Payload[0]
 					}
 				}
+				if n.Round() > 10 {
+					return false
+				}
+				n.Broadcast(congest.Words{best})
+				return true
 			}
 		}
-		s, err := congest.Run(e.G, f, congest.Options{})
+		s, err := congest.RunSync(e.G, proto, congest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestDistributedBFSMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := gen.ErdosRenyiConnected(40, 80, rng)
 		d := graph.Diameter(g)
-		parent, parentEdge, stats, err := congest.DistributedBFS(g, 0, d)
+		parent, parentEdge, stats, err := congest.DistributedBFSSync(g, 0, d, congest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestDistributedBFSMatchesSequential(t *testing.T) {
 
 func TestLeaderElect(t *testing.T) {
 	g := gen.Cycle(12)
-	leader, _, err := congest.LeaderElect(g, 12)
+	leader, _, err := congest.LeaderElectSync(g, 12, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

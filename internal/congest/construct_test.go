@@ -222,3 +222,37 @@ func TestConstructShortcutDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestBuildShortcutThenAggregate(t *testing.T) {
+	// End-to-end: distributed construction feeding distributed aggregation.
+	rng := rand.New(rand.NewSource(3))
+	e := gen.Wheel(49)
+	tr, _ := graph.BFSTree(e.G, 48)
+	p, err := partition.RimArcs(e.G, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := congest.ConstructShortcut(e.G, tr, p, congest.ConstructOptions{Cap: 3, Simulate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, e.G.N())
+	for v := range keys {
+		keys[v] = uint64(rng.Intn(10000) + 1)
+	}
+	res, err := congest.AggregateMin(e.G, p, built.S, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < p.NumParts(); i++ {
+		want := uint64(1 << 62)
+		for _, v := range p.Sets[i] {
+			if keys[v] < want {
+				want = keys[v]
+			}
+		}
+		if res.Mins[i] != want {
+			t.Fatalf("part %d: %d want %d", i, res.Mins[i], want)
+		}
+	}
+}

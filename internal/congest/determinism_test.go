@@ -19,26 +19,25 @@ import (
 // protocol, independent of GOMAXPROCS and scheduling.
 func transcriptRun(t *testing.T, g *graph.Graph, rounds int) string {
 	t.Helper()
-	var sb []strings.Builder
-	sb = make([]strings.Builder, g.N())
-	f := func(n *congest.Node) {
-		best := uint64(n.ID)
-		for r := 0; r < rounds; r++ {
-			n.Broadcast(congest.Words{best})
-			msgs, ok := n.Step()
-			if !ok {
-				return
-			}
+	sb := make([]strings.Builder, g.N())
+	proto := func(nd *congest.Node) congest.RoundFunc {
+		best := uint64(nd.ID)
+		return func(n *congest.Node, msgs []congest.Message) bool {
 			for _, m := range msgs {
-				fmt.Fprintf(&sb[n.ID], "r%d p%d f%d e%d w%d;", r, m.Port, m.From, m.Edge, m.Payload[0])
+				fmt.Fprintf(&sb[n.ID], "r%d p%d f%d e%d w%d;", n.Round(), m.Port, m.From, m.Edge, m.Payload[0])
 				if m.Payload[0] < best {
 					best = m.Payload[0]
 				}
 			}
+			if n.Round() > rounds {
+				fmt.Fprintf(&sb[n.ID], "final=%d", best)
+				return false
+			}
+			n.Broadcast(congest.Words{best})
+			return true
 		}
-		fmt.Fprintf(&sb[n.ID], "final=%d", best)
 	}
-	stats, err := congest.Run(g, f, congest.Options{})
+	stats, err := congest.RunSync(g, proto, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestDistributedBFSIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	} {
 		diam := graph.Diameter(tc.g)
 		run := func() string {
-			parent, parentEdge, stats, err := congest.DistributedBFS(tc.g, tc.root, diam)
+			parent, parentEdge, stats, err := congest.DistributedBFSSync(tc.g, tc.root, diam, congest.Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -133,66 +132,6 @@ func TestDistributedBFSIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if one != eight {
 			t.Fatalf("%s: BFS results differ:\nGOMAXPROCS=1: %s\nGOMAXPROCS=8: %s", tc.name, one, eight)
-		}
-	}
-}
-
-// TestRunSyncMatchesBlockingRun expresses one protocol in both engine modes
-// and requires identical stats: the round-driven form is a drop-in
-// replacement for the blocking form.
-func TestRunSyncMatchesBlockingRun(t *testing.T) {
-	e := gen.Grid(5, 6)
-	const rounds = 9
-	finalsA := make([]uint64, e.G.N())
-	blocking := func(n *congest.Node) {
-		best := uint64(n.ID)
-		for r := 0; r < rounds; r++ {
-			n.Broadcast(congest.Words{best})
-			msgs, ok := n.Step()
-			if !ok {
-				return
-			}
-			for _, m := range msgs {
-				if m.Payload[0] < best {
-					best = m.Payload[0]
-				}
-			}
-		}
-		finalsA[n.ID] = best
-	}
-	statsA, err := congest.Run(e.G, blocking, congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalsB := make([]uint64, e.G.N())
-	proto := func(n *congest.Node) congest.RoundFunc {
-		best := uint64(n.ID)
-		r := 0
-		return func(n *congest.Node, msgs []congest.Message) bool {
-			for _, m := range msgs {
-				if m.Payload[0] < best {
-					best = m.Payload[0]
-				}
-			}
-			if r == rounds {
-				finalsB[n.ID] = best
-				return false
-			}
-			n.Broadcast(congest.Words{best})
-			r++
-			return true
-		}
-	}
-	statsB, err := congest.RunSync(e.G, proto, congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsA != statsB {
-		t.Fatalf("stats differ: blocking %+v vs sync %+v", statsA, statsB)
-	}
-	for v := range finalsA {
-		if finalsA[v] != finalsB[v] {
-			t.Fatalf("node %d: blocking %d vs sync %d", v, finalsA[v], finalsB[v])
 		}
 	}
 }

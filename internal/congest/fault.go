@@ -41,10 +41,7 @@ type FaultPlan struct {
 	Offset int
 	// LinkDowns lists intervals during which an edge delivers nothing.
 	LinkDowns []LinkDown
-	// Crashes lists intervals during which a node is down. Only the
-	// round-driven (RunSync) API supports crashes: a wiped restart rebuilds
-	// the node's state through the SyncProtocol factory, which has no
-	// equivalent for a blocked goroutine mid-Step.
+	// Crashes lists intervals during which a node is down.
 	Crashes []Crash
 }
 
@@ -69,10 +66,8 @@ type Crash struct {
 	Wipe    bool
 }
 
-// Validate checks the plan against a network of n nodes and m edges;
-// blocking reports whether the run uses the blocking (goroutine) API,
-// which cannot host crashes.
-func (fp *FaultPlan) Validate(n, m int, blocking bool) error {
+// Validate checks the plan against a network of n nodes and m edges.
+func (fp *FaultPlan) Validate(n, m int) error {
 	if math.IsNaN(fp.DropProb) || fp.DropProb < 0 || fp.DropProb > 1 {
 		return fmt.Errorf("congest: fault plan drop probability %v outside [0, 1]", fp.DropProb)
 	}
@@ -102,9 +97,6 @@ func (fp *FaultPlan) Validate(n, m int, blocking bool) error {
 		}
 		if c.Restart <= c.Round {
 			return fmt.Errorf("congest: crash %d has inverted interval [%d, %d)", i, c.Round, c.Restart)
-		}
-		if blocking {
-			return fmt.Errorf("congest: crash faults require the round-driven (RunSync) API")
 		}
 	}
 	return nil

@@ -158,14 +158,10 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrInvalidOptions", tc.name, err)
 		}
 	}
-	// Crashes require the round-driven API: the blocking runner rejects
-	// them, the sync runner accepts the identical plan.
+	// A well-formed crash plan is accepted.
 	crash := congest.Options{MaxRounds: 4, Faults: &congest.FaultPlan{Crashes: []congest.Crash{{Node: 1, Round: 1, Restart: 2}}}}
-	if _, err := congest.Run(g, func(n *congest.Node) {}, crash); !errors.Is(err, congest.ErrInvalidOptions) {
-		t.Errorf("blocking run with crashes: got %v, want ErrInvalidOptions", err)
-	}
 	if _, err := congest.RunSync(g, noop, crash); err != nil {
-		t.Errorf("round-driven run with crashes: %v", err)
+		t.Errorf("run with crashes: %v", err)
 	}
 }
 
@@ -224,12 +220,12 @@ func FuzzFaultPlan(f *testing.F) {
 					Node: target, Round: from, Restart: to, Wipe: data[i+2]&1 == 1})
 			}
 		}
-		if err := plan.Validate(n, m, false); err != nil {
+		if err := plan.Validate(n, m); err != nil {
 			t.Fatalf("generated plan invalid: %v", err)
 		}
 		norm := plan.Clone()
 		norm.Normalize()
-		if err := norm.Validate(n, m, false); err != nil {
+		if err := norm.Validate(n, m); err != nil {
 			t.Fatalf("normalized plan invalid: %v", err)
 		}
 		for gr := 0; gr <= horizon+8; gr++ {

@@ -6,18 +6,17 @@ import (
 	"repro/internal/graph"
 )
 
-// Round-driven (RunSync) realizations of the bootstrap floods. The blocking
-// LeaderElect/DistributedBFS park one goroutine per node, which is fine at
-// experiment sizes but rules out million-node networks (10⁶ goroutine
-// stacks). These variants keep all protocol state in caller-owned slabs and
-// drive one shared RoundFunc, so a node-round costs a function call and the
-// engine's slab substrate carries the whole run. They converge to the same
-// fixed points — the minimum vertex ID, and the canonical lowest-port BFS
-// parents — and both take engine Options, so callers can stream per-round
-// figures through Options.OnRound.
+// The bootstrap floods: leader election and BFS-tree construction, the
+// first two stages of the zero-witness pipeline. Both keep all protocol
+// state in caller-owned slabs and drive one shared RoundFunc, so a
+// node-round costs a function call and the engine's slab substrate carries
+// million-node runs. They converge to the sequential fixed points — the
+// minimum vertex ID, and CanonicalBFSParents' lowest-port BFS parents —
+// and both take engine Options, so callers can stream per-round figures
+// through Options.OnRound. Adversary.LeaderElect and Adversary.BFS are the
+// fault-tolerant variants; a nil adversary delegates here.
 
-// LeaderElectSync elects the minimum vertex ID on the round-driven
-// scheduler. Unlike the blocking LeaderElect, the flood is improvement-
+// LeaderElectSync elects the minimum vertex ID. The flood is improvement-
 // gated: a node re-broadcasts its best-known ID only when a message lowered
 // it, so total messages are O(m · improvements) rather than O(m · D̂), while
 // the round count stays diamBound+2 (nodes cannot detect global convergence
@@ -58,21 +57,20 @@ func LeaderElectSync(g *graph.Graph, diamBound int, opts Options) (leader int, s
 	leader = int(best[0])
 	for v := 1; v < n; v++ {
 		if int(best[v]) != leader {
-			return -1, stats, &IncompleteError{Protocol: "LeaderElectSync", Rounds: stats.Rounds, Budget: diamBound + 2,
+			return -1, stats, &IncompleteError{Protocol: "LeaderElect", Rounds: stats.Rounds, Budget: diamBound + 2,
 				Detail: fmt.Sprintf("nodes 0 and %d disagree (%d vs %d): diameter bound too small", v, leader, best[v])}
 		}
 	}
 	return leader, stats, nil
 }
 
-// DistributedBFSSync builds the canonical BFS tree from root on the
-// round-driven scheduler: the root announces itself in round 1; a node
-// adopts the lowest-port announcement of its first delivery (exactly the
-// blocking DistributedBFS rule and CanonicalBFSParents' fixed point),
-// re-announces once, and halts one round later. Joined nodes leave the live
-// set as the wave passes, so the run ends ~ecc(root)+2 rounds in — it never
-// idles out a full diameter bound the way the election must. diamBound+2
-// rounds is the give-up point for nodes the flood never reaches.
+// DistributedBFSSync builds the canonical BFS tree from root: the root
+// announces itself in round 1; a node adopts the lowest-port announcement
+// of its first delivery (CanonicalBFSParents' fixed point), re-announces
+// once, and halts one round later. Joined nodes leave the live set as the
+// wave passes, so the run ends ~ecc(root)+2 rounds in — it never idles out
+// a full diameter bound the way the election must. diamBound+2 rounds is
+// the give-up point for nodes the flood never reaches.
 func DistributedBFSSync(g *graph.Graph, root, diamBound int, opts Options) (parent, parentEdge []int, stats Stats, err error) {
 	n := g.N()
 	if root < 0 || root >= n {
@@ -116,7 +114,7 @@ func DistributedBFSSync(g *graph.Graph, root, diamBound int, opts Options) (pare
 	}
 	for v := 0; v < n; v++ {
 		if v != root && parent[v] == -1 {
-			return nil, nil, stats, &IncompleteError{Protocol: "BFSSync", Rounds: stats.Rounds, Budget: diamBound + 2,
+			return nil, nil, stats, &IncompleteError{Protocol: "BFS", Rounds: stats.Rounds, Budget: diamBound + 2,
 				Detail: fmt.Sprintf("flood from %d missed node %d within diamBound %d", root, v, diamBound)}
 		}
 	}

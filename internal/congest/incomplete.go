@@ -1,6 +1,17 @@
 package congest
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrIncomplete is wrapped by protocol helpers whose run terminated without
+// every node reaching the protocol's final state — a flood that did not
+// cover the graph within its round bound, or a node that bailed out
+// mid-protocol. Such runs must fail rather than return their result
+// arrays, whose zero-valued entries would masquerade as legitimate output
+// (parent 0, leader 0).
+var ErrIncomplete = errors.New("congest: protocol incomplete")
 
 // IncompleteError is the structured form of ErrIncomplete: a protocol run
 // terminated without every node reaching the final state — a flood that did

@@ -1,36 +1,36 @@
 // Package congest simulates the CONGEST model (paper §1.3.1): a synchronous
 // message-passing network where, per round, each node may send one B-bit
-// message across each incident edge (B = Θ(log n)). Nodes run protocol code
-// against a blocking Node API; the engine enforces bandwidth, counts rounds
-// and messages, and delivers messages deterministically (in port order) so
-// runs are reproducible regardless of scheduling.
+// message across each incident edge (B = Θ(log n)). Protocols are
+// round-driven: the engine calls each node's RoundFunc once per round with
+// the messages delivered at the end of the previous round, and the node
+// queues its sends for this round. The engine enforces bandwidth, counts
+// rounds and messages, and delivers messages deterministically (in port
+// order) so runs are reproducible regardless of scheduling.
 //
-// Engine design (barrier-synchronous round scheduler). Each node's protocol
-// still executes on its own goroutine — the blocking Step API requires a
-// stack per node — but the goroutines are coroutines, not free-running
-// threads: a fixed worker pool shards the nodes and drives each round in two
-// phases. In the compute phase every worker walks its shard in node order,
-// handing the baton to one node at a time (an unbuffered-channel handoff);
-// the node runs its protocol until the next Step and queues sends into its
-// own dense per-port outbox slots. In the deliver phase the workers build
-// inboxes receiver-side: each receiver scans its ports and pulls the
-// message, if any, from the neighbor's opposite slot (precomputed reverse
-// ports), so inboxes come out in port order with no sorting and no routing
-// map; per-shard statistics are merged in shard order after the phase
-// barrier. There is no global lock anywhere on the round path, and all
-// per-round buffers (outbox slots, inboxes, payload arenas) are reused, so
-// a round allocates nothing.
+// Engine design (barrier-synchronous round scheduler). A fixed worker pool
+// shards the nodes into contiguous ranges and drives each round in two
+// phases. In the compute phase every worker walks its shard in node order
+// and calls each live node's RoundFunc directly, which queues sends into
+// the node's own dense per-port outbox slots. In the deliver phase the
+// workers build inboxes receiver-side: each receiver scans its ports and
+// pulls the message, if any, from the neighbor's opposite slot
+// (precomputed reverse ports), so inboxes come out in port order with no
+// sorting and no routing map; per-shard statistics are merged in shard
+// order after the phase barrier. There is no global lock anywhere on the
+// round path, no goroutine per node, and all per-round buffers (outbox
+// slots, inboxes, payload arenas) are reused, so a round allocates
+// nothing.
 //
 // Determinism: the engine's observable behavior — inbox contents and order,
 // statistics, error outcomes — is a pure function of the graph and the
 // protocol, independent of GOMAXPROCS and scheduling.
 //
-// Message payloads are valid until the receiving node's next Step call (the
-// engine reuses the underlying arena); protocols that need a payload longer
-// must copy it.
+// Message payloads are valid until the receiving node's next RoundFunc
+// call (the engine reuses the underlying arena); protocols that need a
+// payload longer must copy it.
 //
-// Every goroutine is joined before Run returns; the engine owns all
-// channels.
+// Every worker goroutine is joined before RunSync returns; the engine owns
+// all channels.
 package congest
 
 import (
@@ -63,7 +63,7 @@ func Float64Word(f float64) uint64 { return math.Float64bits(f) }
 func WordFloat64(w uint64) float64 { return math.Float64frombits(w) }
 
 // Message is a received message. Payload is valid until the receiver's next
-// Step.
+// RoundFunc call.
 type Message struct {
 	Port    int // adjacency index at the receiver the message arrived on
 	From    int // sender vertex ID
@@ -101,15 +101,13 @@ type RoundProbe struct {
 	Active   int // nodes still participating after the compute phase
 }
 
-// ErrInvalidOptions is wrapped by Run/RunSync when Options fail validation
+// ErrInvalidOptions is wrapped by RunSync when Options fail validation
 // (negative bandwidth or round bound, malformed fault plan) — the run never
 // starts.
 var ErrInvalidOptions = errors.New("congest: invalid options")
 
-// validate rejects malformed options before a run starts; blocking reports
-// whether the run uses the goroutine-per-node API (which cannot host crash
-// faults).
-func (o Options) validate(n, m int, blocking bool) error {
+// validate rejects malformed options before a run starts.
+func (o Options) validate(n, m int) error {
 	if o.Bandwidth < 0 {
 		return fmt.Errorf("%w: negative bandwidth %d", ErrInvalidOptions, o.Bandwidth)
 	}
@@ -117,7 +115,7 @@ func (o Options) validate(n, m int, blocking bool) error {
 		return fmt.Errorf("%w: negative round bound %d", ErrInvalidOptions, o.MaxRounds)
 	}
 	if o.Faults != nil {
-		if err := o.Faults.Validate(n, m, blocking); err != nil {
+		if err := o.Faults.Validate(n, m); err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 		}
 	}
@@ -156,23 +154,19 @@ func (s *Stats) Add(o Stats) {
 	s.CrashedRounds += o.CrashedRounds
 }
 
-// Node is the per-process API handed to a NodeFunc. All methods must be
-// called from that node's goroutine only.
+// Node is the per-process API handed to a protocol. Its methods may be
+// called only by that node's own SyncProtocol factory or RoundFunc.
 type Node struct {
 	ID    int
 	NumV  int // n, known to all nodes (standard CONGEST assumption)
 	ports []graph.Arc
 
-	eng     *engine
-	round   int
-	stopped bool
-	exited  bool
-	fn      RoundFunc // non-nil in round-driven mode
+	eng   *engine
+	round int
+	fn    RoundFunc
 
 	out       []outSlot // per port: queued send for this round
 	sendArena []uint64  // backing storage for queued payload words
-	resume    chan struct{}
-	yield     chan struct{}
 }
 
 type outSlot struct {
@@ -182,23 +176,13 @@ type outSlot struct {
 	bits int32
 }
 
-// NodeFunc is the protocol executed at every node. Returning ends the
-// node's participation (it stays silent but the network keeps running until
-// all nodes return).
-type NodeFunc func(n *Node)
-
-// RoundFunc is the round-driven (synchronous-callback) protocol form: the
-// engine calls it once per round with the messages delivered at the end of
-// the previous round (nil in round 1). The callback inspects the messages,
-// queues this round's sends with n.Send, and reports whether the node keeps
+// RoundFunc is the protocol executed at every node: the engine calls it
+// once per round with the messages delivered at the end of the previous
+// round (nil in round 1). The callback inspects the messages, queues this
+// round's sends with n.Send, and reports whether the node keeps
 // participating; returning false ends participation and discards any sends
-// queued in that final call (matching the blocking API, where returning
-// from a NodeFunc after Step discards queued sends).
-//
-// Protocols written in this form run with zero goroutine switches — shard
-// workers invoke the callbacks directly — which is roughly two orders of
-// magnitude cheaper per node-round than the blocking Step API. Prefer it
-// for any protocol that is naturally a per-round state machine.
+// queued in that final call. A node that has stopped stays silent while
+// the network keeps running until every node has stopped.
 type RoundFunc func(n *Node, msgs []Message) bool
 
 // SyncProtocol builds the per-node state of a round-driven protocol: called
@@ -214,14 +198,13 @@ func (n *Node) Neighbor(port int) int { return n.ports[port].To }
 // PortEdge returns the edge ID behind a port.
 func (n *Node) PortEdge(port int) int { return n.ports[port].ID }
 
-// Round returns the current round number (starting at 0 before the first
-// Step).
+// Round returns the current round number (1 in the first RoundFunc call).
 func (n *Node) Round() int { return n.round }
 
-// Send queues a message on a port for delivery at the next Step. At most
-// one message per port per round; exceeding bandwidth or double-sending
-// aborts the run with an error. The payload is copied, so the caller may
-// reuse it.
+// Send queues a message on a port for delivery at the end of this round.
+// At most one message per port per round; exceeding bandwidth or
+// double-sending aborts the run with an error. The payload is copied, so
+// the caller may reuse it.
 func (n *Node) Send(port int, payload Words) {
 	if n.out[port].has {
 		//lint:allow hotalloc Errorf boxing on the abort path only: the run is already failing
@@ -234,7 +217,7 @@ func (n *Node) Send(port int, payload Words) {
 		return
 	}
 	off := len(n.sendArena)
-	n.sendArena = append(n.sendArena, payload...) //lint:allow hotalloc sendArena is the per-round payload slab, reset to len 0 each Step; its capacity reaches steady state after the first rounds and the AllocsPerRun pins hold
+	n.sendArena = append(n.sendArena, payload...) //lint:allow hotalloc sendArena is the per-round payload slab, reset to len 0 each round; its capacity reaches steady state after the first rounds and the AllocsPerRun pins hold
 	n.out[port] = outSlot{has: true, off: int32(off), len: int32(len(payload)), bits: int32(payload.Bits())}
 }
 
@@ -243,28 +226,6 @@ func (n *Node) Broadcast(payload Words) {
 	for port := range n.ports {
 		n.Send(port, payload)
 	}
-}
-
-// Step submits the queued sends, advances one synchronous round, and
-// returns the messages received (in port order). It returns false if the
-// run was aborted.
-func (n *Node) Step() ([]Message, bool) {
-	if n.fn != nil {
-		panic("congest: Step called from a round-driven (RoundFunc) protocol")
-	}
-	if n.stopped {
-		return nil, false
-	}
-	n.yield <- struct{}{} // hand the baton back to the shard worker
-	<-n.resume            // resumed in the next round's compute phase
-	n.round++
-	if n.eng.failed() {
-		n.stopped = true
-		return nil, false
-	}
-	// The previous round's sends were delivered; the slots are ours again.
-	n.clearOut()
-	return n.eng.inboxes[n.ID], true
 }
 
 func (n *Node) clearOut() {
@@ -320,7 +281,7 @@ type engine struct {
 	stats     Stats
 	edgeLoad2 []int32 // per edge direction: messages delivered
 
-	errFlag atomic.Bool // lock-free fast path for the per-Step check
+	errFlag atomic.Bool // lock-free fast path for the per-round check
 	errMu   sync.Mutex
 	err     error
 }
@@ -364,8 +325,7 @@ func (e *engine) runPhase(fn func(shard int)) {
 }
 
 // computeShard runs the compute phase over the shard's live nodes in node
-// order. Round-driven nodes are direct calls; blocking-API nodes get the
-// baton via a channel handoff and run until their next Step (or exit).
+// order: one direct RoundFunc call per node.
 //
 //congest:hotpath
 func (e *engine) computeShard(shard int) {
@@ -386,19 +346,10 @@ func (e *engine) computeShard(shard int) {
 			res.crashedRounds++
 			continue
 		}
-		if nd.fn != nil {
-			nd.round++
+		nd.round++
+		nd.clearOut()
+		if failed || !nd.fn(nd, e.inboxes[v]) {
 			nd.clearOut()
-			if failed || !nd.fn(nd, e.inboxes[v]) {
-				nd.clearOut()
-				e.alive[v] = false
-				res.exited++
-			}
-			continue
-		}
-		nd.resume <- struct{}{}
-		<-nd.yield
-		if nd.exited {
 			e.alive[v] = false
 			res.exited++
 		}
@@ -499,7 +450,7 @@ func (e *engine) updateFaults(local int) {
 		if e.crashed[v] == now {
 			continue // also dedupes multiple intervals for the same node
 		}
-		if !now && e.alive[v] && e.faults.wipesAt(v, e.gRound) && e.proto != nil {
+		if !now && e.alive[v] && e.faults.wipesAt(v, e.gRound) {
 			// Wiped restart: discard the node's protocol state and rebuild
 			// it through the factory; the node re-runs from its round 1 in
 			// an otherwise mid-flight network.
@@ -512,10 +463,10 @@ func (e *engine) updateFaults(local int) {
 	}
 }
 
-// ErrAborted is wrapped by Run when the protocol was cut short.
+// ErrAborted is wrapped by RunSync when the protocol was cut short.
 var ErrAborted = errors.New("congest: run aborted")
 
-// enginePool recycles engine scaffolding (channels, slot arrays, inboxes)
+// enginePool recycles engine scaffolding (slot arrays, inboxes, arenas)
 // across runs, so starting a simulation allocates O(1) once warm.
 var enginePool = sync.Pool{New: func() any { return &engine{} }}
 
@@ -531,7 +482,6 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 	e.active = n
 
 	e.faults = faults
-	e.proto = nil
 	e.gRound = 0
 	e.downMarked = e.downMarked[:0]
 	if faults != nil {
@@ -628,8 +578,6 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 			eng:       e,
 			out:       e.outSlab[lo:hi:hi],
 			sendArena: nd.sendArena[:0],
-			resume:    nd.resume,
-			yield:     nd.yield,
 		}
 		nd.clearOut() // the slab may hold another run's stale has flags
 		e.alive[v] = true
@@ -669,25 +617,13 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 	e.taskCh = make(chan int, e.workers)
 }
 
-// Run executes the blocking-API protocol f at every node of g until all
-// nodes return.
-func Run(g *graph.Graph, f NodeFunc, opts Options) (Stats, error) {
-	return run(g, f, nil, opts)
-}
-
 // RunSync executes a round-driven protocol: proto is called once per node
 // to build its state and per-round callback, then the engine drives rounds
-// until every callback has returned false. Semantics (rounds, bandwidth,
-// statistics, determinism) are identical to Run; only the control transfer
-// differs — no node goroutines exist, so a node-round costs a function
-// call.
+// until every callback has returned false. A node-round costs one function
+// call on a shard worker.
 func RunSync(g *graph.Graph, proto SyncProtocol, opts Options) (Stats, error) {
-	return run(g, nil, proto, opts)
-}
-
-func run(g *graph.Graph, f NodeFunc, proto SyncProtocol, opts Options) (Stats, error) {
 	n := g.N()
-	if err := opts.validate(n, g.M(), proto == nil); err != nil {
+	if err := opts.validate(n, g.M()); err != nil {
 		return Stats{}, err
 	}
 	bw := opts.Bandwidth
@@ -723,35 +659,9 @@ func run(g *graph.Graph, f NodeFunc, proto SyncProtocol, opts Options) (Stats, e
 			}
 		}()
 	}
-	var nodeWg sync.WaitGroup
-	if proto != nil {
-		// Round-driven mode: build per-node state; no goroutines.
-		e.proto = proto // retained: wiped crash restarts rebuild through it
-		for v := 0; v < n; v++ {
-			e.nodes[v].fn = proto(&e.nodes[v])
-		}
-	} else {
-		// Blocking mode: node coroutines, parked until their shard worker
-		// hands them the baton. The handoff channels exist only here —
-		// round-driven runs never pay the 2n channel allocations.
-		for v := 0; v < n; v++ {
-			nodeWg.Add(1)
-			nd := &e.nodes[v]
-			if nd.resume == nil {
-				nd.resume = make(chan struct{})
-				nd.yield = make(chan struct{})
-			}
-			go func() {
-				defer nodeWg.Done()
-				<-nd.resume
-				f(nd)
-				// Exiting: discard queued sends and yield one final time;
-				// the node occupies (silently) one compute slot this round.
-				nd.clearOut()
-				nd.exited = true
-				nd.yield <- struct{}{}
-			}()
-		}
+	e.proto = proto // retained: wiped crash restarts rebuild through it
+	for v := 0; v < n; v++ {
+		e.nodes[v].fn = proto(&e.nodes[v])
 	}
 
 	for e.active > 0 {
@@ -794,7 +704,6 @@ func run(g *graph.Graph, f NodeFunc, proto SyncProtocol, opts Options) (Stats, e
 			e.fail(fmt.Errorf("congest: exceeded %d rounds", e.maxRounds))
 		}
 	}
-	nodeWg.Wait()
 	close(e.taskCh)
 	poolWg.Wait()
 

@@ -107,10 +107,10 @@ func exhausted(protocol string, attempts, lastBudget int, last error) error {
 // CanonicalBFSParents computes, sequentially, the parent/parent-edge arrays
 // of the canonical elected BFS tree from root: every vertex adopts its
 // first adjacency-order (lowest-port) neighbor one BFS level closer. This
-// is the fixed point both DistributedBFS (first announcement, lowest port
-// on ties) and the resilient re-broadcasting BFS converge to, and the tree
-// pipeline.SelfSetup builds analytically — exported so all three share one
-// definition.
+// is the fixed point both DistributedBFSSync (first announcement, lowest
+// port on ties) and the resilient re-broadcasting BFS converge to, and the
+// tree pipeline.SelfSetup builds analytically — exported so all three
+// share one definition.
 func CanonicalBFSParents(g *graph.Graph, root int) (parent, parentEdge []int, err error) {
 	r := graph.BFS(g, root)
 	if len(r.Order) != g.N() {
@@ -140,10 +140,10 @@ func CanonicalBFSParents(g *graph.Graph, root int) (parent, parentEdge []int, er
 // starts at diamBound+1 and doubles per attempt. The converged votes are
 // checked for unanimity on the true minimum (vertex 0 — IDs are dense);
 // disagreement retries. A nil adversary delegates to the fault-free
-// LeaderElect.
+// LeaderElectSync.
 func (a *Adversary) LeaderElect(g *graph.Graph, diamBound int) (leader int, stats Stats, err error) {
 	if a == nil {
-		return LeaderElect(g, diamBound)
+		return LeaderElectSync(g, diamBound, Options{})
 	}
 	n := g.N()
 	if n == 0 {
@@ -210,11 +210,11 @@ func (a *Adversary) LeaderElect(g *graph.Graph, diamBound int) (leader int, stat
 // true BFS levels. Each node then adopts the lowest port whose neighbor
 // sits one level closer — and the converged arrays are checked against
 // CanonicalBFSParents exactly, so a successful run returns the identical
-// tree the fault-free pipeline elects. A nil adversary delegates to
-// DistributedBFS.
+// tree the fault-free pipeline elects. A nil adversary delegates to the
+// early-exit DistributedBFSSync.
 func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge []int, stats Stats, err error) {
 	if a == nil {
-		return DistributedBFS(g, root, diamBound)
+		return DistributedBFSSync(g, root, diamBound, Options{})
 	}
 	n := g.N()
 	if root < 0 || root >= n {

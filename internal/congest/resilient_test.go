@@ -41,11 +41,11 @@ func TestAdversaryElectionAndBFSMatchFaultFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			diam := 2*graph.DiameterApprox(tc.g) + 2
-			wantLeader, _, err := congest.LeaderElect(tc.g, diam)
+			wantLeader, _, err := congest.LeaderElectSync(tc.g, diam, congest.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantParent, wantEdge, _, err := congest.DistributedBFS(tc.g, wantLeader, diam)
+			wantParent, wantEdge, _, err := congest.DistributedBFSSync(tc.g, wantLeader, diam, congest.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestRetryableAndIncompleteError(t *testing.T) {
 func TestProtocolsReturnIncompleteError(t *testing.T) {
 	g := gen.Path(30)
 	var ie *congest.IncompleteError
-	if _, _, _, err := congest.DistributedBFS(g, 0, 2); !errors.As(err, &ie) {
+	if _, _, _, err := congest.DistributedBFSSync(g, 0, 2, congest.Options{}); !errors.As(err, &ie) {
 		t.Fatalf("BFS with tiny diameter bound: got %v, want IncompleteError", err)
 	} else if ie.Protocol != "BFS" {
 		t.Fatalf("protocol %q, want BFS", ie.Protocol)

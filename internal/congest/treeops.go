@@ -8,8 +8,7 @@ import (
 
 // The single-value tree primitives are thin single-token wrappers over the
 // pipelined multi-token layer (Pipecast / PipeBroadcast): one tag, one
-// token per tree edge, O(height) rounds. They replaced a hand-rolled
-// blocking-API convergecast core that the pipelined protocol subsumes.
+// token per tree edge, O(height) rounds.
 
 // TreeBroadcast floods a value from the root down a rooted spanning tree:
 // O(height) rounds, one word per edge. Returns the value received at every

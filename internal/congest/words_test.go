@@ -49,17 +49,13 @@ func TestLastActiveRoundSemantics(t *testing.T) {
 	// A protocol that sends only in round 1 and then idles for 5 rounds:
 	// LastActiveRound must be small even though Rounds is larger.
 	g := gen.Path(3)
-	f := func(n *congest.Node) {
-		if n.ID == 0 {
+	step := func(n *congest.Node, _ []congest.Message) bool {
+		if n.Round() == 1 && n.ID == 0 {
 			n.Broadcast(congest.Words{1})
 		}
-		for r := 0; r < 6; r++ {
-			if _, ok := n.Step(); !ok {
-				return
-			}
-		}
+		return n.Round() <= 6
 	}
-	stats, err := congest.Run(g, f, congest.Options{})
+	stats, err := congest.RunSync(g, everyNode(step), congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,25 +69,27 @@ func TestLastActiveRoundSemantics(t *testing.T) {
 
 func TestNodeAccessors(t *testing.T) {
 	g := gen.Star(4)
-	f := func(n *congest.Node) {
+	// RoundFuncs run on shard workers, so report with Errorf (safe from any
+	// goroutine) rather than Fatalf.
+	step := func(n *congest.Node, _ []congest.Message) bool {
 		if n.ID == 0 {
 			if n.Degree() != 3 {
-				panic("center degree")
+				t.Errorf("center degree %d want 3", n.Degree())
 			}
 			for port := 0; port < n.Degree(); port++ {
 				nb := n.Neighbor(port)
 				e := g.Edge(n.PortEdge(port))
 				if !((e.U == 0 && e.V == nb) || (e.V == 0 && e.U == nb)) {
-					panic("port mapping")
+					t.Errorf("port %d maps to neighbor %d over edge %+v", port, nb, e)
 				}
 			}
 		}
 		if n.NumV != 4 {
-			panic("NumV")
+			t.Errorf("node %d: NumV %d want 4", n.ID, n.NumV)
 		}
-		n.Step()
+		return n.Round() < 2
 	}
-	if _, err := congest.Run(g, f, congest.Options{}); err != nil {
+	if _, err := congest.RunSync(g, everyNode(step), congest.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }

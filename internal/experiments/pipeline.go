@@ -12,12 +12,12 @@ import (
 )
 
 // E14Pipeline measures the zero-witness pipeline end to end: the network
-// elects a leader, builds its own BFS tree (congest.LeaderElect +
-// congest.DistributedBFS), ranks parts by tree block counts, runs the
-// in-network O(log n) doubling cap search (congest.SearchCap) — one
-// flooding construction plus convergecast quality estimate per guess — and
-// keeps the winning shortcut. No witness, tree, or cap is supplied by the
-// generator anywhere on that path.
+// elects a leader, builds its own BFS tree (congest.LeaderElectSync, then
+// the early-exit congest.DistributedBFSSync), ranks parts by tree block
+// counts, runs the in-network O(log n) doubling cap search
+// (congest.SearchCap) — one flooding construction plus convergecast
+// quality estimate per guess — and keeps the winning shortcut. No witness,
+// tree, or cap is supplied by the generator anywhere on that path.
 //
 // The same three families as E13, against the same witness baselines:
 // grids with row parts (cotree treewidth witness), wheels with rim-arc
@@ -25,10 +25,10 @@ import (
 // clique-sum chains with Voronoi parts (Theorem 6 witness). q_zero is the
 // exactly measured quality of the zero-witness shortcut, q_wit the witness
 // construction's; the acceptance bar is q_zero within 2× of q_wit on every
-// family. r_boot and r_search are the measured bootstrap and cap-search
-// rounds (simulate ledger), r_chg the analytic-ledger total for the same
-// pipeline, and use_zero/use_wit the part-wise aggregation rounds each
-// shortcut then buys.
+// family. r_boot and r_search are the measured bootstrap (election plus
+// early-exit BFS) and cap-search rounds (simulate ledger), r_chg the
+// analytic-ledger total for the same pipeline, and use_zero/use_wit the
+// part-wise aggregation rounds each shortcut then buys.
 func E14Pipeline(gridSides, wheelRims, chainBags []int, seed int64) *Table {
 	t := &Table{
 		ID:     "E14",

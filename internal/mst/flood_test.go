@@ -97,53 +97,6 @@ func TestFloodProviderExactMST(t *testing.T) {
 	}
 }
 
-// TestSimulatedProviderBudgetExhaustion pins the degradation contract of
-// the budget-exhaustion path: congestion budgets 0 and 1 both degrade to
-// the minimum lawful budget-1 construction — identical shortcuts, identical
-// charges — and the MST stays exact rather than a phase truncating
-// mid-merge.
-func TestSimulatedProviderBudgetExhaustion(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := gen.DistinctWeights(gen.UniformWeights(gen.Grid(6, 6).G, rng))
-	w := gen.Wheel(41).G
-	hub := w.N() - 1
-	for id := 0; id < w.M(); id++ {
-		e := w.Edge(id)
-		if e.U == hub || e.V == hub {
-			w.SetWeight(id, 100+rng.Float64())
-		} else {
-			w.SetWeight(id, 1+rng.Float64())
-		}
-	}
-	gen.DistinctWeights(w)
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		root int
-	}{{"grid", g, 0}, {"wheel-adversarial", w, hub}} {
-		tr, err := graph.BFSTree(tc.g, tc.root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var runs []*mst.RunStats
-		for _, budget := range []int{0, 1} {
-			rs, err := mst.ShortcutBoruvka(tc.g, mst.SimulatedProvider(tc.g, tr, budget))
-			if err != nil {
-				t.Fatalf("%s budget %d: %v", tc.name, budget, err)
-			}
-			assertExactMST(t, tc.g, rs)
-			if rs.CommRounds <= 0 {
-				t.Fatalf("%s budget %d: exhausted construction reported no rounds", tc.name, budget)
-			}
-			runs = append(runs, rs)
-		}
-		if runs[0].CommRounds != runs[1].CommRounds || runs[0].Phases != runs[1].Phases {
-			t.Fatalf("%s: budget 0 did not degrade to the budget-1 construction: %+v vs %+v",
-				tc.name, runs[0], runs[1])
-		}
-	}
-}
-
 // TestShortcutBoruvkaIncompleteSurfaces: a run that halts with multiple
 // fragments left (here: a disconnected graph under a hand-built provider)
 // must report ErrIncomplete instead of silently returning the partial

@@ -52,7 +52,6 @@ type Provider = pipeline.Provider
 var (
 	ObliviousProvider = pipeline.Oblivious
 	EmptyProvider     = pipeline.Empty
-	SimulatedProvider = pipeline.SimulatedOblivious
 	FloodProvider     = pipeline.Flood
 	AutoFloodProvider = pipeline.AutoFlood
 )
@@ -258,7 +257,7 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunS
 	// graph is disconnected) or the phase budget runs out. Either way the
 	// chosen edges are a partial forest, not the MST — surface that instead
 	// of returning it as if the run finished (the same zero-masquerade class
-	// DistributedBFS fixed).
+	// the BFS flood fixed).
 	if uf.Count() > 1 {
 		return nil, &congest.IncompleteError{Protocol: "MST", Rounds: stats.CommRounds, Budget: stats.Phases,
 			Detail: fmt.Sprintf("halted with %d fragments after %d phases (disconnected graph or phase budget exhausted)",

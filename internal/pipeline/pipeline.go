@@ -64,21 +64,6 @@ func Empty(g *graph.Graph, t *graph.Tree) Provider {
 	}
 }
 
-// SimulatedOblivious constructs shortcuts with the fully simulated
-// distributed claiming protocol (congest.BuildObliviousShortcut): the
-// construction cost is the protocol's own measured effective rounds.
-// Budgets below 1 degrade to the minimum lawful congestion budget of 1 (a
-// correct, if block-heavy, construction) rather than failing.
-func SimulatedOblivious(g *graph.Graph, t *graph.Tree, budget int) Provider {
-	return func(p *partition.Parts) (*shortcut.Shortcut, Rounds, error) {
-		res, err := congest.BuildObliviousShortcut(g, t, p, budget)
-		if err != nil {
-			return nil, Rounds{}, err
-		}
-		return res.S, Rounds{Simulated: res.EffectiveRounds}, nil
-	}
-}
-
 // Flood constructs shortcuts in-network with the flooding construction
 // (congest.ConstructShortcut) at a fixed congestion cap: simulate runs the
 // actual protocol and returns its measured effective rounds; otherwise the
@@ -141,14 +126,16 @@ type Setup struct {
 }
 
 // SelfSetup elects the minimum vertex ID by flooding and builds the BFS
-// tree rooted there. In simulate mode both protocols (congest.LeaderElect,
-// congest.DistributedBFS) actually run on the engine — their measured
-// rounds are the cost — and the tree is assembled from the protocol's own
-// parent/edge announcements. In analytic mode the same leader and a BFS
-// tree are computed sequentially and the two floods' round budgets are
-// charged. The diameter bound the protocols need is the doubled double-
-// sweep estimate (2·ecc ≥ D for any vertex), matching the CONGEST
-// convention that nodes know an upper bound on D (§1.3.1).
+// tree rooted there. In simulate mode both protocols
+// (congest.LeaderElectSync, then the early-exit congest.DistributedBFSSync)
+// actually run on the engine — their measured rounds are the cost — and
+// the tree is assembled from the protocol's own parent/edge announcements.
+// In analytic mode the same leader and a BFS tree are computed
+// sequentially and the two floods' round budgets are charged. The diameter
+// bound the protocols need is the doubled double-sweep estimate
+// (2·ecc ≥ D for any vertex), matching the CONGEST convention that nodes
+// know an upper bound on D (§1.3.1). A disconnected network fails with a
+// wrapped graph.ErrDisconnected in every mode.
 func SelfSetup(g *graph.Graph, simulate bool) (*Setup, error) {
 	return SelfSetupUnder(g, simulate, nil)
 }
@@ -168,10 +155,14 @@ func SelfSetupUnder(g *graph.Graph, simulate bool, adv *congest.Adversary) (*Set
 	if adv != nil && !simulate {
 		return nil, fmt.Errorf("pipeline: self-setup adversary requires simulate mode")
 	}
-	diamBound := 2*graph.DiameterApprox(g) + 2
+	ecc := graph.DiameterApprox(g)
+	if ecc < 0 {
+		return nil, fmt.Errorf("pipeline: self-setup: %w", graph.ErrDisconnected)
+	}
+	diamBound := 2*ecc + 2
 	s := &Setup{G: g, Simulate: simulate, ChargedEquivalent: 2 * (diamBound + 2)}
 	if !simulate {
-		s.Leader = 0 // LeaderElect elects the minimum vertex ID
+		s.Leader = 0 // the election elects the minimum vertex ID
 		t, err := electedTree(g, s.Leader)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: self-setup BFS: %w", err)
@@ -180,26 +171,11 @@ func SelfSetupUnder(g *graph.Graph, simulate bool, adv *congest.Adversary) (*Set
 		s.Cost = Rounds{Charged: 2 * (diamBound + 2)}
 		return s, nil
 	}
-	var (
-		leader         int
-		parent         []int
-		parentEdge     []int
-		estats, bstats congest.Stats
-		err            error
-	)
-	if adv != nil {
-		leader, estats, err = adv.LeaderElect(g, diamBound)
-	} else {
-		leader, estats, err = congest.LeaderElect(g, diamBound)
-	}
+	leader, estats, err := adv.LeaderElect(g, diamBound)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: leader election: %w", err)
 	}
-	if adv != nil {
-		parent, parentEdge, bstats, err = adv.BFS(g, leader, diamBound)
-	} else {
-		parent, parentEdge, bstats, err = congest.DistributedBFS(g, leader, diamBound)
-	}
+	parent, parentEdge, bstats, err := adv.BFS(g, leader, diamBound)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: distributed BFS: %w", err)
 	}

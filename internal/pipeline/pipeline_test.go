@@ -1,9 +1,11 @@
 package pipeline_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -59,6 +61,32 @@ func TestSelfSetupModes(t *testing.T) {
 				t.Fatalf("%s: modes elected different trees at vertex %d: parent %d/%d edge %d/%d",
 					tc.name, v, trees[0].Parent[v], trees[1].Parent[v], trees[0].ParentEdge[v], trees[1].ParentEdge[v])
 			}
+		}
+	}
+}
+
+// TestSelfSetupDisconnected: a disconnected network fails with a wrapped
+// graph.ErrDisconnected in every mode — analytic, simulate, and under an
+// adversary — rather than with a diameter-bound validation error from the
+// floods.
+func TestSelfSetupDisconnected(t *testing.T) {
+	g := graph.New(6)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(3, 4, 1)
+	g.AddEdge(4, 5, 1)
+	for _, tc := range []struct {
+		name     string
+		simulate bool
+		adv      *congest.Adversary
+	}{
+		{"analytic", false, nil},
+		{"simulate", true, nil},
+		{"adversary", true, congest.NewAdversary(congest.FaultPlan{})},
+	} {
+		s, err := pipeline.SelfSetupUnder(g, tc.simulate, tc.adv)
+		if !errors.Is(err, graph.ErrDisconnected) {
+			t.Errorf("%s: got (%v, %v), want graph.ErrDisconnected", tc.name, s, err)
 		}
 	}
 }
