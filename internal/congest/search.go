@@ -290,15 +290,9 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // from the converged fixed point, so both modes agree on it.
 func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
-	maxEcc := 0
-	for i := 0; i < p.NumParts(); i++ {
-		ecc, err := s.AugmentedEcc(i)
-		if err != nil {
-			return 0, err
-		}
-		if ecc > maxEcc {
-			maxEcc = ecc
-		}
+	maxEcc, err := s.MaxAugmentedEcc()
+	if err != nil {
+		return 0, err
 	}
 	est := m.MaxBlocks*maxEcc + m.Congestion
 	if simulate {

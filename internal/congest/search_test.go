@@ -165,3 +165,44 @@ func TestBootstrapPrioritiesMeasured(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSearchCap times the analytic doubling cap search on a 160×160
+// grid cut into about √n Borůvka fragments (the search stage of the
+// benchmark's grid-analytic pipeline) and reports the cost per guess.
+func BenchmarkSearchCap(b *testing.B) {
+	g := gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(160, 160), rand.New(rand.NewSource(2018)))).Graph()
+	tr, err := graph.BFSTree(g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The most Borůvka phases that still leave at least √n fragments.
+	target := 1
+	for target*target < g.N() {
+		target++
+	}
+	phases := 1
+	for ; phases < 64; phases++ {
+		next, err := partition.BoruvkaFragments(g, phases+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if next.NumParts() < target {
+			break
+		}
+	}
+	p, err := partition.BoruvkaFragments(g, phases)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	guesses := 0
+	for b.Loop() {
+		res, err := congest.SearchCap(g, tr, p, congest.SearchOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		guesses += res.Guesses
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(guesses), "ns/guess")
+	b.ReportMetric(float64(p.NumParts()), "parts")
+}

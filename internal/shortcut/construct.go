@@ -1,6 +1,7 @@
 package shortcut
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -140,12 +141,34 @@ func ValidPriorities(prio []int32, numParts int) error {
 	return nil
 }
 
-// FromFloodState assembles the Shortcut described by a flooding-construction
-// state: admitted[v] lists, in rank space (see FloodFixedPoint), the parts
-// admitted over v's parent edge; prio maps part to rank (nil = identity)
-// and must be a permutation of 0..NumParts-1. Both the sequential
-// constructor and the distributed protocol's converged state assemble
-// through here, so the two paths cannot diverge.
+// ErrMalformedFloodState marks a flooding-construction state FromFloodState
+// refuses to assemble.
+var ErrMalformedFloodState = errors.New("shortcut: malformed flood state")
+
+// FromFloodState assembles and measures the Shortcut described by a
+// flooding-construction state: admitted[v] lists, in rank space (see
+// FloodFixedPoint), the parts admitted over v's parent edge; prio maps part
+// to rank (nil = identity) and must be a permutation of 0..NumParts-1. Both
+// the sequential constructor and the distributed protocol's converged state
+// assemble through here, so the two paths cannot diverge.
+//
+// The state already holds everything Measure would recompute, so the
+// returned shortcut carries its Measurement, derived in one children-first
+// pass over the state:
+//
+//   - congestion is max_v |admitted(v)|, because distinct vertices have
+//     distinct parent edges;
+//   - part i's block count is the number of vertices where i is present
+//     (v's own part, or admitted by a child) but not admitted over v's
+//     parent edge: the BlockTops indicators, one per block top.
+//
+// The block formula equals BlockCounts only for grounded states, in which
+// every rank admitted at v is present at v, so every H-component reaches
+// down to a member of its part. Every fixed point is grounded. The pass
+// returns an error wrapping ErrMalformedFloodState for a state that is not,
+// and for one of the wrong shape: not one list per vertex, a rank outside
+// [0, NumParts), a list not strictly ascending, or ranks at the root, which
+// has no parent edge to admit them over.
 func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32) (*Shortcut, error) {
 	if err := ValidPriorities(prio, p.NumParts()); err != nil {
 		return nil, err
@@ -161,50 +184,125 @@ func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted 
 			return nil, fmt.Errorf("shortcut: part %d is empty", i)
 		}
 	}
-	inv := invertPriorities(p.NumParts(), prio)
+	if len(admitted) != g.N() {
+		return nil, fmt.Errorf("%w: %d admitted lists for %d vertices", ErrMalformedFloodState, len(admitted), g.N())
+	}
 	np := p.NumParts()
+	inv := invertPriorities(np, prio)
+	m, size, err := measureFloodState(t, p, admitted, prio, inv)
+	if err != nil {
+		return nil, err
+	}
 	// The total assignment size Σᵥ|admitted(v)| reaches Θ(n·cap) at scale, so
 	// the per-part lists are carved out of one counted slab instead of grown
-	// with append — a counting pass, a prefix sum, and a fill pass, the same
-	// shape as the CSR arc assembly. The lists are duplicate-free by
-	// construction (admitted ranks are distinct per vertex, and distinct
-	// vertices have distinct parent edges) and every ID is a tree edge by
-	// definition, so New's sortedDedup copy and tree-membership sweep are
-	// redundant here; each region is sorted in place and the Shortcut built
-	// directly.
+	// with append: the measurement pass counted, a prefix sum places each
+	// part's region, and a fill pass writes it. The fill visits tree edges in
+	// ascending ID order, so every region comes out sorted. The lists are
+	// duplicate-free (admitted ranks are strictly ascending per vertex, and
+	// distinct vertices have distinct parent edges) and every ID is a tree
+	// edge by definition, so New's sortedDedup copy and tree-membership sweep
+	// are redundant here and the Shortcut is built directly.
 	off := make([]int, np+1)
-	for v := 0; v < g.N(); v++ {
-		if t.ParentEdge[v] == -1 {
-			continue
-		}
-		for _, r := range admitted[v] {
-			off[inv[r]+1]++
-		}
+	for r, c := range size {
+		off[inv[r]+1] = c
 	}
 	for i := 0; i < np; i++ {
 		off[i+1] += off[i]
 	}
 	slab := make([]int, off[np])
-	cur := make([]int, np)
-	copy(cur, off[:np])
-	for v := 0; v < g.N(); v++ {
-		id := t.ParentEdge[v]
-		if id == -1 {
+	cur := make([]int, np) // by rank: the next free slot of the rank's part
+	for r := range cur {
+		cur[r] = off[inv[r]]
+	}
+	child := g.AcquireScratch() // tree edge ID -> the vertex it is the parent edge of
+	defer g.ReleaseScratch(child)
+	for v, id := range t.ParentEdge {
+		if id != -1 {
+			child.Set(id, int32(v))
+		}
+	}
+	for id := 0; id < g.M(); id++ {
+		v, ok := child.Get(id)
+		if !ok {
 			continue
 		}
 		for _, r := range admitted[v] {
-			i := inv[r]
-			slab[cur[i]] = id
-			cur[i]++
+			slab[cur[r]] = id
+			cur[r]++
 		}
 	}
-	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, np)}
+	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, np), measured: &m}
 	for i := 0; i < np; i++ {
-		region := slab[off[i]:off[i+1]:off[i+1]]
-		sort.Ints(region)
-		s.Edges[i] = region
+		s.Edges[i] = slab[off[i]:off[i+1]:off[i+1]]
 	}
 	return s, nil
+}
+
+// measureFloodState validates a flood state and measures the shortcut it
+// describes (see FromFloodState). It also returns the edge count of each
+// rank's part: size[r] = |H_inv[r]|. Vertices are visited children first
+// (reverse BFS order), so every child's list is validated before its
+// parent reads it, and all counting is in rank space, mapped to parts once
+// at the end.
+//
+// In a grounded state the admitted ranks at v are a subset of the present
+// ones, so part i's block count — #{v : i present, i not admitted} — is
+// #{v : i present} − |Hᵢ|. The pass therefore counts presence alone, with
+// one rank-indexed stamp array in place of a per-part union-find, and
+// subtracts the edge counts at the end.
+func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio, inv []int32) (Measurement, []int, error) {
+	np := p.NumParts()
+	m := Measurement{TreeDiameter: treeDiameter(t), Blocks: make([]int, np)}
+	size := make([]int, np)
+	seen := make([]int, np) // by rank: #{v : rank present at v}
+	// present[r] == v+1 iff rank r is present at v. Each vertex is visited
+	// once, so v+1 is a fresh stamp and the array is never cleared.
+	present := make([]int32, np)
+	for oi := len(t.Order) - 1; oi >= 0; oi-- {
+		v := t.Order[oi]
+		stamp := int32(v + 1)
+		if pi := p.Of[v]; pi != -1 {
+			r := int32(pi)
+			if prio != nil {
+				r = prio[pi]
+			}
+			present[r] = stamp
+			seen[r]++
+		}
+		for _, c := range t.Children[v] {
+			for _, r := range admitted[c] {
+				if present[r] != stamp {
+					present[r] = stamp
+					seen[r]++
+				}
+			}
+		}
+		list := admitted[v]
+		if len(list) > 0 && t.ParentEdge[v] == -1 {
+			return Measurement{}, nil, fmt.Errorf("%w: vertex %d has no parent edge but admits %d ranks",
+				ErrMalformedFloodState, v, len(list))
+		}
+		for k, r := range list {
+			switch {
+			case r < 0 || int(r) >= np:
+				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits rank %d outside [0, %d)",
+					ErrMalformedFloodState, v, r, np)
+			case k > 0 && r <= list[k-1]:
+				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
+					ErrMalformedFloodState, v, list)
+			case present[r] != stamp:
+				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
+					ErrMalformedFloodState, v, r)
+			}
+			size[r]++
+		}
+		m.Congestion = max(m.Congestion, len(list))
+	}
+	for r, part := range inv {
+		m.Blocks[part] = seen[r] - size[r]
+	}
+	m.finish()
+	return m, size, nil
 }
 
 // invertPriorities returns the rank -> part mapping (identity for nil prio).

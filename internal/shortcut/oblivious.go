@@ -109,10 +109,12 @@ func ObliviousAuto(g *graph.Graph, t *graph.Tree, p *partition.Parts) (*Shortcut
 }
 
 // WholeTree assigns the entire spanning tree to the listed parts (the
-// paper's treatment of parts containing an apex: they get all of T).
+// paper's treatment of parts containing an apex: they get all of T). It
+// drops any measurement s carried, so Measure recounts the new edge sets.
 func WholeTree(s *Shortcut, parts []int) {
 	all := s.T.TreeEdgeIDs()
 	for _, i := range parts {
 		s.Edges[i] = append([]int(nil), all...)
 	}
+	s.measured = nil
 }

@@ -12,8 +12,9 @@ import (
 
 // checkOracle verifies the maintained state against a full rebuild: the
 // incremental admissions must equal a fresh FloodFixedPoint over the
-// current (possibly patched) tree under the frozen ranking, and the
-// assembled shortcut must equal the from-scratch construction.
+// current (possibly patched) tree under the frozen ranking, the assembled
+// shortcut must equal the from-scratch construction, and the measurement
+// it carries must equal the union-find measurement of its edges.
 func checkOracle(t *testing.T, m *shortcut.Maintained) {
 	t.Helper()
 	want := shortcut.FloodFixedPoint(m.G, m.T, m.P, m.Cap, m.Prio)
@@ -39,6 +40,9 @@ func checkOracle(t *testing.T, m *shortcut.Maintained) {
 				t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges[i], ws.Edges[i])
 			}
 		}
+	}
+	if got, want := gs.Measure(), unionFindMeasure(t, gs); !sameMeasurement(got, want) {
+		t.Fatalf("maintained measurement %+v, union-find %+v", got, want)
 	}
 }
 

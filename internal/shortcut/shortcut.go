@@ -5,14 +5,17 @@
 // [HIZ16a] (uses no structural knowledge) and the treewidth-witness
 // construction realizing Theorem 5 ([HIZ16b]).
 //
-// The measurement paths are dense: all per-part accounting runs over
-// epoch-stamped scratch slices (graph.Scratch) and a single reused
-// union-find forest, so measuring a shortcut allocates O(parts) memory
+// The measurement paths are dense. A shortcut assembled from a flooding
+// state (FromFloodState) is measured during assembly, from the admitted
+// lists themselves, with no union-find at all. Every other shortcut is
+// measured over epoch-stamped scratch slices (graph.Scratch) and a single
+// reused union-find forest, so measuring it allocates O(parts) memory
 // rather than O(parts · n) map churn.
 package shortcut
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -26,6 +29,11 @@ type Shortcut struct {
 	T     *graph.Tree
 	P     *partition.Parts
 	Edges [][]int // per part: sorted tree edge IDs
+
+	// measured is the Measurement FromFloodState derived from the flooding
+	// state the shortcut was assembled from. It is nil for hand-built
+	// shortcuts, and Union and WholeTree clear it.
+	measured *Measurement
 }
 
 // New wraps and validates a shortcut assignment: t and p must belong to g
@@ -113,12 +121,22 @@ type Measurement struct {
 	Quality      int   // b * d_T + c
 }
 
-// Measure computes congestion, block parameters, and quality exactly.
+// Measure computes congestion, block parameters, and quality exactly. A
+// shortcut assembled by FromFloodState already carries its measurement,
+// derived from the flooding state while its edge lists were assembled, and
+// Measure returns a copy of it with a fresh Blocks slice.
+// Every other shortcut, and a flood-built one after Union or WholeTree,
+// is measured here: a usage count over the edge lists for the congestion
+// and a union-find per part for the block counts (BlockCounts). A caller
+// that rewrites a flood-built shortcut's Edges in place must rebuild it
+// with New, or the carried measurement goes stale.
 func (s *Shortcut) Measure() Measurement {
-	m := Measurement{TreeDiameter: 2 * s.T.Height()}
-	if m.TreeDiameter == 0 {
-		m.TreeDiameter = 1
+	if s.measured != nil {
+		m := *s.measured
+		m.Blocks = slices.Clone(m.Blocks)
+		return m
 	}
+	m := Measurement{TreeDiameter: treeDiameter(s.T)}
 	use := s.G.AcquireScratch() // edge ID -> #parts using it
 	for _, ids := range s.Edges {
 		for _, id := range ids {
@@ -129,13 +147,28 @@ func (s *Shortcut) Measure() Measurement {
 	}
 	s.G.ReleaseScratch(use)
 	m.Blocks = s.BlockCounts()
+	m.finish()
+	return m
+}
+
+// treeDiameter is the d_T the quality formula charges: twice T's height,
+// or 1 for a single-vertex tree.
+func treeDiameter(t *graph.Tree) int {
+	if d := 2 * t.Height(); d > 0 {
+		return d
+	}
+	return 1
+}
+
+// finish derives the block parameter and the quality from the congestion,
+// the per-part block counts and the tree diameter.
+func (m *Measurement) finish() {
 	for _, b := range m.Blocks {
 		if b > m.MaxBlocks {
 			m.MaxBlocks = b
 		}
 	}
 	m.Quality = m.MaxBlocks*m.TreeDiameter + m.Congestion
-	return m
 }
 
 // BlockCounts returns, per part, the number of block components: connected
@@ -201,9 +234,10 @@ func (s *Shortcut) BlockCounts() []int {
 // has exactly one top, so for assignments whose H-components all touch
 // their part — true for the flooding and claiming constructions, whose
 // admitted chains grow upward from part vertices — the per-part sums of
-// these indicators equal BlockCounts; the pipelined block-count
-// convergecast of the cap search validates exactly that after streaming
-// the indicators to the root.
+// these indicators equal BlockCounts. FromFloodState measures a flood-built
+// shortcut by summing these indicators as it assembles the edge lists, and
+// the cap search's pipelined block-count convergecast checks the sums it
+// streams to the root against that measurement.
 //
 // Each indicator depends only on state the construction protocol already
 // holds at v (its own forwarded set and its children's admitted sets), so
@@ -288,115 +322,135 @@ func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
 	return d, nil
 }
 
-// AugmentedEcc returns the hop eccentricity of part i's minimum vertex in
-// the augmented subgraph G[Pᵢ] + Hᵢ. This is the cap search's per-part
-// quality probe: one BFS instead of AugmentedDiameter's all-pairs sweep,
-// and ecc ≤ diameter ≤ 2·ecc, so it tracks the quantity the framework
-// bounds while staying cheap enough to evaluate per doubling guess. The
-// same empty-part and disconnection cases are explicit errors.
+// MaxAugmentedEcc returns the maximum over parts of the hop eccentricity of
+// the part's first member (P.Sets[i][0]) in its augmented subgraph
+// G[Pᵢ] + Hᵢ. This is the cap search's quality probe: one BFS per part
+// instead of AugmentedDiameter's all-pairs sweep, and ecc ≤ diameter ≤
+// 2·ecc, so it tracks the quantity the framework bounds while staying cheap
+// enough to evaluate per doubling guess. An empty part, or a part whose
+// augmented subgraph is disconnected (an error wrapping
+// graph.ErrDisconnected), is an explicit error, as in AugmentedDiameter.
 //
-// Unlike AugmentedDiameter, the probe never materializes a *graph.Graph:
-// the cap search evaluates it parts × guesses times, and per-probe
-// adjacency-list construction dominated the whole search at scale. It runs
-// BFS over a flat local CSR assembled with one counting pass instead.
-func (s *Shortcut) AugmentedEcc(i int) (int, error) {
-	if i < 0 || i >= s.P.NumParts() {
-		return 0, fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
-	}
-	if len(s.P.Sets[i]) == 0 {
-		return 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
-	}
+// The probe never materializes a *graph.Graph: it runs each BFS over a
+// flat local CSR assembled with one counting pass. One set of buffers,
+// sized once for the largest part, and one pair of scratch arenas serve
+// every part and are reset between parts, so a call allocates the same
+// handful of slices whatever the part count.
+func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 	g := s.G
+	maxVerts, maxArcs := 0, 0
+	for i, set := range s.P.Sets {
+		if len(set) == 0 {
+			return 0, fmt.Errorf("shortcut: part %d is empty, augmented eccentricity undefined", i)
+		}
+		// Bounds: the part plus both endpoints of every shortcut edge, and
+		// every arc at a part member plus both directions of every edge.
+		arcs := 2 * len(s.Edges[i])
+		for _, v := range set {
+			arcs += len(g.Adj(v))
+		}
+		maxVerts = max(maxVerts, len(set)+2*len(s.Edges[i]))
+		maxArcs = max(maxArcs, arcs)
+	}
 	in := g.AcquireScratch() // vertex -> local index
 	defer g.ReleaseScratch(in)
 	partIn := g.AcquireScratch()
 	defer g.ReleaseScratch(partIn)
-	verts := make([]int, 0, len(s.P.Sets[i])+2*len(s.Edges[i]))
-	for _, v := range s.P.Sets[i] {
-		if in.Visit(v) {
-			verts = append(verts, v)
+	verts := make([]int, 0, maxVerts)
+	offBuf := make([]int32, maxVerts+1)
+	curBuf := make([]int32, maxVerts)
+	distBuf := make([]int32, maxVerts)
+	queue := make([]int32, 0, maxVerts)
+	dstBuf := make([]int32, maxArcs)
+	maxEcc := int32(0)
+	for i, set := range s.P.Sets {
+		in.Reset()
+		partIn.Reset()
+		verts = verts[:0]
+		for _, v := range set {
+			if in.Visit(v) {
+				verts = append(verts, v)
+			}
+			partIn.Visit(v)
 		}
-		partIn.Visit(v)
-	}
-	numPart := len(verts)
-	for _, id := range s.Edges[i] {
-		e := g.Edge(id)
-		if in.Visit(e.U) {
-			verts = append(verts, e.U)
-		}
-		if in.Visit(e.V) {
-			verts = append(verts, e.V)
-		}
-	}
-	for li, v := range verts {
-		in.Set(v, int32(li))
-	}
-	// Local CSR: count arc slots (induced part arcs at both endpoints plus
-	// both directions of each shortcut edge), prefix-sum, fill.
-	nl := len(verts)
-	off := make([]int32, nl+1)
-	for _, v := range verts[:numPart] {
-		li := in.GetOr(v, -1)
-		for _, a := range g.Adj(v) {
-			if partIn.Has(a.To) {
-				off[li+1]++
+		numPart := len(verts)
+		for _, id := range s.Edges[i] {
+			e := g.Edge(id)
+			if in.Visit(e.U) {
+				verts = append(verts, e.U)
+			}
+			if in.Visit(e.V) {
+				verts = append(verts, e.V)
 			}
 		}
-	}
-	for _, id := range s.Edges[i] {
-		e := g.Edge(id)
-		off[in.GetOr(e.U, -1)+1]++
-		off[in.GetOr(e.V, -1)+1]++
-	}
-	for li := 0; li < nl; li++ {
-		off[li+1] += off[li]
-	}
-	dst := make([]int32, off[nl])
-	cur := make([]int32, nl)
-	copy(cur, off[:nl])
-	for _, v := range verts[:numPart] {
-		li := in.GetOr(v, -1)
-		for _, a := range g.Adj(v) {
-			if partIn.Has(a.To) {
-				dst[cur[li]] = in.GetOr(a.To, -1)
-				cur[li]++
+		for li, v := range verts {
+			in.Set(v, int32(li))
+		}
+		// Local CSR: count arc slots (induced part arcs at both endpoints
+		// plus both directions of each shortcut edge), prefix-sum, fill.
+		nl := len(verts)
+		off := offBuf[:nl+1]
+		clear(off)
+		for _, v := range verts[:numPart] {
+			li := in.GetOr(v, -1)
+			for _, a := range g.Adj(v) {
+				if partIn.Has(a.To) {
+					off[li+1]++
+				}
 			}
 		}
-	}
-	for _, id := range s.Edges[i] {
-		e := g.Edge(id)
-		lu, lv := in.GetOr(e.U, -1), in.GetOr(e.V, -1)
-		dst[cur[lu]] = lv
-		cur[lu]++
-		dst[cur[lv]] = lu
-		cur[lv]++
-	}
-	dist := make([]int32, nl)
-	for li := range dist {
-		dist[li] = -1
-	}
-	queue := make([]int32, 0, nl)
-	src := in.GetOr(s.P.Sets[i][0], -1)
-	dist[src] = 0
-	queue = append(queue, src)
-	ecc := int32(0)
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		du := dist[u]
-		if du > ecc {
-			ecc = du
+		for _, id := range s.Edges[i] {
+			e := g.Edge(id)
+			off[in.GetOr(e.U, -1)+1]++
+			off[in.GetOr(e.V, -1)+1]++
 		}
-		for _, w := range dst[off[u]:off[u+1]] {
-			if dist[w] == -1 {
-				dist[w] = du + 1
-				queue = append(queue, w)
+		for li := 0; li < nl; li++ {
+			off[li+1] += off[li]
+		}
+		dst := dstBuf[:off[nl]]
+		cur := curBuf[:nl]
+		copy(cur, off[:nl])
+		for _, v := range verts[:numPart] {
+			li := in.GetOr(v, -1)
+			for _, a := range g.Adj(v) {
+				if partIn.Has(a.To) {
+					dst[cur[li]] = in.GetOr(a.To, -1)
+					cur[li]++
+				}
 			}
 		}
+		for _, id := range s.Edges[i] {
+			e := g.Edge(id)
+			lu, lv := in.GetOr(e.U, -1), in.GetOr(e.V, -1)
+			dst[cur[lu]] = lv
+			cur[lu]++
+			dst[cur[lv]] = lu
+			cur[lv]++
+		}
+		dist := distBuf[:nl]
+		for li := range dist {
+			dist[li] = -1
+		}
+		queue = queue[:0]
+		src := in.GetOr(set[0], -1)
+		dist[src] = 0
+		queue = append(queue, src)
+		for qi := 0; qi < len(queue); qi++ {
+			u := queue[qi]
+			du := dist[u]
+			maxEcc = max(maxEcc, du)
+			for _, w := range dst[off[u]:off[u+1]] {
+				if dist[w] == -1 {
+					dist[w] = du + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+		if len(queue) != nl {
+			return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+		}
 	}
-	if len(queue) != nl {
-		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
-	}
-	return int(ecc), nil
+	return int(maxEcc), nil
 }
 
 // augmentedSubgraph builds G[Pᵢ] + Hᵢ — the subgraph induced by part i plus
@@ -479,6 +533,7 @@ func (s *Shortcut) Union(other *Shortcut) error {
 	for i := range s.Edges {
 		s.Edges[i] = mergeSorted(s.Edges[i], other.Edges[i])
 	}
+	s.measured = nil
 	return nil
 }
 
