@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json bench bench-smoke bench-test bench-baseline scale-smoke sssp-bench construct-bench pipeline-bench pipecast-bench churn-bench query-bench
+.PHONY: all build test race vet lint lint-json bench bench-smoke bench-test bench-baseline scale-smoke
 
 all: vet lint build test
 
@@ -33,7 +33,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 
 bench-smoke:
-	$(GO) test -bench='E5|E9|E13|E14|E15|E18|E19' -benchtime=1x -run=NONE .
+	$(GO) test -bench='Tables/^(E5|E9|E13|E14|E15|E18|E19)$$' -benchtime=1x -run=NONE .
 
 # bench-test vets and tests the end-to-end benchmark in benchmark/, a
 # module of its own (repro/benchmark, replace repro => ../) that the root
@@ -49,31 +49,6 @@ bench-test:
 # BenchmarkScaleMillionPipeline (make bench-baseline).
 scale-smoke:
 	$(GO) test -run 'TestScaleSmoke100k' -count=1 -v ./internal/experiments
-
-# sssp-bench regenerates the E9 (1+eps)-approximate shortest-path table.
-sssp-bench:
-	$(GO) run ./cmd/ssspbench
-
-# construct-bench regenerates the E13 distributed shortcut construction table.
-construct-bench:
-	$(GO) run ./cmd/constructbench
-
-# pipeline-bench regenerates the E14 zero-witness pipeline table.
-pipeline-bench:
-	$(GO) run ./cmd/pipelinebench
-
-# pipecast-bench regenerates the E15 pipelined multi-token convergecast table.
-pipecast-bench:
-	$(GO) run ./cmd/pipecastbench
-
-# churn-bench regenerates the E18 self-healing shortcuts-under-churn table.
-churn-bench:
-	$(GO) run ./cmd/churnbench
-
-# query-bench regenerates the E19 batched k-source SSSP + distance-oracle
-# serving table.
-query-bench:
-	$(GO) run ./cmd/querybench
 
 # bench-baseline records the full benchmark suite as JSON for perf
 # trajectory tracking across PRs (compare with benchstat or jq).

@@ -1,12 +1,12 @@
-// Benchmark harness: one benchmark per experiment in DESIGN.md §2. Each
-// benchmark regenerates its table (printed to the bench output) and reports
-// its headline quantity as a custom metric, so `go test -bench=. -benchmem`
-// reproduces every table/figure stand-in of the paper in one run.
+// Benchmark harness: BenchmarkTables regenerates every experiment table of
+// the experiments registry, one sub-benchmark per table ID, and prints each
+// table to the bench output, so `go test -bench=Tables -benchtime=1x`
+// reproduces every table/figure stand-in of the paper in one run. The
+// timings are end-to-end table cost, not layer numbers.
 package repro_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
@@ -14,264 +14,17 @@ import (
 
 const benchSeed = 2018 // PODC year; all experiments are deterministic in it
 
-func reportLastCell(b *testing.B, t *experiments.Table, col, unit string) {
-	b.Helper()
-	s := t.Cell(len(t.Rows)-1, col)
-	if v, err := strconv.ParseFloat(s, 64); err == nil {
-		b.ReportMetric(v, unit)
+func BenchmarkTables(b *testing.B) {
+	for _, r := range experiments.Runners() {
+		b.Run(r.ID, func(b *testing.B) {
+			var t *experiments.Table
+			for i := 0; i < b.N; i++ {
+				t = r.Run(benchSeed, false)
+			}
+			b.StopTimer()
+			fmt.Println(t)
+		})
 	}
-}
-
-func BenchmarkE1PlanarQuality(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E1PlanarQuality([]int{6, 10, 14, 18}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "q_tw", "quality")
-}
-
-func BenchmarkE2TreewidthQuality(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E2Treewidth(400, []int{2, 3, 4, 6}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "blocks", "blocks")
-}
-
-func BenchmarkE3CliqueSumQuality(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E3CliqueSum([]int{2, 4, 8, 12}, 18, 3, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "quality", "quality")
-}
-
-func BenchmarkE4AlmostEmbeddable(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E4AlmostEmbeddable(benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "quality", "quality")
-}
-
-func BenchmarkE5MainQuality(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E5Main([]int{2, 4, 8, 16}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "quality", "quality")
-}
-
-func BenchmarkE6MST(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E6MST([]int{64, 128, 256}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "r_shortcut", "rounds")
-}
-
-// BenchmarkE6MSTLarge runs the MST table one size notch up (rim 512),
-// headroom opened by the dense-slice accounting and the barrier-synchronous
-// CONGEST engine. Skipped under -short (set GOFLAGS=-short for a quick
-// sweep); run `make bench-baseline` for the full suite.
-func BenchmarkE6MSTLarge(b *testing.B) {
-	if testing.Short() {
-		b.Skip("large MST table skipped in -short")
-	}
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E6MST([]int{64, 128, 256, 512}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "r_shortcut", "rounds")
-}
-
-func BenchmarkE6bMSTExcludedMinor(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E6bMSTExcludedMinor([]int{2, 4, 8}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "r_witness", "rounds")
-}
-
-func BenchmarkE6cAggregation(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.AggregationShowcase([]int{16, 32, 64}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "rounds_shortcut", "rounds")
-}
-
-// BenchmarkE6cAggregationLarge runs the aggregation showcase one size notch
-// up (corridors to 128 columns), headroom opened by the round-driven
-// CONGEST scheduler. Skipped under -short, like every Large benchmark.
-func BenchmarkE6cAggregationLarge(b *testing.B) {
-	if testing.Short() {
-		b.Skip("large aggregation showcase skipped in -short")
-	}
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.AggregationShowcase([]int{16, 32, 64, 128}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "rounds_shortcut", "rounds")
-}
-
-func BenchmarkE7MinCut(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E7MinCut([]int{40, 80, 160}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "ratio", "ratio")
-}
-
-func BenchmarkE8LowerBound(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E8LowerBound([]int{4, 8, 12, 16}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "quality", "quality")
-}
-
-func BenchmarkE8bLowerBoundMST(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E8bLowerBoundMST([]int{4, 6, 8}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "r_oblivious", "rounds")
-}
-
-// BenchmarkE9SSSP regenerates the (1+ε)-approximate shortest-path table:
-// naive Bellman–Ford rounds vs the part-wise relaxation pipeline on the
-// hop-heavy wheel and K5-minor-free clique-sum-chain families.
-func BenchmarkE9SSSP(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E9SSSP([]int{64, 128, 256, 512}, []int{32, 64, 128, 256}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "speedup", "speedup")
-}
-
-func BenchmarkE10FoldingAblation(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E10FoldingAblation([]int{8, 16, 32, 64}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "c_folded", "congestion")
-}
-
-func BenchmarkE11ApexEffect(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E11ApexEffect([]int{32, 64, 128}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "q_apexAware", "quality")
-}
-
-// BenchmarkE13Construct regenerates the distributed in-network shortcut
-// construction table: flooding-constructed vs witness-constructed quality
-// and rounds on grids, wheels, and K5-minor-free clique-sum chains.
-func BenchmarkE13Construct(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E13Construct([]int{6, 10, 14}, []int{32, 64}, []int{2, 4, 8, 16}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "ratio", "ratio")
-}
-
-// BenchmarkE14Pipeline regenerates the zero-witness pipeline table: leader
-// election, distributed BFS, in-network doubling cap search with block
-// priorities — quality and rounds against the witness constructions on
-// grids, wheels, and K5-minor-free clique-sum chains.
-func BenchmarkE14Pipeline(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E14Pipeline([]int{6, 10, 14}, []int{32, 64}, []int{2, 4, 8, 16}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "ratio", "ratio")
-}
-
-// BenchmarkE15Pipecast regenerates the pipelined multi-token tree
-// communication table: one O(height+k) streamed convergecast of the k
-// per-part block-count tokens versus k sequential convergecasts, plus the
-// two-mode cap-search agreement with the bootstrap measured message-level.
-func BenchmarkE15Pipecast(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E15Pipecast([]int{6, 10, 14}, []int{32, 64}, []int{2, 4, 8, 16}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "speedup", "speedup")
-}
-
-func BenchmarkE12Planarize(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E12Planarize([]int{0, 1, 2, 3}, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "cut_n", "vertices")
-}
-
-// BenchmarkE18Churn regenerates the self-healing shortcut table: a Poisson
-// edge-churn stream (weight updates, inserts, deletes including tree-edge
-// splices) repaired along dirty tree paths only, versus the strawman that
-// re-floods the whole construction after every event, with final quality
-// checked against a fresh full cap re-search on the churned graph.
-func BenchmarkE18Churn(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E18Churn([]int{6, 10, 14}, []int{32, 64}, []int{2, 4}, 40, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "ratio", "ratio")
-}
-
-func BenchmarkE19Query(b *testing.B) {
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.E19Query([]int{10}, []int{64}, []int{8}, 9999, 20000, true, benchSeed)
-	}
-	b.StopTimer()
-	fmt.Println(t)
-	reportLastCell(b, t, "qps", "qps")
 }
 
 // BenchmarkScaleMillionPipeline runs the full zero-witness pipeline at 10⁶

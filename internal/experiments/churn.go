@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/congest"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
@@ -36,39 +35,8 @@ func E18Churn(gridSides, wheelRims, chainBags []int, steps int, seed int64) *Tab
 		Title:  "self-healing shortcuts under churn: dirty-path repair vs per-event rebuild",
 		Header: []string{"family", "n", "events", "upd", "ins", "del", "patches", "rebuilds", "r_repair", "r_rebuild", "ratio", "q_end", "q_oracle", "q_ratio"},
 	}
-	ng, nw := len(gridSides), len(wheelRims)
-	rows := forEachPoint(ng+nw+len(chainBags), func(i int) row {
-		rng := pointRNG(seed, i)
-		switch {
-		case i < ng:
-			s := gridSides[i]
-			e := gen.Grid(s, s)
-			p, err := partition.GridRows(e.G, s, s)
-			if err != nil {
-				panic(err)
-			}
-			return churnRow("grid", e.G, p, steps, rng)
-		case i < ng+nw:
-			rim := wheelRims[i-ng]
-			a := gen.CycleWithApex(rim, rng)
-			p, err := partition.RimArcs(a.G, 8)
-			if err != nil {
-				panic(err)
-			}
-			return churnRow("wheel", a.G, p, steps, rng)
-		default:
-			nb := chainBags[i-ng-nw]
-			pieces := make([]*gen.Piece, nb)
-			for j := range pieces {
-				pieces[j] = gen.ApollonianPiece(18+rng.Intn(8), rng)
-			}
-			cs := gen.CliqueSum(pieces, 3, rng)
-			p, err := partition.Voronoi(cs.G, 3*nb, rng)
-			if err != nil {
-				panic(err)
-			}
-			return churnRow("k5free", cs.G, p, steps, rng)
-		}
+	rows := forEachFamily(gridSides, wheelRims, chainBags, seed, func(f familyPoint) row {
+		return churnRow(f.family, f.g, f.p, steps, f.rng)
 	})
 	for _, r := range rows {
 		t.AddRow(r...)

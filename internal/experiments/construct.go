@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/congest"
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/shortcut"
-	"repro/internal/tw"
 )
 
 // E13Construct measures the distributed in-network shortcut construction
@@ -38,67 +35,9 @@ func E13Construct(gridSides, wheelRims, chainBags []int, seed int64) *Table {
 		Title:  "distributed in-network shortcut construction: flooding vs witness quality and rounds",
 		Header: []string{"family", "n", "diam", "parts", "cap", "q_dist", "q_wit", "ratio", "r_sim", "r_chg", "use_dist", "use_wit"},
 	}
-	ng, nw := len(gridSides), len(wheelRims)
-	rows := forEachPoint(ng+nw+len(chainBags), func(i int) row {
-		rng := pointRNG(seed, i)
-		switch {
-		case i < ng:
-			s := gridSides[i]
-			e := gen.Grid(s, s)
-			tr, err := graph.BFSTree(e.G, 0)
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.GridRows(e.G, s, s)
-			if err != nil {
-				panic(err)
-			}
-			d, err := tw.FromEmbeddingByCotree(e.Emb, tr)
-			if err != nil {
-				panic(err)
-			}
-			res, err := shortcut.FromTreewidth(e.G, tr, p, d)
-			if err != nil {
-				panic(err)
-			}
-			return constructRow("grid", e.G, tr, p, res.S)
-		case i < ng+nw:
-			rim := wheelRims[i-ng]
-			a := gen.CycleWithApex(rim, rng)
-			tr, err := graph.BFSTree(a.G, a.Apices[0])
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.RimArcs(a.G, 8)
-			if err != nil {
-				panic(err)
-			}
-			res, err := core.AlmostEmbeddableShortcut(a.G, tr, p, a)
-			if err != nil {
-				panic(err)
-			}
-			return constructRow("wheel", a.G, tr, p, res.S)
-		default:
-			nb := chainBags[i-ng-nw]
-			pieces := make([]*gen.Piece, nb)
-			for j := range pieces {
-				pieces[j] = gen.ApollonianPiece(18+rng.Intn(8), rng)
-			}
-			cs := gen.CliqueSum(pieces, 3, rng)
-			tr, err := graph.BFSTree(cs.G, 0)
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.Voronoi(cs.G, 3*nb, rng)
-			if err != nil {
-				panic(err)
-			}
-			res, err := core.ExcludedMinorShortcut(cs.G, tr, p, witness(cs))
-			if err != nil {
-				panic(err)
-			}
-			return constructRow("k5free", cs.G, tr, p, res.S)
-		}
+	rows := forEachFamily(gridSides, wheelRims, chainBags, seed, func(f familyPoint) row {
+		tr, wit := f.witness()
+		return constructRow(f.family, f.g, tr, f.p, wit)
 	})
 	for _, r := range rows {
 		t.AddRow(r...)

@@ -67,8 +67,9 @@ func TestE15PipecastAcceptance(t *testing.T) {
 }
 
 // TestRunnersRegistry: every table regenerated through the registry keeps
-// its declared ID, ByID finds each one, and unknown IDs are rejected —
-// the contract behind cmd/allbench's -table flag.
+// its declared ID, ByID finds each one, the -big sweeps add rows where a
+// table has one and change nothing where it has none, and unknown IDs are
+// rejected — the contract behind cmd/allbench's -table and -big flags.
 func TestRunnersRegistry(t *testing.T) {
 	ids := IDs()
 	if len(ids) != len(Runners()) {
@@ -81,11 +82,31 @@ func TestRunnersRegistry(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("registry missing IDs: %v", want)
 	}
-	tab, ok := ByID("E15", 2018)
+	tab, ok := ByID("E15", 2018, false)
 	if !ok || tab.ID != "E15" {
 		t.Fatalf("ByID(E15) = %v, %v", tab, ok)
 	}
-	if _, ok := ByID("E99", 2018); ok {
-		t.Fatal("ByID accepted an unknown table ID")
+	for _, id := range []string{"E9", "E13", "E18"} {
+		small, ok := ByID(id, 2018, false)
+		if !ok {
+			t.Fatalf("ByID(%s, small) rejected", id)
+		}
+		big, ok := ByID(id, 2018, true)
+		if !ok || big.ID != id {
+			t.Fatalf("ByID(%s, big) = %v, %v", id, big, ok)
+		}
+		if len(big.Rows) <= len(small.Rows) {
+			t.Fatalf("%s: -big sweep has %d rows, default %d", id, len(big.Rows), len(small.Rows))
+		}
+	}
+	small, _ := ByID("E4", 2018, false)
+	big, _ := ByID("E4", 2018, true)
+	if small.String() != big.String() {
+		t.Fatalf("E4 has no larger sweep, but -big changed it:\n%s\nvs\n%s", small, big)
+	}
+	for _, big := range []bool{false, true} {
+		if _, ok := ByID("E99", 2018, big); ok {
+			t.Fatalf("ByID accepted an unknown table ID (big=%v)", big)
+		}
 	}
 }

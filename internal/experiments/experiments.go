@@ -1,8 +1,10 @@
 // Package experiments implements the reproduction's evaluation harness: one
-// runner per experiment in DESIGN.md §2 (E1-E12), each regenerating the
-// table that stands in for the corresponding theorem/figure of the paper.
-// The binaries in cmd/ and the root-level benchmarks both drive these
-// runners, so `go test -bench` output and the CLI tables match.
+// runner per experiment table (E1-E19), each regenerating the table that
+// stands in for the corresponding theorem/figure of the paper. The Runners
+// registry is the one place that decides which instances a table runs, at
+// its default sizes or its -big sweep; cmd/allbench and the root-level
+// BenchmarkTables both drive it, so `go test -bench` output and the CLI
+// tables match.
 package experiments
 
 import (
@@ -51,7 +53,7 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Cell looks up a numeric cell by row index and column name (-1 if absent).
+// Cell looks up a cell by row index and column name ("" if absent).
 func (t *Table) Cell(row int, col string) string {
 	for ci, h := range t.Header {
 		if h == col && row < len(t.Rows) {

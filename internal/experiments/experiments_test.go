@@ -126,7 +126,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
-	tables := experiments.All(7)
+	tables := experiments.All(7, false)
 	// Pinned explicitly (not via len(Runners())) so accidentally dropping
 	// an experiment from the registry fails here; bump when adding one.
 	if len(tables) != 20 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/congest"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
@@ -33,39 +32,8 @@ func E15Pipecast(gridSides, wheelRims, chainBags []int, seed int64) *Table {
 		Title:  "pipelined multi-token convergecast: O(h+k) streaming vs k sequential convergecasts",
 		Header: []string{"family", "n", "h", "k", "r_pipe", "bound", "r_seq", "speedup", "chg_pipe", "chg_seq", "cap_sim", "cap_ana", "r_boot"},
 	}
-	ng, nw := len(gridSides), len(wheelRims)
-	rows := forEachPoint(ng+nw+len(chainBags), func(i int) row {
-		rng := pointRNG(seed, i)
-		switch {
-		case i < ng:
-			s := gridSides[i]
-			e := gen.Grid(s, s)
-			p, err := partition.GridRows(e.G, s, s)
-			if err != nil {
-				panic(err)
-			}
-			return pipecastRow("grid", e.G, p)
-		case i < ng+nw:
-			rim := wheelRims[i-ng]
-			a := gen.CycleWithApex(rim, rng)
-			p, err := partition.RimArcs(a.G, 8)
-			if err != nil {
-				panic(err)
-			}
-			return pipecastRow("wheel", a.G, p)
-		default:
-			nb := chainBags[i-ng-nw]
-			pieces := make([]*gen.Piece, nb)
-			for j := range pieces {
-				pieces[j] = gen.ApollonianPiece(18+rng.Intn(8), rng)
-			}
-			cs := gen.CliqueSum(pieces, 3, rng)
-			p, err := partition.Voronoi(cs.G, 3*nb, rng)
-			if err != nil {
-				panic(err)
-			}
-			return pipecastRow("k5free", cs.G, p)
-		}
+	rows := forEachFamily(gridSides, wheelRims, chainBags, seed, func(f familyPoint) row {
+		return pipecastRow(f.family, f.g, f.p)
 	})
 	for _, r := range rows {
 		t.AddRow(r...)

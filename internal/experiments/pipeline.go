@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"repro/internal/congest"
-	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/shortcut"
-	"repro/internal/tw"
 )
 
 // E14Pipeline measures the zero-witness pipeline end to end: the network
@@ -35,67 +32,9 @@ func E14Pipeline(gridSides, wheelRims, chainBags []int, seed int64) *Table {
 		Title:  "zero-witness pipeline: elect + BFS + cap search vs witness constructions",
 		Header: []string{"family", "n", "diam", "parts", "cap", "q_zero", "q_wit", "ratio", "r_boot", "r_search", "r_chg", "use_zero", "use_wit"},
 	}
-	ng, nw := len(gridSides), len(wheelRims)
-	rows := forEachPoint(ng+nw+len(chainBags), func(i int) row {
-		rng := pointRNG(seed, i)
-		switch {
-		case i < ng:
-			s := gridSides[i]
-			e := gen.Grid(s, s)
-			tr, err := graph.BFSTree(e.G, 0)
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.GridRows(e.G, s, s)
-			if err != nil {
-				panic(err)
-			}
-			d, err := tw.FromEmbeddingByCotree(e.Emb, tr)
-			if err != nil {
-				panic(err)
-			}
-			res, err := shortcut.FromTreewidth(e.G, tr, p, d)
-			if err != nil {
-				panic(err)
-			}
-			return pipelineRow("grid", e.G, p, res.S)
-		case i < ng+nw:
-			rim := wheelRims[i-ng]
-			a := gen.CycleWithApex(rim, rng)
-			tr, err := graph.BFSTree(a.G, a.Apices[0])
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.RimArcs(a.G, 8)
-			if err != nil {
-				panic(err)
-			}
-			res, err := core.AlmostEmbeddableShortcut(a.G, tr, p, a)
-			if err != nil {
-				panic(err)
-			}
-			return pipelineRow("wheel", a.G, p, res.S)
-		default:
-			nb := chainBags[i-ng-nw]
-			pieces := make([]*gen.Piece, nb)
-			for j := range pieces {
-				pieces[j] = gen.ApollonianPiece(18+rng.Intn(8), rng)
-			}
-			cs := gen.CliqueSum(pieces, 3, rng)
-			tr, err := graph.BFSTree(cs.G, 0)
-			if err != nil {
-				panic(err)
-			}
-			p, err := partition.Voronoi(cs.G, 3*nb, rng)
-			if err != nil {
-				panic(err)
-			}
-			res, err := core.ExcludedMinorShortcut(cs.G, tr, p, witness(cs))
-			if err != nil {
-				panic(err)
-			}
-			return pipelineRow("k5free", cs.G, p, res.S)
-		}
+	rows := forEachFamily(gridSides, wheelRims, chainBags, seed, func(f familyPoint) row {
+		_, wit := f.witness()
+		return pipelineRow(f.family, f.g, f.p, wit)
 	})
 	for _, r := range rows {
 		t.AddRow(r...)

@@ -35,8 +35,9 @@ import (
 // acceptance bar being ≥ 10⁵ qps at 10⁴ nodes.
 //
 // wallclock enables the qps column (warmed wall-clock throughput, the one
-// non-deterministic figure); registry runs pass false so allbench output
-// stays byte-identical across runs and GOMAXPROCS.
+// non-deterministic figure); registry runs, default and -big, pass false
+// so allbench output stays byte-identical across runs and GOMAXPROCS.
+// TestE19QueryAcceptance passes true to hold the serve row to ≥ 10⁵ qps.
 func E19Query(gridSides, wheelRims, chainBags []int, serveRim, queries int, wallclock bool, seed int64) *Table {
 	t := &Table{
 		ID:     "E19",

@@ -270,53 +270,6 @@ func (c *CSR) DiameterApprox() int {
 	return ecc
 }
 
-// UnionFind32 is a disjoint-set forest over int32 vertices with path
-// halving and union by rank — the CSR-side mirror of UnionFind, ~5 bytes
-// per vertex.
-type UnionFind32 struct {
-	parent []int32
-	rank   []int8
-	count  int
-}
-
-// NewUnionFind32 creates n singleton sets.
-func NewUnionFind32(n int) *UnionFind32 {
-	u := &UnionFind32{parent: make([]int32, n), rank: make([]int8, n), count: n}
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-	}
-	return u
-}
-
-// Find returns the representative of x's set.
-func (u *UnionFind32) Find(x int32) int32 {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of x and y, returning false if already joined.
-func (u *UnionFind32) Union(x, y int32) bool {
-	rx, ry := u.Find(x), u.Find(y)
-	if rx == ry {
-		return false
-	}
-	if u.rank[rx] < u.rank[ry] {
-		rx, ry = ry, rx
-	}
-	u.parent[ry] = rx
-	if u.rank[rx] == u.rank[ry] {
-		u.rank[rx]++
-	}
-	u.count--
-	return true
-}
-
-// Count returns the number of disjoint sets.
-func (u *UnionFind32) Count() int { return u.count }
-
 // MST computes the minimum spanning forest by Kruskal under the canonical
 // EdgeLess order (weight, ties to the lower edge ID) and returns the
 // chosen IDs sorted ascending — byte-identical to graph.Kruskal on the
@@ -337,10 +290,10 @@ func (c *CSR) MST() (ids []int32, weight float64) {
 		}
 		return a < b
 	})
-	uf := NewUnionFind32(c.N())
+	uf := NewUnionFind(c.N())
 	ids = make([]int32, 0, c.N()-1)
 	for _, id := range order {
-		if uf.Union(c.U[id], c.V[id]) {
+		if uf.Union(int(c.U[id]), int(c.V[id])) {
 			ids = append(ids, id)
 			weight += c.W[id]
 		}

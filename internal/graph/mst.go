@@ -186,6 +186,9 @@ func BoruvkaPhases(g *Graph) (ids []int, weight float64, phases int) {
 // TreeFromEdgeIDs builds a rooted Tree from a set of edge IDs that must form
 // a spanning tree of g.
 func TreeFromEdgeIDs(g *Graph, ids []int, root int) (*Tree, error) {
+	if err := checkRoot("graph.TreeFromEdgeIDs", g, root); err != nil {
+		return nil, err
+	}
 	if len(ids) != g.N()-1 {
 		return nil, fmt.Errorf("graph.TreeFromEdgeIDs: %d edges cannot span %d vertices", len(ids), g.N())
 	}

@@ -17,8 +17,11 @@ type Tree struct {
 }
 
 // BFSTree builds the BFS spanning tree of g rooted at root. g must be
-// connected.
+// connected and root in [0, n).
 func BFSTree(g *Graph, root int) (*Tree, error) {
+	if err := checkRoot("graph.BFSTree", g, root); err != nil {
+		return nil, err
+	}
 	r := BFS(g, root)
 	if len(r.Order) != g.N() {
 		return nil, fmt.Errorf("graph.BFSTree: %w", ErrDisconnected)
@@ -38,6 +41,14 @@ func BFSTree(g *Graph, root int) (*Tree, error) {
 		}
 	}
 	return t, nil
+}
+
+// checkRoot rejects a root outside [0, n) before op indexes by it.
+func checkRoot(op string, g *Graph, root int) error {
+	if root < 0 || root >= g.N() {
+		return fmt.Errorf("%s: root %d out of range [0, %d)", op, root, g.N())
+	}
+	return nil
 }
 
 // childLists builds per-vertex child lists from parent pointers as slices of
@@ -81,6 +92,9 @@ func TreeFromParents(g *Graph, root int, parent, parentEdge []int) (*Tree, error
 	n := g.N()
 	if len(parent) != n || len(parentEdge) != n {
 		return nil, fmt.Errorf("graph.TreeFromParents: array length mismatch (n=%d)", n)
+	}
+	if err := checkRoot("graph.TreeFromParents", g, root); err != nil {
+		return nil, err
 	}
 	if parent[root] != -1 {
 		return nil, fmt.Errorf("graph.TreeFromParents: root %d has parent %d", root, parent[root])

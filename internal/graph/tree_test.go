@@ -73,6 +73,18 @@ func TestTreeFromParentsValidation(t *testing.T) {
 	if _, err := TreeFromParents(g, 0, cyc, parentEdge); err == nil {
 		t.Fatal("expected cycle detection")
 	}
+	// Roots outside [0, n) are rejected by every tree constructor.
+	for _, root := range []int{-1, 4} {
+		if _, err := TreeFromParents(g, root, parent, parentEdge); err == nil {
+			t.Fatalf("TreeFromParents accepted root %d", root)
+		}
+		if _, err := BFSTree(g, root); err == nil {
+			t.Fatalf("BFSTree accepted root %d", root)
+		}
+		if _, err := TreeFromEdgeIDs(g, []int{0, 1, 2}, root); err == nil {
+			t.Fatalf("TreeFromEdgeIDs accepted root %d", root)
+		}
+	}
 }
 
 func TestPathToRoot(t *testing.T) {

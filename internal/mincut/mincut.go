@@ -16,6 +16,7 @@
 package mincut
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -27,10 +28,12 @@ import (
 
 // Options configures the approximation.
 type Options struct {
-	// Trees to pack; 0 derives ceil(6·ln(m+1)/eps²) capped at 48.
+	// Trees to pack; 0 derives ceil(6·ln(m+1)/eps²) capped at 48. Must
+	// not be negative (ErrInvalidOptions otherwise).
 	Trees int
 	// Eps is the target approximation slack (default 0.1); only used to
-	// derive Trees when Trees == 0.
+	// derive Trees when Trees == 0. Must be finite and non-negative
+	// (ErrInvalidOptions otherwise).
 	Eps float64
 	// TwoRespecting enables exact 2-respecting evaluation per tree
 	// (centrally computed; O(n²·depth²+m·depth²) time — keep n modest).
@@ -58,8 +61,22 @@ type Result struct {
 	ChargedRounds int
 }
 
+// ErrInvalidOptions is wrapped by Approx when Options fail validation,
+// mirroring sssp.ErrInvalidOptions: errors.Is-able, with the offending
+// field in the message.
+var ErrInvalidOptions = errors.New("mincut: invalid options")
+
+// maxDerivedTrees caps the tree count derived from Eps.
+const maxDerivedTrees = 48
+
 // Approx finds a light global cut by greedy tree packing.
 func Approx(g *graph.Graph, opts Options) (*Result, error) {
+	if math.IsNaN(opts.Eps) || math.IsInf(opts.Eps, 0) || opts.Eps < 0 {
+		return nil, fmt.Errorf("%w: eps %v (want finite eps >= 0)", ErrInvalidOptions, opts.Eps)
+	}
+	if opts.Trees < 0 {
+		return nil, fmt.Errorf("%w: negative Trees %d", ErrInvalidOptions, opts.Trees)
+	}
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("mincut: need >= 2 vertices")
@@ -72,10 +89,10 @@ func Approx(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	trees := opts.Trees
 	if trees == 0 {
-		trees = int(math.Ceil(6 * math.Log(float64(g.M()+1)) / (opts.Eps * opts.Eps)))
-		if trees > 48 {
-			trees = 48
-		}
+		// Clamp in float64 before converting: a tiny eps overflows the int
+		// conversion, and a huge one rounds to zero trees.
+		derived := math.Ceil(6 * math.Log(float64(g.M()+1)) / (opts.Eps * opts.Eps))
+		trees = int(math.Max(1, math.Min(derived, maxDerivedTrees)))
 	}
 	res := &Result{Trees: trees, Value: math.Inf(1)}
 	// Trivial candidates: singleton cuts.

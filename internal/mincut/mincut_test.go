@@ -1,6 +1,7 @@
 package mincut_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,6 +116,41 @@ func TestApproxErrors(t *testing.T) {
 	d.AddEdge(0, 1, 1)
 	if _, err := mincut.Approx(d, mincut.Options{}); err == nil {
 		t.Fatal("accepted disconnected graph")
+	}
+}
+
+// Invalid options fail with ErrInvalidOptions instead of packing no tree
+// and returning the best singleton cut, and the tree count derived from a
+// tiny or huge eps is clamped to [1, 48] before the int conversion.
+func TestApproxOptions(t *testing.T) {
+	g := gen.Grid(6, 6).G
+	for _, tc := range []struct {
+		name  string
+		opts  mincut.Options
+		trees int // 0: want ErrInvalidOptions
+	}{
+		{"nan eps", mincut.Options{Eps: math.NaN()}, 0},
+		{"+inf eps", mincut.Options{Eps: math.Inf(1)}, 0},
+		{"-inf eps", mincut.Options{Eps: math.Inf(-1)}, 0},
+		{"negative eps", mincut.Options{Eps: -1}, 0},
+		{"negative trees", mincut.Options{Trees: -3}, 0},
+		{"tiny eps", mincut.Options{Eps: 1e-9}, 48},
+		{"huge eps", mincut.Options{Eps: 1e300}, 1},
+	} {
+		r, err := mincut.Approx(g, tc.opts)
+		if tc.trees == 0 {
+			if !errors.Is(err, mincut.ErrInvalidOptions) {
+				t.Errorf("%s: got %v, %v; want ErrInvalidOptions", tc.name, r, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Trees != tc.trees {
+			t.Errorf("%s: packed %d trees, want %d", tc.name, r.Trees, tc.trees)
+		}
+		assertValidCut(t, g, r)
 	}
 }
 

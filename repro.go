@@ -81,6 +81,9 @@ func NewNetwork(g *Graph, root int) (*Network, error) {
 // GridNetwork builds a rows x cols planar grid network with uniformly random
 // edge weights (deterministic in seed).
 func GridNetwork(rows, cols int, seed int64) (*Network, error) {
+	if rows < 1 || cols < 1 {
+		return nil, fmt.Errorf("repro: grid needs rows, cols >= 1, got %dx%d", rows, cols)
+	}
 	rng := xrand.New(seed)
 	e := gen.Grid(rows, cols)
 	gen.DistinctWeights(gen.UniformWeights(e.G, rng))
@@ -95,6 +98,9 @@ func GridNetwork(rows, cols int, seed int64) (*Network, error) {
 // PlanarNetwork builds a random maximal planar network (Apollonian) on n
 // vertices.
 func PlanarNetwork(n int, seed int64) (*Network, error) {
+	if n < 3 {
+		return nil, fmt.Errorf("repro: planar network needs n >= 3, got %d", n)
+	}
 	rng := xrand.New(seed)
 	a := gen.NewApollonian(n, rng)
 	gen.DistinctWeights(gen.UniformWeights(a.G, rng))
@@ -110,6 +116,9 @@ func PlanarNetwork(n int, seed int64) (*Network, error) {
 // random planar triangulations (Wagner's characterization), carrying its
 // clique-sum witness so BuildShortcut can realize Theorem 6.
 func ExcludedMinorNetwork(numBags, bagSize int, seed int64) (*Network, error) {
+	if numBags < 1 || bagSize < 3 {
+		return nil, fmt.Errorf("repro: excluded-minor network needs numBags >= 1 and bagSize >= 3, got %d, %d", numBags, bagSize)
+	}
 	rng := xrand.New(seed)
 	pieces := make([]*gen.Piece, numBags)
 	for i := range pieces {
@@ -135,6 +144,9 @@ func ExcludedMinorNetwork(numBags, bagSize int, seed int64) (*Network, error) {
 // vertex (the paper's diameter-collapsing scenario, §2.3.2), rooted at the
 // apex, carrying its almost-embeddable witness.
 func ApexNetwork(rows, cols int, seed int64) (*Network, error) {
+	if rows < 1 || cols < 1 {
+		return nil, fmt.Errorf("repro: apex grid needs rows, cols >= 1, got %dx%d", rows, cols)
+	}
 	rng := xrand.New(seed)
 	a := gen.PlanarWithApex(rows, cols, rng)
 	gen.DistinctWeights(gen.UniformWeights(a.G, rng))
@@ -150,6 +162,9 @@ func ApexNetwork(rows, cols int, seed int64) (*Network, error) {
 // KTreeNetwork builds a random k-tree network carrying its treewidth
 // witness.
 func KTreeNetwork(n, k int, seed int64) (*Network, error) {
+	if k < 0 || n < k+1 {
+		return nil, fmt.Errorf("repro: k-tree network needs k >= 0 and n >= k+1, got n=%d k=%d", n, k)
+	}
 	rng := xrand.New(seed)
 	kt := gen.KTree(n, k, rng)
 	gen.DistinctWeights(gen.UniformWeights(kt.G, rng))

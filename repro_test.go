@@ -264,3 +264,30 @@ func TestResilienceAndChurnFacade(t *testing.T) {
 		t.Fatalf("maintained quality %d after churn", m.Quality())
 	}
 }
+
+// Out-of-range roots and sizes fail with an error from every facade
+// constructor instead of panicking inside graph or gen.
+func TestConstructorsRejectBadArguments(t *testing.T) {
+	path := graph.New(3)
+	path.AddEdge(0, 1, 1)
+	path.AddEdge(1, 2, 1)
+	for _, tc := range []struct {
+		name  string
+		build func() (*repro.Network, error)
+	}{
+		{"NewNetwork root -1", func() (*repro.Network, error) { return repro.NewNetwork(path, -1) }},
+		{"NewNetwork root n+2", func() (*repro.Network, error) { return repro.NewNetwork(path, 5) }},
+		{"GridNetwork 0x0", func() (*repro.Network, error) { return repro.GridNetwork(0, 0, 1) }},
+		{"ApexNetwork 0x0", func() (*repro.Network, error) { return repro.ApexNetwork(0, 0, 1) }},
+		{"PlanarNetwork 2", func() (*repro.Network, error) { return repro.PlanarNetwork(2, 1) }},
+		{"ExcludedMinorNetwork no bags", func() (*repro.Network, error) { return repro.ExcludedMinorNetwork(0, 10, 1) }},
+		{"ExcludedMinorNetwork bag size 2", func() (*repro.Network, error) { return repro.ExcludedMinorNetwork(2, 2, 1) }},
+		{"KTreeNetwork n < k+1", func() (*repro.Network, error) { return repro.KTreeNetwork(3, 5, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if nw, err := tc.build(); err == nil {
+				t.Fatalf("got network with %d vertices, want an error", nw.G.N())
+			}
+		})
+	}
+}
