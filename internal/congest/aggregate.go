@@ -36,15 +36,15 @@ func AggregateMin(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, keys
 	return AggregateMinUnder(g, p, s, keys, nil)
 }
 
-// AggregateMinUnder is AggregateMin under an adversary: each attempt of the
-// existing doubling loop runs with the adversary's fault plan (advanced
+// AggregateMinUnder is AggregateMin under an adversary: every attempt of
+// the convergence loop runs with the adversary's fault plan (advanced
 // along its timeline per attempt), aborted runs count as non-converged
-// attempts instead of hard failures, and the attempt cap comes from the
-// adversary's retry policy. The flooding protocol re-offers its best-known
-// key whenever it changes, but a dropped update can still leave a member
-// stale at the budget boundary — which the sequential convergence check
-// catches, exactly as it catches an undersized budget. A nil adversary is
-// the fault-free AggregateMin.
+// attempts, and the attempt cap comes from the adversary's retry policy.
+// The flooding protocol re-offers its best-known key whenever it changes,
+// but a dropped update can still leave a member stale at the budget
+// boundary — which the sequential convergence check catches, exactly as it
+// catches an undersized budget. A nil adversary is the fault-free
+// AggregateMin.
 func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, keys []uint64, adv *Adversary) (*AggregateResult, error) {
 	if len(keys) != g.N() {
 		return nil, fmt.Errorf("congest: %d keys for %d vertices", len(keys), g.N())
@@ -54,47 +54,32 @@ func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut,
 	partsOnEdge := buildEdgeChannels(g, p, s)
 	// Expected answers for convergence checking (the environment's
 	// ground-truth; a real deployment would rely on the proven bound).
-	want := make([]uint64, p.NumParts())
-	for i := range want {
-		want[i] = math.MaxUint64
-		for _, v := range p.Sets[i] {
-			if keys[v] < want[i] {
-				want[i] = keys[v]
-			}
-		}
-	}
+	want := AggregateMinFixedPoint(p, keys)
 	m := s.Measure()
-	budget := m.Quality + 2*m.TreeDiameter + 8
-	attempts := 8
-	if adv != nil {
-		attempts = adv.attempts()
+	var res *AggregateResult
+	err := adv.converge("AggregateMin", m.Quality+2*m.TreeDiameter+8, func(budget int) (err error) {
+		res, err = runAggregate(g, p, partsOnEdge, keys, want, budget, adv.attemptOptions(budget))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		ropts := Options{MaxRounds: budget + 64}
-		if adv != nil {
-			// Crashes stall nodes' local round counters, so grant headroom.
-			ropts = adv.options(2*budget + 64)
+	return res, nil
+}
+
+// AggregateMinFixedPoint is AggregateMin's sequential fixed point: per
+// part, the minimum key over its members. The protocol checks every
+// attempt against it, and analytic callers use it in place of the
+// protocol, so both modes agree on Mins.
+func AggregateMinFixedPoint(p *partition.Parts, keys []uint64) []uint64 {
+	mins := make([]uint64, p.NumParts())
+	for i, set := range p.Sets {
+		mins[i] = math.MaxUint64
+		for _, v := range set {
+			mins[i] = min(mins[i], keys[v])
 		}
-		res, converged, err := runAggregate(g, p, partsOnEdge, keys, want, budget, ropts)
-		if err != nil {
-			if adv != nil && Retryable(err) {
-				adv.Retries++
-				budget *= 2
-				continue
-			}
-			return nil, err
-		}
-		if converged {
-			res.Budget = budget
-			return res, nil
-		}
-		if adv != nil {
-			adv.Retries++
-		}
-		budget *= 2
 	}
-	return nil, &IncompleteError{Protocol: "AggregateMin", Budget: budget,
-		Detail: "flood failed to converge within the doubling budget"}
+	return mins
 }
 
 // localPartIdx finds the slab index of part within parts[off:end), the
@@ -111,7 +96,10 @@ func localPartIdx(parts []int32, off, end, part int32) int32 {
 	return -1
 }
 
-func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []int32, keys, want []uint64, budget int, ropts Options) (*AggregateResult, bool, error) {
+// runAggregate runs the flood for a fixed round budget and checks every
+// member's final key against want, reporting a mismatch as an
+// *IncompleteError.
+func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []int32, keys, want []uint64, budget int, ropts Options) (*AggregateResult, error) {
 	n := g.N()
 	// finalBest[v] = best-known key of v's own part when the budget ran out.
 	finalBest := make([]uint64, n)
@@ -219,21 +207,21 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, ropts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Convergence: every part member must hold the true minimum.
-	converged := true
 	for i, w := range want {
 		for _, v := range p.Sets[i] {
 			if finalBest[v] != w {
-				converged = false
+				return nil, &IncompleteError{Protocol: "AggregateMin", Rounds: stats.Rounds, Budget: budget,
+					Detail: "a member's final key differs from its part's minimum"}
 			}
 		}
 	}
-	res := &AggregateResult{
-		Mins:            append([]uint64(nil), want...),
+	return &AggregateResult{
+		Mins:            want,
 		Stats:           stats,
 		EffectiveRounds: stats.LastActiveRound,
-	}
-	return res, converged, nil
+		Budget:          budget,
+	}, nil
 }

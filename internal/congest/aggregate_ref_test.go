@@ -131,16 +131,7 @@ func TestSlabAggregateMatchesClosureReference(t *testing.T) {
 	// The same channel relation the slab version used (shared builder).
 	g := e.G
 	partsOnEdge := buildEdgeChannels(g, p, s)
-	want := make([]uint64, p.NumParts())
-	for i := range want {
-		want[i] = math.MaxUint64
-		for _, v := range p.Sets[i] {
-			if keys[v] < want[i] {
-				want[i] = keys[v]
-			}
-		}
-	}
-	refRounds, ok := closureAggregate(g, p, partsOnEdge, keys, want, res.Budget)
+	refRounds, ok := closureAggregate(g, p, partsOnEdge, keys, res.Mins, res.Budget)
 	if !ok {
 		t.Fatal("reference did not converge at the same budget")
 	}

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -52,18 +53,23 @@ func BatchRelaxBudget(m shortcut.Measurement, k int) int {
 // distinct streams through a port are the k sources, and that is what the
 // batch serializes: congestion k per port, dilation h, hence the O(h+k)
 // quiet point the budget tracks.
+//
+// Like Relaxer, a BatchRelaxer is not safe for concurrent use.
 type BatchRelaxer struct {
 	g           *graph.Graph
 	partsOnEdge func(int) []int32
+	oracle      *RelaxOracle
 	m           shortcut.Measurement
 }
 
 // NewBatchRelaxer precomputes the channel structure and measures the
 // shortcut once.
 func NewBatchRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *BatchRelaxer {
+	partsOnEdge := buildEdgeChannels(g, p, s)
 	return &BatchRelaxer{
 		g:           g,
-		partsOnEdge: buildEdgeChannels(g, p, s),
+		partsOnEdge: partsOnEdge,
+		oracle:      newRelaxOracle(g, partsOnEdge),
 		m:           s.Measure(),
 	}
 }
@@ -83,36 +89,31 @@ func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxRe
 	if k == 0 {
 		return nil, fmt.Errorf("congest: batched relaxation needs at least one source")
 	}
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	if err := checkRelaxInput(g, weights); err != nil {
+		return nil, err
 	}
+	n := g.N()
 	for s, iv := range init {
-		if len(iv) != g.N() {
-			return nil, fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), g.N())
-		}
-	}
-	for id, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
+		if len(iv) != n {
+			return nil, fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), n)
 		}
 	}
 	want := make([][]float64, k)
-	for s := 0; s < k; s++ {
-		want[s] = channelFixedPoint(g, r.partsOnEdge, weights, init[s])
+	slab := make([]float64, k*n)
+	for s := range want {
+		want[s] = slab[s*n : (s+1)*n : (s+1)*n]
+		copy(want[s], init[s])
+		r.oracle.FixedPoint(weights, want[s])
 	}
-	budget := r.Budget(k)
-	for attempt := 0; attempt < 8; attempt++ {
-		res, converged, err := runBatchRelax(g, r.partsOnEdge, weights, init, want, budget)
-		if err != nil {
-			return nil, err
-		}
-		if converged {
-			res.Budget = budget
-			return res, nil
-		}
-		budget *= 2
+	var res *BatchRelaxResult
+	err := (*Adversary)(nil).converge("BatchRelax", r.Budget(k), func(budget int) (err error) {
+		res, err = runBatchRelax(g, r.partsOnEdge, weights, init, want, budget)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("congest: batched relaxation failed to converge within budget %d", budget)
+	return res, nil
 }
 
 // firstDirtySource scans a port's k per-source dirty slots (the window
@@ -153,7 +154,10 @@ func batchFold(row []float64, dirty, active []bool, pOff, pEnd int32, k, arrival
 	return true
 }
 
-func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, bool, error) {
+// runBatchRelax runs the batched flood for a fixed round budget and checks
+// every source's final distances against want, reporting a mismatch as an
+// *IncompleteError.
+func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, error) {
 	n := g.N()
 	k := len(init)
 	// finalDist is laid out [s*n+v] so the result carves into per-source
@@ -234,22 +238,20 @@ func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []floa
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	converged := true
 	out := make([][]float64, k)
 	for s := 0; s < k; s++ {
 		out[s] = finalDist[s*n : (s+1)*n : (s+1)*n]
-		for v := 0; v < n; v++ {
-			if out[s][v] != want[s][v] {
-				converged = false
-			}
+		if !slices.Equal(out[s], want[s]) {
+			return nil, &IncompleteError{Protocol: "BatchRelax", Rounds: stats.Rounds, Budget: budget,
+				Detail: fmt.Sprintf("source %d's final distances differ from the channel-graph fixed point", s)}
 		}
 	}
-	res := &BatchRelaxResult{
+	return &BatchRelaxResult{
 		Dist:            out,
 		Stats:           stats,
 		EffectiveRounds: stats.LastActiveRound,
-	}
-	return res, converged, nil
+		Budget:          budget,
+	}, nil
 }

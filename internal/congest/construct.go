@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -25,7 +26,7 @@ type ConstructOptions struct {
 	// pass it in so the ranking, and its dissemination cost, are paid once.
 	Priorities []int32
 	// Adversary, when non-nil, injects its fault plan into every simulated
-	// run and widens the doubling loop to its retry policy. Requires
+	// run and widens the convergence loop to its retry policy. Requires
 	// Simulate (the analytic path runs no protocol to disrupt).
 	Adversary *Adversary
 }
@@ -102,58 +103,24 @@ func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts C
 		return res, nil
 	}
 	want := shortcut.FloodFixedPoint(g, t, p, cap, prio)
-	budget := ConstructBudget(t, cap)
-	attempts := 8
-	if adv != nil {
-		attempts = adv.attempts()
+	var final [][]int32
+	err := adv.converge("ConstructShortcut", ConstructBudget(t, cap), func(budget int) (err error) {
+		final, res.Stats, err = runConstruct(g, t, p, cap, budget, prio, adv.attemptOptions(budget))
+		if err == nil && !slices.EqualFunc(final, want, slices.Equal[[]int32]) {
+			err = &IncompleteError{Protocol: "ConstructShortcut", Rounds: res.Stats.Rounds, Budget: budget,
+				Detail: "flood-and-evict state differs from the fixed point"}
+		}
+		res.Budget = budget
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for attempt := 0; attempt < attempts; attempt++ {
-		ropts := Options{MaxRounds: budget + 64}
-		if adv != nil {
-			// Crashes stall nodes' local round counters, so grant headroom.
-			ropts = adv.options(2*budget + 64)
-		}
-		final, stats, err := runConstruct(g, t, p, cap, budget, prio, ropts)
-		if err != nil {
-			if adv != nil && Retryable(err) {
-				adv.Retries++
-				budget *= 2
-				continue
-			}
-			return nil, err
-		}
-		if floodStatesEqual(final, want) {
-			s, err := shortcut.FromFloodState(g, t, p, final, prio)
-			if err != nil {
-				return nil, fmt.Errorf("congest: assembling constructed shortcut: %w", err)
-			}
-			res.S = s
-			res.Stats = stats
-			res.EffectiveRounds = stats.LastActiveRound
-			res.Budget = budget
-			return res, nil
-		}
-		if adv != nil {
-			adv.Retries++
-		}
-		budget *= 2
+	if res.S, err = shortcut.FromFloodState(g, t, p, final, prio); err != nil {
+		return nil, fmt.Errorf("congest: assembling constructed shortcut: %w", err)
 	}
-	return nil, &IncompleteError{Protocol: "ConstructShortcut", Budget: budget,
-		Detail: "flood-and-evict failed to converge to the fixed point within the doubling budget"}
-}
-
-func floodStatesEqual(a, b [][]int32) bool {
-	for v := range a {
-		if len(a[v]) != len(b[v]) {
-			return false
-		}
-		for i := range a[v] {
-			if a[v][i] != b[v][i] {
-				return false
-			}
-		}
-	}
-	return true
+	res.EffectiveRounds = res.Stats.LastActiveRound
+	return res, nil
 }
 
 // Message ops of the construction protocol: one (op, rank) pair per tree

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -43,8 +44,8 @@ type RelaxResult struct {
 // function call on shared slab state, so a whole run performs a constant
 // number of allocations. The round budget starts at RelaxBudget of the
 // shortcut's measurement and doubles until the flood converges (checked
-// against the sequential fixed point, the environment's ground-truth); the
-// converged run's quiet-point is reported.
+// against RelaxOracle, the environment's ground truth); the converged
+// run's quiet-point is reported.
 //
 // Callers running many phases over the same (g, p, s) should build a
 // Relaxer once instead: RelaxPartwise rebuilds the channel structure and
@@ -61,19 +62,23 @@ func RelaxBudget(m shortcut.Measurement) int {
 }
 
 // Relaxer runs part-wise relaxation phases over a fixed (graph, parts,
-// shortcut) triple, reusing the channel CSR and the measured round budget
-// across phases.
+// shortcut) triple, reusing the channel CSR, the measured round budget and
+// the fixed-point oracle's scratch across phases. It is not safe for
+// concurrent use.
 type Relaxer struct {
 	g           *graph.Graph
 	partsOnEdge func(int) []int32
+	oracle      *RelaxOracle
 	budget      int
 }
 
 // NewRelaxer precomputes the channel structure and round budget.
 func NewRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *Relaxer {
+	partsOnEdge := buildEdgeChannels(g, p, s)
 	return &Relaxer{
 		g:           g,
-		partsOnEdge: buildEdgeChannels(g, p, s),
+		partsOnEdge: partsOnEdge,
+		oracle:      newRelaxOracle(g, partsOnEdge),
 		budget:      RelaxBudget(s.Measure()),
 	}
 }
@@ -81,34 +86,43 @@ func NewRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *Relax
 // Relax runs one relaxation phase (see RelaxPartwise).
 func (r *Relaxer) Relax(weights, init []float64) (*RelaxResult, error) {
 	g := r.g
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	if err := checkRelaxInput(g, weights); err != nil {
+		return nil, err
 	}
 	if len(init) != g.N() {
 		return nil, fmt.Errorf("congest: %d initial distances for %d vertices", len(init), g.N())
 	}
-	for id, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
-		}
+	want := append([]float64(nil), init...)
+	r.oracle.FixedPoint(weights, want)
+	var res *RelaxResult
+	err := (*Adversary)(nil).converge("Relax", r.budget, func(budget int) (err error) {
+		res, err = runRelax(g, r.partsOnEdge, weights, init, want, budget)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	want := channelFixedPoint(g, r.partsOnEdge, weights, init)
-	budget := r.budget
-	for attempt := 0; attempt < 8; attempt++ {
-		res, converged, err := runRelax(g, r.partsOnEdge, weights, init, want, budget)
-		if err != nil {
-			return nil, err
-		}
-		if converged {
-			res.Budget = budget
-			return res, nil
-		}
-		budget *= 2
-	}
-	return nil, fmt.Errorf("congest: relaxation failed to converge within budget %d", budget)
+	return res, nil
 }
 
-func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want []float64, budget int) (*RelaxResult, bool, error) {
+// checkRelaxInput rejects a weight vector of the wrong length or with a
+// negative or NaN entry.
+func checkRelaxInput(g *graph.Graph, weights []float64) error {
+	if len(weights) != g.M() {
+		return fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	}
+	for id, w := range weights {
+		if w < 0 || math.IsNaN(w) {
+			return fmt.Errorf("congest: edge %d has weight %v", id, w)
+		}
+	}
+	return nil
+}
+
+// runRelax runs the relaxation flood for a fixed round budget and checks
+// the final distances against want, reporting a mismatch as an
+// *IncompleteError.
+func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want []float64, budget int) (*RelaxResult, error) {
 	n := g.N()
 	finalDist := make([]float64, n)
 	for v := range finalDist {
@@ -190,20 +204,18 @@ func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	converged := true
-	for v := 0; v < n; v++ {
-		if finalDist[v] != want[v] {
-			converged = false
-		}
+	if !slices.Equal(finalDist, want) {
+		return nil, &IncompleteError{Protocol: "Relax", Rounds: stats.Rounds, Budget: budget,
+			Detail: "final distances differ from the channel-graph fixed point"}
 	}
-	res := &RelaxResult{
+	return &RelaxResult{
 		Dist:            finalDist,
 		Stats:           stats,
 		EffectiveRounds: stats.LastActiveRound,
-	}
-	return res, converged, nil
+		Budget:          budget,
+	}, nil
 }
 
 // RelaxBellmanFord runs plain synchronous distributed Bellman–Ford over
@@ -213,19 +225,14 @@ func runRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights, init, want
 // quantity graph.Dijkstra reports as Hops). Budgeting and convergence
 // checking mirror RelaxPartwise.
 func RelaxBellmanFord(g *graph.Graph, weights, init []float64) (*RelaxResult, error) {
-	if len(weights) != g.M() {
-		return nil, fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
+	if err := checkRelaxInput(g, weights); err != nil {
+		return nil, err
 	}
 	if len(init) != g.N() {
 		return nil, fmt.Errorf("congest: %d initial distances for %d vertices", len(init), g.N())
 	}
-	for id, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("congest: edge %d has weight %v", id, w)
-		}
-	}
-	allEdges := func(id int) []int32 { return oneChannel }
-	want := channelFixedPoint(g, allEdges, weights, init)
+	want := append([]float64(nil), init...)
+	newRelaxOracle(g, func(int) []int32 { return oneChannel }).FixedPoint(weights, want)
 	n := g.N()
 	budget := 16
 	for attempt := 0; attempt < 16; attempt++ {
@@ -242,7 +249,8 @@ func RelaxBellmanFord(g *graph.Graph, weights, init []float64) (*RelaxResult, er
 		}
 		budget *= 2
 	}
-	return nil, fmt.Errorf("congest: Bellman-Ford failed to converge within budget %d", budget)
+	return nil, &IncompleteError{Protocol: "RelaxBellmanFord", Budget: budget,
+		Detail: "flood failed to converge within the doubling budget"}
 }
 
 // oneChannel is the degenerate channel list of the naive baseline: every
@@ -292,38 +300,64 @@ func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*Rel
 	return res, converged, nil
 }
 
-// channelFixedPoint computes the sequential ground truth of a relaxation
-// phase: the pointwise minimum over channel-graph paths of init[u] plus the
-// path's weight, via a potential-initialized Dijkstra over the edges that
-// carry at least one channel. Both the protocol and this oracle accumulate
-// path weights source-to-target, so their results are bit-identical.
-func channelFixedPoint(g *graph.Graph, partsOnEdge func(int) []int32, weights, init []float64) []float64 {
-	n := g.N()
-	dist := make([]float64, n)
-	copy(dist, init)
-	var h graph.MinDistHeap
-	h.Reset(dist)
-	for v := 0; v < n; v++ {
+// RelaxOracle is the sequential fixed point of part-wise relaxation: a
+// potential-initialized Dijkstra over the edges that carry at least one
+// channel. Simulated relaxation checks every attempt against it, and the
+// analytic SSSP phase runs it in place of the protocol. Both accumulate
+// path weights source-to-target, so their distances are bit-identical.
+// The heap and done marks are reused across calls, so a warm FixedPoint
+// allocates nothing; an oracle is not safe for concurrent use.
+type RelaxOracle struct {
+	g         *graph.Graph
+	onChannel []bool // per edge: carries at least one (part, edge) channel
+	heap      graph.MinDistHeap
+	done      []bool
+}
+
+// NewRelaxOracle builds the relaxation oracle over the channel graph of
+// (g, p, s).
+func NewRelaxOracle(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *RelaxOracle {
+	return newRelaxOracle(g, buildEdgeChannels(g, p, s))
+}
+
+func newRelaxOracle(g *graph.Graph, partsOnEdge func(int) []int32) *RelaxOracle {
+	o := &RelaxOracle{g: g, onChannel: make([]bool, g.M()), done: make([]bool, g.N())}
+	for id := range o.onChannel {
+		o.onChannel[id] = len(partsOnEdge(id)) > 0
+	}
+	return o
+}
+
+// FixedPoint lowers dist in place to the channel-graph fixed point
+//
+//	dist(v) = min over channel-graph paths u⇝v of dist(u) + Σ weights(e)
+//
+// and reports whether any entry decreased.
+func (o *RelaxOracle) FixedPoint(weights, dist []float64) bool {
+	o.heap.Reset(dist)
+	for v := range dist {
+		o.done[v] = false
 		if !math.IsInf(dist[v], 1) {
-			h.Push(v)
+			o.heap.Push(v)
 		}
 	}
-	done := make([]bool, n)
-	for h.Len() > 0 {
-		v := h.Pop()
-		if done[v] {
+	changed := false
+	for o.heap.Len() > 0 {
+		v := o.heap.Pop()
+		if o.done[v] {
 			continue
 		}
-		done[v] = true
-		for _, a := range g.Adj(v) {
-			if len(partsOnEdge(a.ID)) == 0 {
+		o.done[v] = true
+		for _, a := range o.g.Adj(v) {
+			if !o.onChannel[a.ID] {
 				continue
 			}
 			if cand := dist[v] + weights[a.ID]; cand < dist[a.To] {
 				dist[a.To] = cand
-				h.Push(a.To)
+				changed = true
+				o.heap.Push(a.To)
 			}
 		}
 	}
-	return dist
+	return changed
 }

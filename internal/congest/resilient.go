@@ -14,7 +14,8 @@ import (
 // construction — has an adversary-aware entry point that detects
 // non-convergence (the engine's ErrAborted, the protocols' ErrIncomplete
 // fixed-point self-checks) and retries with a doubled round budget, up to a
-// cap of attempts.
+// cap of attempts. The retry loop (converge) is shared with the fault-free
+// self-checking protocols, which run it under a nil adversary.
 //
 // Convergence guarantee: every retried protocol validates its converged
 // state against the same sequential fixed point the fault-free run uses
@@ -43,7 +44,7 @@ import (
 
 // Adversary couples a fault plan with the retry policy and tracks how much
 // of the plan's timeline has been consumed across attempts. The zero
-// Attempts selects 8, matching the pre-existing doubling loops. A nil
+// Attempts selects 8, the cap the fault-free convergence loops use. A nil
 // *Adversary is valid everywhere and means "no faults": the adversary-aware
 // entry points degrade to the plain fault-free protocols.
 type Adversary struct {
@@ -97,11 +98,41 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrAborted) || errors.Is(err, ErrIncomplete)
 }
 
-// exhausted is the typed error a retry loop returns when every attempt
-// failed.
-func exhausted(protocol string, attempts, lastBudget int, last error) error {
-	return &IncompleteError{Protocol: protocol, Budget: lastBudget,
-		Detail: fmt.Sprintf("%d faulted attempts exhausted, last: %v", attempts, last)}
+// converge is the convergence loop of every self-checking protocol: it
+// runs attempt under a round budget that starts at budget and doubles
+// after each retryable failure (an aborted run, or a fixed-point check the
+// attempt reports as an *IncompleteError), for up to the adversary's
+// attempt cap. Retries are booked only on a non-nil adversary. A permanent
+// error returns at once, and running out of attempts returns an
+// *IncompleteError carrying the last budget tried. The attempt builds its
+// own engine options (attemptOptions, or the adversary's timeline), so
+// each protocol keeps its start budget and round headroom.
+func (a *Adversary) converge(protocol string, budget int, attempt func(budget int) error) error {
+	for i := 1; ; i++ {
+		err := attempt(budget)
+		if !Retryable(err) {
+			return err
+		}
+		if a != nil {
+			a.Retries++
+		}
+		if i == a.attempts() {
+			return &IncompleteError{Protocol: protocol, Budget: budget,
+				Detail: fmt.Sprintf("%d attempts exhausted, last: %v", i, err)}
+		}
+		budget *= 2
+	}
+}
+
+// attemptOptions is one attempt's engine options for a protocol whose
+// nodes halt themselves after budget rounds: 64 rounds of slack when fault
+// free, and under an adversary twice the budget from its timeline, because
+// crashes stall nodes' local round counters.
+func (a *Adversary) attemptOptions(budget int) Options {
+	if a == nil {
+		return Options{MaxRounds: budget + 64}
+	}
+	return a.options(2*budget + 64)
 }
 
 // CanonicalBFSParents computes, sequentially, the parent/parent-edge arrays
@@ -152,14 +183,11 @@ func (a *Adversary) LeaderElect(g *graph.Graph, diamBound int) (leader int, stat
 	if diamBound <= 0 {
 		return -1, stats, fmt.Errorf("congest: leader election diameter bound %d must be positive", diamBound)
 	}
-	budget := diamBound + 1
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
+	err = a.converge("LeaderElect", diamBound+1, func(budget int) error {
 		best := make([]uint64, n)
 		for v := range best {
 			best[v] = uint64(v)
 		}
-		b := budget
 		step := func(nd *Node, msgs []Message) bool {
 			v := nd.ID
 			for _, m := range msgs {
@@ -167,38 +195,29 @@ func (a *Adversary) LeaderElect(g *graph.Graph, diamBound int) (leader int, stat
 					best[v] = m.Payload[0]
 				}
 			}
-			if nd.round > b {
+			if nd.round > budget {
 				return false
 			}
 			nd.Broadcast(Words{best[v]})
 			return true
 		}
-		// Crashes stall a node's local round counter, so grant the engine
-		// headroom beyond the per-node budget.
-		rstats, rerr := RunSync(g, func(*Node) RoundFunc { return step }, a.options(2*budget+64))
+		rstats, err := RunSync(g, func(*Node) RoundFunc { return step }, a.attemptOptions(budget))
 		stats.Add(rstats)
-		if rerr == nil {
-			agreed := true
-			for v := 0; v < n; v++ {
-				if best[v] != 0 {
-					agreed = false
-					break
-				}
-			}
-			if agreed {
-				return 0, stats, nil
-			}
-			rerr = &IncompleteError{Protocol: "LeaderElect", Rounds: rstats.Rounds, Budget: budget,
-				Detail: "votes not unanimous on the minimum ID"}
+		if err != nil {
+			return err
 		}
-		if !Retryable(rerr) {
-			return -1, stats, rerr
+		for v := 0; v < n; v++ {
+			if best[v] != 0 {
+				return &IncompleteError{Protocol: "LeaderElect", Rounds: rstats.Rounds, Budget: budget,
+					Detail: "votes not unanimous on the minimum ID"}
+			}
 		}
-		last = rerr
-		a.Retries++
-		budget *= 2
+		return nil
+	})
+	if err != nil {
+		return -1, stats, err
 	}
-	return -1, stats, exhausted("LeaderElect", a.attempts(), budget/2, last)
+	return 0, stats, nil
 }
 
 // BFS builds the canonical elected BFS tree from root under the adversary:
@@ -232,9 +251,7 @@ func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge
 	for v := 0; v < n; v++ {
 		portOff[v+1] = portOff[v] + int32(g.Degree(v))
 	}
-	budget := diamBound + 2
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
+	err = a.converge("BFS", diamBound+2, func(budget int) error {
 		dist := make([]uint64, n)
 		nbrDist := make([]uint64, portOff[n])
 		for v := range dist {
@@ -244,7 +261,6 @@ func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge
 			nbrDist[i] = inf
 		}
 		dist[root] = 0
-		b := budget
 		step := func(nd *Node, msgs []Message) bool {
 			v := nd.ID
 			for _, m := range msgs {
@@ -256,7 +272,7 @@ func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge
 					}
 				}
 			}
-			if nd.round > b {
+			if nd.round > budget {
 				return false
 			}
 			if dist[v] < inf {
@@ -264,41 +280,35 @@ func (a *Adversary) BFS(g *graph.Graph, root, diamBound int) (parent, parentEdge
 			}
 			return true
 		}
-		rstats, rerr := RunSync(g, func(*Node) RoundFunc { return step }, a.options(2*budget+64))
+		rstats, err := RunSync(g, func(*Node) RoundFunc { return step }, a.attemptOptions(budget))
 		stats.Add(rstats)
-		if rerr == nil {
-			parent = make([]int, n)
-			parentEdge = make([]int, n)
-			ok := true
-			for v := 0; v < n && ok; v++ {
-				parent[v], parentEdge[v] = -1, -1
-				if v == root {
-					continue
-				}
-				for port, arc := range g.Adj(v) {
-					if dist[v] < inf && nbrDist[portOff[v]+int32(port)] == dist[v]-1 {
-						parent[v], parentEdge[v] = arc.To, arc.ID
-						break
-					}
-				}
-				if parent[v] != wantParent[v] || parentEdge[v] != wantEdge[v] {
-					ok = false
+		if err != nil {
+			return err
+		}
+		parent = make([]int, n)
+		parentEdge = make([]int, n)
+		for v := 0; v < n; v++ {
+			parent[v], parentEdge[v] = -1, -1
+			if v == root {
+				continue
+			}
+			for port, arc := range g.Adj(v) {
+				if dist[v] < inf && nbrDist[portOff[v]+int32(port)] == dist[v]-1 {
+					parent[v], parentEdge[v] = arc.To, arc.ID
+					break
 				}
 			}
-			if ok {
-				return parent, parentEdge, stats, nil
+			if parent[v] != wantParent[v] || parentEdge[v] != wantEdge[v] {
+				return &IncompleteError{Protocol: "BFS", Rounds: rstats.Rounds, Budget: budget,
+					Detail: "converged tree differs from the canonical elected tree"}
 			}
-			rerr = &IncompleteError{Protocol: "BFS", Rounds: rstats.Rounds, Budget: budget,
-				Detail: "converged tree differs from the canonical elected tree"}
 		}
-		if !Retryable(rerr) {
-			return nil, nil, stats, rerr
-		}
-		last = rerr
-		a.Retries++
-		budget *= 2
+		return nil
+	})
+	if err != nil {
+		return nil, nil, stats, err
 	}
-	return nil, nil, stats, exhausted("BFS", a.attempts(), budget/2, last)
+	return parent, parentEdge, stats, nil
 }
 
 // Pipecast is the pipelined convergecast under the adversary: whole-run
@@ -310,21 +320,15 @@ func (a *Adversary) Pipecast(t *graph.Tree, numTags int, contrib [][]Token, comb
 	if a == nil {
 		return Pipecast(t, numTags, contrib, comb)
 	}
-	budget := t.Height() + numTags + 64
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		res, err := pipecastOpts(t, numTags, contrib, comb, a.options(budget))
-		if err == nil {
-			return res, nil
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		last = err
-		a.Retries++
-		budget *= 2
+	var res *PipecastResult
+	err := a.converge("Pipecast", t.Height()+numTags+64, func(budget int) (err error) {
+		res, err = pipecastOpts(t, numTags, contrib, comb, a.options(budget))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, exhausted("Pipecast", a.attempts(), budget/2, last)
+	return res, nil
 }
 
 // PipeBroadcast is the pipelined broadcast under the adversary (see
@@ -333,21 +337,15 @@ func (a *Adversary) PipeBroadcast(t *graph.Tree, tokens []Token) (*BroadcastResu
 	if a == nil {
 		return PipeBroadcast(t, tokens)
 	}
-	budget := t.Height() + len(tokens) + 64
-	var last error
-	for attempt := 0; attempt < a.attempts(); attempt++ {
-		res, err := pipeBroadcastOpts(t, tokens, a.options(budget))
-		if err == nil {
-			return res, nil
-		}
-		if !Retryable(err) {
-			return nil, err
-		}
-		last = err
-		a.Retries++
-		budget *= 2
+	var res *BroadcastResult
+	err := a.converge("PipeBroadcast", t.Height()+len(tokens)+64, func(budget int) (err error) {
+		res, err = pipeBroadcastOpts(t, tokens, a.options(budget))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, exhausted("PipeBroadcast", a.attempts(), budget/2, last)
+	return res, nil
 }
 
 // treeCombineUnder is treeCombine routed through the adversary's Pipecast

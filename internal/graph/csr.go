@@ -163,64 +163,6 @@ func (c *CSR) Validate() error {
 	return nil
 }
 
-// CSRBFS is the result of a breadth-first search over a CSR: int32 slabs
-// carved from one backing array, ~16 bytes per vertex.
-type CSRBFS struct {
-	Source     int32
-	Dist       []int32 // -1 if unreached
-	Parent     []int32 // -1 at source / unreached
-	ParentEdge []int32 // -1 at source / unreached
-	Order      []int32 // visit order (doubles as the BFS queue)
-}
-
-// BFS runs breadth-first search from src, exploring arcs in slab (= port)
-// order so the tree matches Graph-side BFS exactly.
-//
-//congest:pure
-func (c *CSR) BFS(src int32) *CSRBFS {
-	n := c.N()
-	store := make([]int32, 3*n)
-	r := &CSRBFS{
-		Source:     src,
-		Dist:       store[:n:n],
-		Parent:     store[n : 2*n : 2*n],
-		ParentEdge: store[2*n : 3*n : 3*n],
-		Order:      make([]int32, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		r.Dist[i], r.Parent[i], r.ParentEdge[i] = -1, -1, -1
-	}
-	r.Dist[src] = 0
-	r.Order = append(r.Order, src)
-	for head := 0; head < len(r.Order); head++ {
-		v := r.Order[head]
-		dv := r.Dist[v]
-		dst, aid := c.Arcs(v)
-		for i, to := range dst {
-			if r.Dist[to] != -1 {
-				continue
-			}
-			r.Dist[to] = dv + 1
-			r.Parent[to] = v
-			r.ParentEdge[to] = aid[i]
-			r.Order = append(r.Order, to)
-		}
-	}
-	return r
-}
-
-// IsConnected reports whether the CSR graph is connected.
-func (c *CSR) IsConnected() bool {
-	n := c.N()
-	if n == 0 {
-		return true
-	}
-	dist := make([]int32, n)
-	queue := make([]int32, 0, n)
-	_, _, reached := c.eccFrom(0, dist, queue)
-	return reached == n
-}
-
 // eccFrom runs a distance-only BFS from src into caller-provided scratch
 // (dist len n, queue cap n), returning the eccentricity, the furthest
 // vertex reached (ties to the lowest ID, matching graph.eccFrom), and the
@@ -231,13 +173,10 @@ func (c *CSR) eccFrom(src int32, dist []int32, queue []int32) (ecc int, far int3
 	}
 	dist[src] = 0
 	queue = append(queue[:0], src)
-	far = src
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		dv := dist[v]
-		if int(dv) > ecc {
-			ecc, far = int(dv), v
-		}
+		ecc = max(ecc, int(dv))
 		dst, _ := c.Arcs(v)
 		for _, to := range dst {
 			if dist[to] == -1 {
@@ -245,6 +184,11 @@ func (c *CSR) eccFrom(src int32, dist []int32, queue []int32) (ecc int, far int3
 				queue = append(queue, to)
 			}
 		}
+	}
+	// The furthest level is the tail of the visit order.
+	far = queue[len(queue)-1]
+	for i := len(queue) - 2; i >= 0 && int(dist[queue[i]]) == ecc; i-- {
+		far = min(far, queue[i])
 	}
 	return ecc, far, len(queue)
 }
@@ -272,9 +216,10 @@ func (c *CSR) DiameterApprox() int {
 
 // MST computes the minimum spanning forest by Kruskal under the canonical
 // EdgeLess order (weight, ties to the lower edge ID) and returns the
-// chosen IDs sorted ascending — byte-identical to graph.Kruskal on the
-// materialized graph. The sort runs over an int32 index permutation — the
-// only O(m log m) step in the scale pipeline's oracle check.
+// chosen IDs sorted ascending: the repository's one sequential MST kernel,
+// which graph.Kruskal runs on a snapshot. The sort runs over an int32 index
+// permutation — the only O(m log m) step in the scale pipeline's oracle
+// check.
 //
 //congest:pure
 func (c *CSR) MST() (ids []int32, weight float64) {
@@ -291,7 +236,7 @@ func (c *CSR) MST() (ids []int32, weight float64) {
 		return a < b
 	})
 	uf := NewUnionFind(c.N())
-	ids = make([]int32, 0, c.N()-1)
+	ids = make([]int32, 0, max(c.N()-1, 0))
 	for _, id := range order {
 		if uf.Union(int(c.U[id]), int(c.V[id])) {
 			ids = append(ids, id)

@@ -64,41 +64,20 @@ func TestCSRRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSRBFSMatchesGraph checks that CSR BFS visits arcs in port order and
-// reproduces the Graph-side BFS tree exactly.
-func TestCSRBFSMatchesGraph(t *testing.T) {
+// TestCSRDiameterMatchesGraph checks the CSR double-sweep diameter
+// estimate against the Graph-side one, value for value.
+func TestCSRDiameterMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	g := randomConnectedGraph(300, 150, rng)
-	c := graph.NewCSR(g)
-	for _, src := range []int{0, 7, 299} {
-		want := graph.BFS(g, src)
-		got := c.BFS(int32(src))
-		if len(got.Order) != len(want.Order) {
-			t.Fatalf("src %d: reached %d vertices, want %d", src, len(got.Order), len(want.Order))
+	for _, n := range []int{1, 2, 40, 300} {
+		g := randomConnectedGraph(n, n/2, rng)
+		if got, want := graph.NewCSR(g).DiameterApprox(), graph.DiameterApprox(g); got != want {
+			t.Fatalf("n=%d: DiameterApprox: CSR %d, Graph %d", n, got, want)
 		}
-		for v := 0; v < g.N(); v++ {
-			if int(got.Dist[v]) != want.Dist[v] || int(got.Parent[v]) != want.Parent[v] || int(got.ParentEdge[v]) != want.ParentEdge[v] {
-				t.Fatalf("src %d: vertex %d: got (%d,%d,%d), want (%d,%d,%d)", src, v,
-					got.Dist[v], got.Parent[v], got.ParentEdge[v],
-					want.Dist[v], want.Parent[v], want.ParentEdge[v])
-			}
-		}
-		for i, v := range want.Order {
-			if int(got.Order[i]) != v {
-				t.Fatalf("src %d: visit order diverges at %d: %d vs %d", src, i, got.Order[i], v)
-			}
-		}
-	}
-	if !c.IsConnected() {
-		t.Fatal("connected graph reported disconnected")
-	}
-	if got, want := c.DiameterApprox(), graph.DiameterApprox(g); got != want {
-		t.Fatalf("DiameterApprox: CSR %d, Graph %d", got, want)
 	}
 }
 
-// TestCSRMSTMatchesKruskal checks the CSR Kruskal oracle selects the
-// byte-identical edge ID set as the Graph-side Kruskal.
+// TestCSRMSTMatchesKruskal checks that Kruskal, which runs CSR.MST on a
+// snapshot, hands back CSR.MST's edge IDs and weight unchanged.
 func TestCSRMSTMatchesKruskal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnectedGraph(250, 400, rng)
@@ -140,9 +119,6 @@ func TestCSRDisconnected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
 	c := graph.NewCSR(g)
-	if c.IsConnected() {
-		t.Fatal("disconnected graph reported connected")
-	}
 	if d := c.DiameterApprox(); d != -1 {
 		t.Fatalf("DiameterApprox on disconnected graph: %d, want -1", d)
 	}

@@ -38,77 +38,6 @@ func TestKruskalTieBreakByID(t *testing.T) {
 	}
 }
 
-func TestPrimMatchesKruskal(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(80)
-		g := randomConnected(rng, n, rng.Intn(3*n))
-		kIDs, kW := Kruskal(g)
-		pIDs, pW, err := Prim(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := kW - pW; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("weights differ: kruskal %v prim %v", kW, pW)
-		}
-		if len(kIDs) != len(pIDs) {
-			t.Fatalf("edge counts differ")
-		}
-		for i := range kIDs {
-			if kIDs[i] != pIDs[i] {
-				t.Fatalf("trees differ at %d: %v vs %v", i, kIDs, pIDs)
-			}
-		}
-	}
-}
-
-func TestPrimDisconnected(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	if _, _, err := Prim(g); err == nil {
-		t.Fatal("expected disconnected error")
-	}
-}
-
-func TestBoruvkaMatchesKruskal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 25; trial++ {
-		n := 2 + rng.Intn(80)
-		g := randomConnected(rng, n, rng.Intn(3*n))
-		kIDs, kW := Kruskal(g)
-		bIDs, bW, phases := BoruvkaPhases(g)
-		if diff := kW - bW; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("weights differ: kruskal %v boruvka %v", kW, bW)
-		}
-		if len(kIDs) != len(bIDs) {
-			t.Fatalf("edge counts differ: %d vs %d", len(kIDs), len(bIDs))
-		}
-		for i := range kIDs {
-			if kIDs[i] != bIDs[i] {
-				t.Fatalf("trees differ")
-			}
-		}
-		// Borůvka halves the number of components per phase.
-		lg := 0
-		for 1<<lg < n {
-			lg++
-		}
-		if phases > lg+1 {
-			t.Fatalf("n=%d: %d phases exceeds log bound %d", n, phases, lg+1)
-		}
-	}
-}
-
-func TestBoruvkaDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 2)
-	ids, w, _ := BoruvkaPhases(g)
-	if len(ids) != 2 || w != 3 {
-		t.Fatalf("forest ids=%v w=%v", ids, w)
-	}
-}
-
 func TestTreeFromEdgeIDs(t *testing.T) {
 	g := mustGrid(t, 3, 3)
 	ids, _ := Kruskal(g)

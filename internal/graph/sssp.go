@@ -46,8 +46,8 @@ func Dijkstra(g *Graph, src int) (*SPResult, error) {
 	}
 	r.Dist[src] = 0
 	r.Hops[src] = 0
-	h := &spHeap{dist: r.Dist, hops: r.Hops}
-	h.push(src)
+	var h spHeap
+	h.push(src, 0, 0)
 	done := make([]bool, n)
 	for h.len() > 0 {
 		v := h.pop()
@@ -63,7 +63,7 @@ func Dijkstra(g *Graph, src int) (*SPResult, error) {
 				r.Hops[a.To] = candHops
 				r.Parent[a.To] = v
 				r.ParentEdge[a.To] = a.ID
-				h.push(a.To)
+				h.push(a.To, cand, candHops)
 			}
 		}
 	}
@@ -72,9 +72,8 @@ func Dijkstra(g *Graph, src int) (*SPResult, error) {
 
 // MinDistHeap is a binary min-heap of vertex IDs keyed by an external
 // distance slice, with lazy deletion (callers skip stale pops via a done
-// set). It is the shared substrate of the relaxation fixed-point oracles
-// in congest and sssp, which must stay algorithmically in lock-step for
-// their bit-identical-distances guarantee.
+// set). It is the heap of congest.RelaxOracle, the one relaxation fixed
+// point that simulated relaxation checks against and analytic SSSP runs.
 //
 // Each entry snapshots its key at Push time. Keying entries by the live
 // distance slice instead would silently break the heap invariant whenever
@@ -145,55 +144,63 @@ func (h *MinDistHeap) Pop() int {
 }
 
 // spHeap is a binary min-heap of vertices keyed lexicographically by
-// (dist, hops). Stale entries are skipped at pop (lazy deletion), matching
+// (dist, hops). Like MinDistHeap, each entry snapshots its key at push:
+// Dijkstra lowers a queued vertex's live distance or hop count, and an
+// entry keyed by the live value would shrink in place and break the heap
+// invariant. Stale entries are skipped at pop (lazy deletion), matching
 // the textbook decrease-key-free Dijkstra.
-type spHeap struct {
-	dist []float64
-	hops []int
-	vs   []int32
+type spHeap []spEntry
+
+type spEntry struct {
+	dist float64
+	hops int
+	v    int32
 }
 
-func (h *spHeap) len() int { return len(h.vs) }
-
-func (h *spHeap) less(a, b int32) bool {
-	if h.dist[a] != h.dist[b] {
-		return h.dist[a] < h.dist[b]
+func (e spEntry) less(o spEntry) bool {
+	if e.dist != o.dist {
+		return e.dist < o.dist
 	}
-	return h.hops[a] < h.hops[b]
+	return e.hops < o.hops
 }
 
-func (h *spHeap) push(v int) {
-	h.vs = append(h.vs, int32(v))
-	i := len(h.vs) - 1
+func (h *spHeap) len() int { return len(*h) }
+
+func (h *spHeap) push(v int, dist float64, hops int) {
+	*h = append(*h, spEntry{dist: dist, hops: hops, v: int32(v)})
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(h.vs[i], h.vs[p]) {
+		if !q[i].less(q[p]) {
 			break
 		}
-		h.vs[i], h.vs[p] = h.vs[p], h.vs[i]
+		q[i], q[p] = q[p], q[i]
 		i = p
 	}
 }
 
 func (h *spHeap) pop() int {
-	top := h.vs[0]
-	last := len(h.vs) - 1
-	h.vs[0] = h.vs[last]
-	h.vs = h.vs[:last]
+	q := *h
+	top := q[0].v
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && h.less(h.vs[l], h.vs[small]) {
+		if l < last && q[l].less(q[small]) {
 			small = l
 		}
-		if r < last && h.less(h.vs[r], h.vs[small]) {
+		if r < last && q[r].less(q[small]) {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h.vs[i], h.vs[small] = h.vs[small], h.vs[i]
+		q[i], q[small] = q[small], q[i]
 		i = small
 	}
 	return int(top)

@@ -43,44 +43,63 @@ func refBellmanFord(g *Graph, src int) (dist []float64, settled []int) {
 	return dist, settled
 }
 
-func randomWeighted(n, m int, rng *rand.Rand) *Graph {
+// randomWeighted builds a random connected graph on n vertices with m
+// edges (a random spanning tree plus random extra edges, parallels
+// allowed), drawing every weight from weight.
+func randomWeighted(n, m int, rng *rand.Rand, weight func(*rand.Rand) float64) *Graph {
 	g := New(n)
 	for i := 1; i < n; i++ {
-		g.AddEdge(rng.Intn(i), i, 0.25+rng.Float64())
+		g.AddEdge(rng.Intn(i), i, weight(rng))
 	}
 	for g.M() < m {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddEdge(u, v, 0.25+rng.Float64()*4)
+			g.AddEdge(u, v, weight(rng))
 		}
 	}
 	return g
 }
 
+// TestDijkstraMatchesBellmanFord checks distances, hop counts and parent
+// edges against synchronous Bellman–Ford. Integer weights, zeros included,
+// make distance ties common, which is where a heap keyed by live
+// distances instead of push-time snapshots goes wrong.
 func TestDijkstraMatchesBellmanFord(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		g := randomWeighted(30+rng.Intn(20), 90, rng)
-		src := rng.Intn(g.N())
-		r, err := Dijkstra(g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, settled := refBellmanFord(g, src)
-		for v := 0; v < g.N(); v++ {
-			if math.Abs(r.Dist[v]-want[v]) > 1e-9 {
-				t.Fatalf("vertex %d: dijkstra %v vs bellman-ford %v", v, r.Dist[v], want[v])
+	for _, fam := range []struct {
+		name   string
+		trials int
+		weight func(*rand.Rand) float64
+	}{
+		{"uniform", 200, func(rng *rand.Rand) float64 { return 0.25 + 4*rng.Float64() }},
+		{"int1-20", 2000, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(20)) }},
+		{"int0-3", 2000, func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) }},
+	} {
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < fam.trials; trial++ {
+			n := 5 + rng.Intn(40)
+			g := randomWeighted(n, n+rng.Intn(3*n), rng, fam.weight)
+			src := rng.Intn(n)
+			r, err := Dijkstra(g, src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Hops is the settle round of synchronous Bellman–Ford. Float
-			// addition order can differ between the two algorithms, so only
-			// check when the distances agree bit-exactly (the common case).
-			if r.Dist[v] == want[v] && r.Hops[v] != settled[v] {
-				t.Fatalf("vertex %d: hops %d vs settle round %d", v, r.Hops[v], settled[v])
-			}
-			if v != src && r.Parent[v] != -1 {
-				e := g.Edge(r.ParentEdge[v])
-				if math.Abs(r.Dist[v]-(r.Dist[r.Parent[v]]+e.W)) > 1e-9 {
-					t.Fatalf("vertex %d: parent edge does not close the distance", v)
+			want, settled := refBellmanFord(g, src)
+			for v := 0; v < n; v++ {
+				if math.Abs(r.Dist[v]-want[v]) > 1e-9 {
+					t.Fatalf("%s trial %d vertex %d: dijkstra %v vs bellman-ford %v", fam.name, trial, v, r.Dist[v], want[v])
+				}
+				// Hops is the settle round of synchronous Bellman–Ford. Float
+				// addition order can differ between the two algorithms, so
+				// only check when the distances agree bit-exactly (always,
+				// for integer weights).
+				if r.Dist[v] == want[v] && r.Hops[v] != settled[v] {
+					t.Fatalf("%s trial %d vertex %d: hops %d vs settle round %d", fam.name, trial, v, r.Hops[v], settled[v])
+				}
+				if v != src && r.Parent[v] != -1 {
+					e := g.Edge(r.ParentEdge[v])
+					if math.Abs(r.Dist[v]-(r.Dist[r.Parent[v]]+e.W)) > 1e-9 {
+						t.Fatalf("%s trial %d vertex %d: parent edge does not close the distance", fam.name, trial, v)
+					}
 				}
 			}
 		}
@@ -113,9 +132,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-// The fixed-point oracles (congest's channelFixedPoint, sssp's intra-phase
-// Dijkstra) run done-marking Dijkstra over MinDistHeap starting from an
-// all-finite distance vector. That is only correct if heap order survives
+// The relaxation oracle (congest.RelaxOracle) runs done-marking Dijkstra
+// over MinDistHeap starting from an all-finite distance vector. That is only correct if heap order survives
 // key decreases after insertion — i.e., if entries snapshot their key at
 // Push time. A heap keyed by the live distance slice corrupts silently on
 // exactly this access pattern: a stale entry's key shrinks in place, Pop
@@ -141,7 +159,7 @@ func TestMinDistHeapAllFiniteInitDijkstra(t *testing.T) {
 			init[v] = g.Edge(2*v + 1).W
 		}
 		init[apex] = 0
-		// Done-marking Dijkstra over MinDistHeap — the oracles' pattern.
+		// Done-marking Dijkstra over MinDistHeap — the oracle's pattern.
 		dist := append([]float64(nil), init...)
 		var h MinDistHeap
 		h.Reset(dist)

@@ -100,23 +100,6 @@ type Options struct {
 	Simulate bool
 }
 
-// aggregateMinSeq computes AggregateMin's fixed point sequentially: the
-// per-part minimum key over members. It is the oracle AggregateMin itself
-// validates against, so both modes converge to identical Mins.
-func aggregateMinSeq(parts *partition.Parts, keys []uint64) []uint64 {
-	mins := make([]uint64, parts.NumParts())
-	for i, set := range parts.Sets {
-		m := uint64(math.MaxUint64)
-		for _, v := range set {
-			if keys[v] < m {
-				m = keys[v]
-			}
-		}
-		mins[i] = m
-	}
-	return mins
-}
-
 // ShortcutBoruvka runs Borůvka's algorithm with fragment-wise aggregation
 // over shortcuts from the provider, simulating every aggregation on the
 // engine. See ShortcutBoruvkaOpts for the analytic-aggregation variant.
@@ -196,7 +179,7 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunS
 			stats.Messages += res.Stats.Messages
 			mins = res.Mins
 		} else {
-			mins = aggregateMinSeq(parts, keys)
+			mins = congest.AggregateMinFixedPoint(parts, keys)
 			stats.ChargedRounds += s.Measure().Quality
 		}
 		// Merge along each fragment's minimum outgoing edge.

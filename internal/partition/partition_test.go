@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -248,5 +249,87 @@ func TestBoruvkaTraceConsistency(t *testing.T) {
 				t.Fatalf("final phase vertex %d: Next %d != part index %d", v, next, p.Of[v])
 			}
 		}
+	}
+}
+
+// randomMultigraph builds a random connected multigraph: a random spanning
+// tree plus extra random edges, parallels allowed.
+func randomMultigraph(rng *rand.Rand, n, extra int) *graph.Graph {
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		g.AddEdge(v, rng.Intn(v), 1+rng.Float64())
+	}
+	for i := 0; i < extra; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddEdge(u, v, 1+rng.Float64())
+		}
+	}
+	return g
+}
+
+// traceForest runs BoruvkaTrace to completion and returns the union of
+// every phase's Best edges, sorted, with their total weight.
+func traceForest(t *testing.T, g *graph.Graph) (ids []int, weight float64, trace []partition.BoruvkaPhase, p *partition.Parts) {
+	t.Helper()
+	trace, p, err := partition.BoruvkaTrace(g, g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := make([]bool, g.M())
+	for _, ph := range trace {
+		for _, id := range ph.Best {
+			if id != -1 && !chosen[id] {
+				chosen[id] = true
+				weight += g.Edge(int(id)).W
+			}
+		}
+	}
+	for id, c := range chosen {
+		if c {
+			ids = append(ids, id)
+		}
+	}
+	return ids, weight, trace, p
+}
+
+// TestBoruvkaTraceMatchesKruskal checks Kruskal against an independent
+// MST algorithm: sequential Borůvka run to completion picks exactly
+// Kruskal's edges, within ⌈log₂ n⌉+1 phases.
+func TestBoruvkaTraceMatchesKruskal(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 25; trial++ {
+		n := 2 + rng.Intn(80)
+		g := randomMultigraph(rng, n, rng.Intn(3*n))
+		kIDs, kW := graph.Kruskal(g)
+		bIDs, bW, trace, p := traceForest(t, g)
+		if diff := kW - bW; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("n=%d: weights differ: kruskal %v boruvka %v", n, kW, bW)
+		}
+		if !slices.Equal(kIDs, bIDs) {
+			t.Fatalf("n=%d: trees differ: kruskal %v boruvka %v", n, kIDs, bIDs)
+		}
+		if p.NumParts() != 1 {
+			t.Fatalf("n=%d: %d fragments left on a connected graph", n, p.NumParts())
+		}
+		// Borůvka at least halves the number of fragments per phase.
+		lg := 0
+		for 1<<lg < n {
+			lg++
+		}
+		if len(trace) > lg+1 {
+			t.Fatalf("n=%d: %d phases exceeds log bound %d", n, len(trace), lg+1)
+		}
+	}
+}
+
+// TestBoruvkaTraceDisconnected checks that a disconnected graph yields its
+// spanning forest, one fragment per component.
+func TestBoruvkaTraceDisconnected(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(2, 3, 2)
+	ids, w, _, p := traceForest(t, g)
+	if !slices.Equal(ids, []int{0, 1}) || w != 3 || p.NumParts() != 2 {
+		t.Fatalf("forest ids=%v w=%v parts=%d", ids, w, p.NumParts())
 	}
 }

@@ -348,32 +348,9 @@ func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int,
 	// when v merges it.
 	for oi := n - 1; oi >= 0; oi-- {
 		v := t.Order[oi]
-		if t.ParentEdge[v] == -1 {
-			continue // root: no parent edge to admit onto
-		}
-		present = present[:0]
-		seen.Reset()
-		if pi := p.Of[v]; pi != -1 {
-			r := int32(pi)
-			if prio != nil {
-				r = prio[pi]
-			}
-			seen.Visit(int(r))
-			present = append(present, r)
-		}
-		for _, c := range t.Children[v] {
-			for _, r := range admitted[c] {
-				if seen.Visit(int(r)) {
-					present = append(present, r)
-				}
-			}
-		}
+		present = admit(t, p, prio, cap, admitted, v, seen, present)
 		if len(present) == 0 {
 			continue
-		}
-		slices.Sort(present)
-		if len(present) > cap {
-			present = present[:cap]
 		}
 		if len(present) > arenaFree {
 			size := 1 << 15
@@ -389,6 +366,36 @@ func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int,
 		admitted[v] = arena[start:len(arena):len(arena)]
 	}
 	return admitted
+}
+
+// admit is the flooding rule at v, shared by FloodFixedPoint and the
+// dirty-closure recompute of Repair: the (up to) cap best ranks of v's own
+// part and of everything v's children admit, ascending, and none at the
+// root, which has no parent edge. It overwrites buf and returns it; seen is
+// deduplication scratch over ranks.
+func admit(t *graph.Tree, p *partition.Parts, prio []int32, cap int, admitted [][]int32, v int, seen *graph.Scratch, buf []int32) []int32 {
+	buf = buf[:0]
+	if t.ParentEdge[v] == -1 {
+		return buf
+	}
+	seen.Reset()
+	if pi := p.Of[v]; pi != -1 {
+		r := int32(pi)
+		if prio != nil {
+			r = prio[pi]
+		}
+		seen.Visit(int(r))
+		buf = append(buf, r)
+	}
+	for _, c := range t.Children[v] {
+		for _, r := range admitted[c] {
+			if seen.Visit(int(r)) {
+				buf = append(buf, r)
+			}
+		}
+	}
+	slices.Sort(buf)
+	return buf[:min(len(buf), cap)]
 }
 
 // AutoResult reports a congestion-cap auto-search.

@@ -2,7 +2,7 @@ package shortcut
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -344,9 +344,9 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 	seed(oldParent)
 	seed(y)
 
-	// Recompute admissions children-first over the dirty closure, exactly
-	// the FloodFixedPoint rule per vertex. Reverse new BFS order visits
-	// children before parents.
+	// Recompute admissions children-first over the dirty closure with
+	// FloodFixedPoint's rule. Reverse new BFS order visits children before
+	// parents.
 	changed := false
 	count := 0
 	seen := g.AcquireScratch()
@@ -358,31 +358,12 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 			continue
 		}
 		count++
+		present = admit(newT, m.P, m.Prio, m.Cap, m.admitted, v, seen, present)
 		var next []int32
-		if newT.ParentEdge[v] != -1 {
-			present = present[:0]
-			seen.Reset()
-			if pi := m.P.Of[v]; pi != -1 {
-				r := m.Prio[pi]
-				seen.Visit(int(r))
-				present = append(present, r)
-			}
-			for _, ch := range newT.Children[v] {
-				for _, r := range m.admitted[ch] {
-					if seen.Visit(int(r)) {
-						present = append(present, r)
-					}
-				}
-			}
-			if len(present) > 0 {
-				sort.Slice(present, func(a, b int) bool { return present[a] < present[b] })
-				if len(present) > m.Cap {
-					present = present[:m.Cap]
-				}
-				next = append([]int32(nil), present...)
-			}
+		if len(present) > 0 {
+			next = slices.Clone(present)
 		}
-		if !ranksEqual(m.admitted[v], next) {
+		if !slices.Equal(m.admitted[v], next) {
 			changed = true
 		}
 		m.admitted[v] = next
@@ -408,16 +389,4 @@ func identityRanking(numParts int) []int32 {
 		prio[i] = int32(i)
 	}
 	return prio
-}
-
-func ranksEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

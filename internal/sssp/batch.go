@@ -75,7 +75,7 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 	}
 	m := s.Measure()
 	charge := congest.BatchRelaxBudget(m, k)
-	e := newEngine(g, p, s, rounded)
+	e := newEngine(g, rounded)
 	dist := make([][]float64, k)
 	slab := make([]float64, k*n)
 	for i, src := range srcs {
@@ -92,8 +92,11 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 		PhaseBudget: charge,
 	}
 	var relaxer *congest.BatchRelaxer
+	var oracle *congest.RelaxOracle
 	if opts.Simulate {
 		relaxer = congest.NewBatchRelaxer(g, p, s)
+	} else {
+		oracle = congest.NewRelaxOracle(g, p, s)
 	}
 	for phase := 0; phase < maxPhases; phase++ {
 		changed := false
@@ -125,7 +128,7 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 			}
 		} else {
 			for i := 0; i < k; i++ {
-				if e.intraPhase(dist[i]) {
+				if oracle.FixedPoint(rounded, dist[i]) {
 					changed = true
 				}
 			}

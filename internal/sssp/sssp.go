@@ -30,8 +30,10 @@
 // Round accounting follows the repo's two-ledger convention. Simulate mode
 // runs every part-wise relaxation on the CONGEST engine and reports
 // measured rounds in CommRounds. The default analytic mode (mirroring
-// mincut.Approx's SimulateMST=false fast path) computes phase fixed points
-// sequentially and charges each part-wise primitive the framework's
+// mincut.Approx's SimulateMST=false fast path) computes each phase's fixed
+// point with congest.RelaxOracle, the sequential oracle every simulated
+// relaxation is checked against, so both modes reach bit-identical
+// distances. It charges each part-wise primitive the framework's
 // Õ(quality) round budget in ChargedRounds — the bound the
 // transshipment-boosted algorithms of the literature achieve; the simple
 // flooding protocol the simulator runs is hop-bound on weighted paths, so
@@ -183,7 +185,7 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 	// The framework's per-primitive round budget — the same estimate the
 	// simulated primitive starts from, by construction.
 	charge := congest.RelaxBudget(m)
-	e := newEngine(g, p, s, rounded)
+	e := newEngine(g, rounded)
 	dist := make([]float64, n)
 	for v := range dist {
 		dist[v] = math.Inf(1)
@@ -191,8 +193,11 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 	dist[src] = 0
 	res := &Result{Source: src, Eps: opts.Eps, Quality: m.Quality}
 	var relaxer *congest.Relaxer
+	var oracle *congest.RelaxOracle
 	if opts.Simulate {
 		relaxer = congest.NewRelaxer(g, p, s)
+	} else {
+		oracle = congest.NewRelaxOracle(g, p, s)
 	}
 	for phase := 0; phase < maxPhases; phase++ {
 		changedCross := e.crossPhase(dist)
@@ -211,7 +216,7 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 			res.CommRounds += 1 + r.EffectiveRounds
 			res.Messages += 2*g.M() + r.Stats.Messages
 		} else {
-			changedIntra = e.intraPhase(dist)
+			changedIntra = oracle.FixedPoint(rounded, dist)
 			res.ChargedRounds += 1 + charge
 		}
 		res.Phases++
@@ -226,44 +231,21 @@ func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, o
 	return nil, fmt.Errorf("sssp: no convergence within %d phases", maxPhases)
 }
 
-// engine holds the phase iteration scratch, shared across the k distance
-// vectors of a batched run; all buffers are allocated once and reused, so
-// a warm phase allocates nothing. The tentative distances themselves are
+// engine holds the cross-edge phase's scratch, shared across the k
+// distance vectors of a batched run and reused across phases, so a warm
+// phase allocates nothing. The tentative distances themselves are
 // parameters — one vector per source — so ApproxBatch drives the same
-// engine over k vectors without k copies of the scratch.
+// engine over k vectors without k copies of the scratch. The part-wise
+// phase is congest's relaxation oracle (analytic mode) or protocol
+// (simulate mode).
 type engine struct {
-	g         *graph.Graph
-	rounded   []float64
-	onChannel []bool // per edge: carries at least one (part, edge) channel
-	next      []float64
-	heap      graph.MinDistHeap // scratch for the intra-phase potential Dijkstra
-	done      []bool
+	g       *graph.Graph
+	rounded []float64
+	next    []float64
 }
 
-func newEngine(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, rounded []float64) *engine {
-	n := g.N()
-	e := &engine{
-		g:         g,
-		rounded:   rounded,
-		onChannel: make([]bool, g.M()),
-		next:      make([]float64, n),
-		done:      make([]bool, n),
-	}
-	for id := 0; id < g.M(); id++ {
-		if g.EdgeRemoved(id) {
-			continue
-		}
-		ed := g.Edge(id)
-		if pi := p.Of[ed.U]; pi != -1 && pi == p.Of[ed.V] {
-			e.onChannel[id] = true
-		}
-	}
-	for _, ids := range s.Edges {
-		for _, id := range ids {
-			e.onChannel[id] = true
-		}
-	}
-	return e
+func newEngine(g *graph.Graph, rounded []float64) *engine {
+	return &engine{g: g, rounded: rounded, next: make([]float64, g.N())}
 }
 
 // crossPhase performs one synchronous (Jacobi) relaxation round over every
@@ -292,40 +274,6 @@ func (e *engine) crossPhase(dist []float64) bool {
 		}
 	}
 	copy(dist, e.next)
-	return changed
-}
-
-// intraPhase relaxes to the part-wise fixed point sequentially: a
-// potential-initialized Dijkstra over the channel edges, updating dist in
-// place. This is the analytic-mode stand-in for congest.RelaxPartwise and
-// computes the identical fixed point.
-func (e *engine) intraPhase(dist []float64) bool {
-	g := e.g
-	e.heap.Reset(dist)
-	for v := range dist {
-		e.done[v] = false
-		if !math.IsInf(dist[v], 1) {
-			e.heap.Push(v)
-		}
-	}
-	changed := false
-	for e.heap.Len() > 0 {
-		v := e.heap.Pop()
-		if e.done[v] {
-			continue
-		}
-		e.done[v] = true
-		for _, a := range g.Adj(v) {
-			if !e.onChannel[a.ID] {
-				continue
-			}
-			if cand := dist[v] + e.rounded[a.ID]; cand < dist[a.To] {
-				dist[a.To] = cand
-				changed = true
-				e.heap.Push(a.To)
-			}
-		}
-	}
 	return changed
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -165,7 +166,8 @@ func TestApproxDeterministic(t *testing.T) {
 }
 
 // The analytic phase hot path must not allocate once warm: all phase state
-// (Jacobi buffers, channel marks, the potential-Dijkstra heap) is reused.
+// (the Jacobi buffer, and the relaxation oracle's channel marks and
+// potential-Dijkstra heap) is reused.
 func TestPhaseHotPathAllocs(t *testing.T) {
 	rng := xrand.New(42)
 	g := gen.UniformWeights(gen.Wheel(129).G, rng)
@@ -182,7 +184,8 @@ func TestPhaseHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(g, p, s, rounded)
+	e := newEngine(g, rounded)
+	oracle := congest.NewRelaxOracle(g, p, s)
 	dist := make([]float64, g.N())
 	for v := range dist {
 		dist[v] = math.Inf(1)
@@ -190,11 +193,11 @@ func TestPhaseHotPathAllocs(t *testing.T) {
 	dist[0] = 0
 	for i := 0; i < 3; i++ { // warm: run phases to convergence
 		e.crossPhase(dist)
-		e.intraPhase(dist)
+		oracle.FixedPoint(rounded, dist)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		e.crossPhase(dist)
-		e.intraPhase(dist)
+		oracle.FixedPoint(rounded, dist)
 	})
 	if allocs != 0 {
 		t.Fatalf("phase hot path allocates %v times per phase", allocs)
