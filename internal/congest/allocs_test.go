@@ -1,7 +1,7 @@
 package congest_test
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/congest"
@@ -85,48 +85,11 @@ func TestConstructShortcutAllocsFlat(t *testing.T) {
 	pinAllocs(t, "ConstructShortcut", 1100, g.N()*stats.Rounds, run)
 }
 
-// TestRelaxPartwiseAllocsFlat pins the part-wise relaxation kernel on a
-// reused Relaxer (the channel CSR is built once; each Relax call builds
-// only its per-phase slabs).
-func TestRelaxPartwiseAllocsFlat(t *testing.T) {
-	rng := xrand.New(11)
-	g := gen.UniformWeights(gen.Wheel(129).G, rng)
-	p, err := partition.RimArcs(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := graph.BFSTree(g, g.N()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := shortcut.ObliviousAuto(g, tr, p)
-	relaxer := congest.NewRelaxer(g, p, s)
-	weights := make([]float64, g.M())
-	for id := range weights {
-		weights[id] = g.Edge(id).W
-	}
-	init := make([]float64, g.N())
-	for v := range init {
-		init[v] = math.Inf(1)
-	}
-	init[0] = 0
-	var stats congest.Stats
-	run := func() {
-		res, err := relaxer.Relax(weights, init)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats = res.Stats
-	}
-	run()
-	pinAllocs(t, "Relaxer.Relax", 96, g.N()*stats.Rounds, run)
-}
-
-// TestBatchRelaxAllocsFlat pins the batched k-source relaxation kernel on
-// a reused BatchRelaxer: one run's allocations are its setup slabs (the
-// k×n distance planes, channel CSR views, dirty bits), not O(node-rounds)
-// objects — the zero-allocs-per-round claim of the query-serving layer's
-// miss path.
+// TestBatchRelaxAllocsFlat pins the relaxation kernel on a reused
+// BatchRelaxer, single-source (k=1) and batched: one run's allocations
+// are its setup slabs (the k×n distance planes, port views, dirty bits),
+// not O(node-rounds) objects — the zero-allocs-per-round claim of the
+// query-serving layer's miss path.
 func TestBatchRelaxAllocsFlat(t *testing.T) {
 	rng := xrand.New(17)
 	g := gen.UniformWeights(gen.Wheel(129).G, rng)
@@ -140,27 +103,26 @@ func TestBatchRelaxAllocsFlat(t *testing.T) {
 	}
 	s, _ := shortcut.ObliviousAuto(g, tr, p)
 	relaxer := congest.NewBatchRelaxer(g, p, s)
-	weights := make([]float64, g.M())
-	for id := range weights {
-		weights[id] = g.Edge(id).W
+	weights := edgeWeights(g)
+	for _, tc := range []struct {
+		k       int
+		ceiling float64
+	}{{1, 96}, {8, 224}} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			init := make([][]float64, tc.k)
+			for i := range init {
+				init[i] = infInit(g.N(), (i*11)%g.N())
+			}
+			var stats congest.Stats
+			run := func() {
+				res, err := relaxer.Relax(weights, init)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats = res.Stats
+			}
+			run()
+			pinAllocs(t, "BatchRelaxer.Relax", tc.ceiling, g.N()*stats.Rounds, run)
+		})
 	}
-	const k = 8
-	init := make([][]float64, k)
-	for i := range init {
-		init[i] = make([]float64, g.N())
-		for v := range init[i] {
-			init[i][v] = math.Inf(1)
-		}
-		init[i][(i*11)%g.N()] = 0
-	}
-	var stats congest.Stats
-	run := func() {
-		res, err := relaxer.Relax(weights, init)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats = res.Stats
-	}
-	run()
-	pinAllocs(t, "BatchRelaxer.Relax", 224, g.N()*stats.Rounds, run)
 }

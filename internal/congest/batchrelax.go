@@ -14,64 +14,60 @@ import (
 type BatchRelaxResult struct {
 	// Dist[s] is source s's per-vertex fixed point: the pointwise minimum
 	// over channel-graph paths of init[s][u] + Σ weights along the path —
-	// bit-identical to k independent Relaxer.Relax runs, since every
-	// source's tokens traverse the same channels with the same weights.
+	// bit-identical to k single-source (k=1) runs, since every source's
+	// tokens traverse the same channels with the same weights.
 	Dist  [][]float64
 	Stats Stats
 	// EffectiveRounds is the quiet-point of the whole batch: the round
-	// after which no token of any source moved. The pipelining win is that
-	// this grows like h+k, not k·h: a port queues at most one pending
-	// token per source, so once the first tag drains the remaining sources
-	// stream behind it one round apart, exactly the Pipecast multi-token
-	// schedule.
+	// after which no token of any source moved. The run executes a fixed
+	// budget (nodes cannot detect global quiescence), so Stats.Rounds
+	// exceeds this. The pipelining win is that it grows like h+k, not
+	// k·h: a port queues at most one pending token per source, so once the
+	// first tag drains the remaining sources stream behind it one round
+	// apart, exactly the Pipecast multi-token schedule.
 	EffectiveRounds int
 	Budget          int
 }
 
 // BatchRelaxBudget is the framework's per-phase round budget for relaxing
 // k sources at once over a shortcut of the given measurement: the
-// single-source budget plus one pipelining round per extra source tag
-// queued on a port — O(h+k) where the sequential schedule pays k·O(h). It
-// is both the estimate the simulated batch starts from and the per-phase
-// charge the analytic batched SSSP books.
+// single-source estimate quality + 2·treeDiameter + 8, plus one
+// pipelining round per extra source tag queued on a port — O(h+k) where
+// the sequential schedule pays k·O(h). It is both the estimate the
+// simulated batch starts from and the per-phase charge the analytic SSSP
+// books; k=1 is the single-source budget.
 func BatchRelaxBudget(m shortcut.Measurement, k int) int {
-	return RelaxBudget(m) + k
+	return m.Quality + 2*m.TreeDiameter + 8 + k - 1
 }
 
-// BatchRelaxer runs batched multi-source relaxation phases over a fixed
-// (graph, parts, shortcut) triple, reusing the channel CSR and the
-// measured budget across phases. It is the k-source generalization of
-// Relaxer: one phase floods all k sources' tentative distances as
-// tag-multiplexed tokens (tag = source index) over the same channel graph,
-// one token per port per round.
+// BatchRelaxer runs part-wise relaxation phases over a fixed (graph,
+// parts, shortcut) triple, reusing the channel mask, the fixed-point
+// oracle's scratch and the measured budget across phases. One phase floods
+// k sources' tentative distances as tag-multiplexed tokens (tag = source
+// index) over the parts' induced edges plus their shortcut edges, one
+// token per port per round; k=1 is single-source relaxation, the SSSP
+// analogue of the part-wise aggregation subproblem.
 //
-// The multiplexing is per (port, source), not per (channel, source):
+// The multiplexing is per (port, source), not per (part, edge) channel:
 // relaxation tokens are value-only — the receiver folds the delivered
-// distance by min and never consults the part tag — so the single-source
-// protocol's per-channel copies on a shared port all carry the same value
-// and exist only to meter per-part congestion. With source tags the
-// distinct streams through a port are the k sources, and that is what the
-// batch serializes: congestion k per port, dilation h, hence the O(h+k)
-// quiet point the budget tracks.
+// distance by min and never consults which part a token travels for — so
+// one token carries a port's update for every part sharing it, and an
+// edge matters only in whether it carries a channel at all (the oracle's
+// per-edge mask). The distinct streams through a port are the k sources,
+// and that is what the batch serializes: congestion k per port, dilation
+// h, hence the O(h+k) quiet point the budget tracks.
 //
-// Like Relaxer, a BatchRelaxer is not safe for concurrent use.
+// A BatchRelaxer is not safe for concurrent use.
 type BatchRelaxer struct {
-	g           *graph.Graph
-	partsOnEdge func(int) []int32
-	oracle      *RelaxOracle
-	m           shortcut.Measurement
+	g      *graph.Graph
+	oracle *RelaxOracle
+	m      shortcut.Measurement
 }
 
-// NewBatchRelaxer precomputes the channel structure and measures the
-// shortcut once.
+// NewBatchRelaxer precomputes the channel mask and measures the shortcut
+// once.
 func NewBatchRelaxer(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut) *BatchRelaxer {
-	partsOnEdge := buildEdgeChannels(g, p, s)
-	return &BatchRelaxer{
-		g:           g,
-		partsOnEdge: partsOnEdge,
-		oracle:      newRelaxOracle(g, partsOnEdge),
-		m:           s.Measure(),
-	}
+	return &BatchRelaxer{g: g, oracle: NewRelaxOracle(g, p, s), m: s.Measure()}
 }
 
 // Budget returns BatchRelaxBudget for k sources over this relaxer's
@@ -80,9 +76,18 @@ func (r *BatchRelaxer) Budget(k int) int { return BatchRelaxBudget(r.m, k) }
 
 // Relax runs one batched relaxation phase: init[s] is source s's tentative
 // distance vector (+Inf for "unknown"), and the result's Dist[s] is its
-// channel-graph fixed point. The round budget starts at BatchRelaxBudget
-// and doubles until every source's flood converges against the sequential
-// fixed point (the environment's ground truth), mirroring Relaxer.Relax.
+// channel-graph fixed point
+//
+//	dist(v) = min over channel-graph paths u⇝v of init[s](u) + Σ weights(e).
+//
+// Weights are indexed by edge ID (typically the (1+ε)-rounded weights of
+// the SSSP pipeline) and must be non-negative; both endpoints of an edge
+// know its weight, so tokens carry the sender's distance and the receiver
+// adds the traversal cost. The protocol is round-driven (RoundFunc), so a
+// run performs a constant number of allocations. The round budget starts
+// at BatchRelaxBudget and doubles until every source's flood converges
+// against the sequential fixed point (RelaxOracle, the environment's
+// ground truth); the converged run's quiet-point is reported.
 func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxResult, error) {
 	g := r.g
 	k := len(init)
@@ -107,7 +112,7 @@ func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxRe
 	}
 	var res *BatchRelaxResult
 	err := (*Adversary)(nil).converge("BatchRelax", r.Budget(k), func(budget int) (err error) {
-		res, err = runBatchRelax(g, r.partsOnEdge, weights, init, want, budget)
+		res, err = runBatchRelax(g, r.oracle.onChannel, weights, init, want, budget)
 		return err
 	})
 	if err != nil {
@@ -157,7 +162,7 @@ func batchFold(row []float64, dirty, active []bool, pOff, pEnd int32, k, arrival
 // runBatchRelax runs the batched flood for a fixed round budget and checks
 // every source's final distances against want, reporting a mismatch as an
 // *IncompleteError.
-func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, error) {
+func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, want [][]float64, budget int) (*BatchRelaxResult, error) {
 	n := g.N()
 	k := len(init)
 	// finalDist is laid out [s*n+v] so the result carves into per-source
@@ -188,7 +193,7 @@ func runBatchRelax(g *graph.Graph, partsOnEdge func(int) []int32, weights []floa
 		st := &state[v]
 		st.pOff = pi
 		for _, a := range g.Adj(v) {
-			active[pi] = len(partsOnEdge(a.ID)) > 0
+			active[pi] = onChannel[a.ID]
 			pi++
 		}
 		st.pEnd = pi

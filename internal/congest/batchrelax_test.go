@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/shortcut"
 	"repro/internal/xrand"
 )
@@ -31,7 +33,7 @@ func wheelTriple(t *testing.T, rim, arcs int, seed int64) (*graph.Graph, *partit
 }
 
 // The batched k-source relaxation must return, per source, exactly the
-// bytes the single-source protocol returns — the tags share channels but
+// bytes a single-source (k=1) run returns — the tags share channels but
 // never mix values.
 func TestBatchRelaxMatchesSequential(t *testing.T) {
 	g, p, s := wheelTriple(t, 65, 4, 3)
@@ -48,17 +50,17 @@ func TestBatchRelaxMatchesSequential(t *testing.T) {
 	if batch.EffectiveRounds > batch.Budget {
 		t.Fatalf("batched quiet-point %d exceeds the converged budget %d", batch.EffectiveRounds, batch.Budget)
 	}
-	relaxer := congest.NewRelaxer(g, p, s)
+	relaxer := congest.NewBatchRelaxer(g, p, s)
 	seqRounds := 0
 	for i := 0; i < k; i++ {
-		seq, err := relaxer.Relax(weights, init[i])
+		seq, err := relaxer.Relax(weights, init[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqRounds += seq.EffectiveRounds
 		for v := 0; v < g.N(); v++ {
-			if batch.Dist[i][v] != seq.Dist[v] {
-				t.Fatalf("source %d vertex %d: batched %v vs sequential %v", i, v, batch.Dist[i][v], seq.Dist[v])
+			if batch.Dist[i][v] != seq.Dist[0][v] {
+				t.Fatalf("source %d vertex %d: batched %v vs sequential %v", i, v, batch.Dist[i][v], seq.Dist[0][v])
 			}
 		}
 	}
@@ -66,27 +68,6 @@ func TestBatchRelaxMatchesSequential(t *testing.T) {
 	// budget+k-ish rounds, far below the k sequential quiet-points.
 	if batch.EffectiveRounds*2 >= seqRounds {
 		t.Fatalf("batched phase took %d rounds vs %d sequential: no pipelining win", batch.EffectiveRounds, seqRounds)
-	}
-}
-
-// A batch of one source must behave exactly like the single-source
-// protocol, budget aside.
-func TestBatchRelaxSingleSource(t *testing.T) {
-	g, p, s := wheelTriple(t, 33, 4, 5)
-	weights := edgeWeights(g)
-	init := infInit(g.N(), 2)
-	batch, err := congest.NewBatchRelaxer(g, p, s).Relax(weights, [][]float64{init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := congest.NewRelaxer(g, p, s).Relax(weights, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		if batch.Dist[0][v] != seq.Dist[v] {
-			t.Fatalf("vertex %d: batched %v vs sequential %v", v, batch.Dist[0][v], seq.Dist[v])
-		}
 	}
 }
 
@@ -107,5 +88,53 @@ func TestBatchRelaxRejectsMalformedInput(t *testing.T) {
 	bad[0] = math.NaN()
 	if _, err := r.Relax(bad, [][]float64{infInit(g.N(), 0)}); err == nil {
 		t.Error("NaN weight accepted")
+	}
+	bad[0] = -1
+	if _, err := r.Relax(bad, [][]float64{infInit(g.N(), 0)}); err == nil {
+		t.Error("negative weight accepted")
+	}
+}
+
+// BenchmarkBatchRelax times one relaxation phase from scratch on the
+// serving workloads' instance — a 16×16 grid with one part per row and
+// the cap search's shortcut over the self-setup tree — single-source
+// (k=1) and batched, and reports the engine rounds per phase and the cost
+// per node-round.
+func BenchmarkBatchRelax(b *testing.B) {
+	g := gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(16, 16), xrand.New(2018))).Graph()
+	setup, err := pipeline.SelfSetup(g, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := partition.GridRows(g, 16, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	search, err := congest.SearchCap(g, setup.Tree, p, congest.SearchOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	relaxer := congest.NewBatchRelaxer(g, p, search.S)
+	weights := edgeWeights(g)
+	n := g.N()
+	for _, k := range []int{1, 8, 64} {
+		init := make([][]float64, k)
+		for i := range init {
+			init[i] = infInit(n, i*n/k)
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			ops, rounds := 0, 0
+			for b.Loop() {
+				res, err := relaxer.Relax(weights, init)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops++
+				rounds += res.Stats.Rounds
+			}
+			b.ReportMetric(float64(rounds)/float64(ops), "rounds/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*rounds), "ns/node-round")
+		})
 	}
 }

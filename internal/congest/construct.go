@@ -56,7 +56,7 @@ type ConstructResult struct {
 // construction: every part ID climbs at most height levels and each tree
 // edge serializes at most cap admissions (plus eviction retractions) — the
 // operational O((b+1)·height) bound. The simulated protocol starts from the
-// same estimate, mirroring RelaxBudget.
+// same estimate, mirroring BatchRelaxBudget.
 func ConstructBudget(t *graph.Tree, cap int) int {
 	if cap < 1 {
 		cap = 1

@@ -63,7 +63,7 @@ func TestRelaxBellmanFordMatchesDijkstra(t *testing.T) {
 }
 
 // refChannelRelax computes the fixed point over the part+shortcut channel
-// edges by brute-force iteration: the ground truth RelaxPartwise must hit.
+// edges by brute-force iteration: the ground truth BatchRelaxer must hit.
 func refChannelRelax(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, w, init []float64) []float64 {
 	onChannel := make([]bool, g.M())
 	for id := 0; id < g.M(); id++ {
@@ -101,7 +101,7 @@ func refChannelRelax(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut, w
 	return dist
 }
 
-func TestRelaxPartwiseComputesChannelFixedPoint(t *testing.T) {
+func TestBatchRelaxComputesChannelFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	e := gen.Wheel(33)
 	g := gen.UniformWeights(e.G, rng)
@@ -119,14 +119,14 @@ func TestRelaxPartwiseComputesChannelFixedPoint(t *testing.T) {
 	init := infInit(g.N(), 0)
 	init[7] = 2.5
 	init[20] = 0.25
-	res, err := congest.RelaxPartwise(g, p, s, edgeWeights(g), init)
+	res, err := congest.NewBatchRelaxer(g, p, s).Relax(edgeWeights(g), [][]float64{init})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := refChannelRelax(g, p, s, edgeWeights(g), init)
 	for v := 0; v < g.N(); v++ {
-		if res.Dist[v] != want[v] {
-			t.Fatalf("vertex %d: protocol %v vs reference %v", v, res.Dist[v], want[v])
+		if res.Dist[0][v] != want[v] {
+			t.Fatalf("vertex %d: protocol %v vs reference %v", v, res.Dist[0][v], want[v])
 		}
 	}
 	if res.EffectiveRounds <= 0 || res.EffectiveRounds > res.Budget {
@@ -136,7 +136,7 @@ func TestRelaxPartwiseComputesChannelFixedPoint(t *testing.T) {
 
 // The relaxation protocol's full observable result must be byte-identical
 // across GOMAXPROCS settings, like every other engine protocol.
-func TestRelaxPartwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
+func TestBatchRelaxIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	e := gen.Wheel(49)
 	g := gen.UniformWeights(e.G, rng)
@@ -150,7 +150,7 @@ func TestRelaxPartwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 	s, _ := shortcut.ObliviousAuto(g, tr, p)
 	run := func() string {
-		res, err := congest.RelaxPartwise(g, p, s, edgeWeights(g), infInit(g.N(), 3))
+		res, err := congest.NewBatchRelaxer(g, p, s).Relax(edgeWeights(g), [][]float64{infInit(g.N(), 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,24 +168,12 @@ func TestRelaxPartwiseIdenticalAcrossGOMAXPROCS(t *testing.T) {
 
 func TestRelaxInputValidation(t *testing.T) {
 	g := gen.Path(4)
-	tr, err := graph.BFSTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := partition.New(g, [][]int{{0, 1, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := shortcut.Empty(g, tr, p)
 	w := []float64{1, 1, 1}
-	if _, err := congest.RelaxPartwise(g, p, s, w[:2], infInit(4, 0)); err == nil {
+	if _, err := congest.RelaxBellmanFord(g, w[:2], infInit(4, 0)); err == nil {
 		t.Fatal("accepted short weights")
 	}
-	if _, err := congest.RelaxPartwise(g, p, s, w, infInit(3, 0)); err == nil {
+	if _, err := congest.RelaxBellmanFord(g, w, infInit(3, 0)); err == nil {
 		t.Fatal("accepted short init")
-	}
-	if _, err := congest.RelaxPartwise(g, p, s, []float64{1, -1, 1}, infInit(4, 0)); err == nil {
-		t.Fatal("accepted negative weight")
 	}
 	if _, err := congest.RelaxBellmanFord(g, []float64{1, math.NaN(), 1}, infInit(4, 0)); err == nil {
 		t.Fatal("accepted NaN weight")

@@ -163,10 +163,10 @@ func BlockTopTokens(t *graph.Tree, p *partition.Parts) [][]Token {
 
 // probeBudget is the analytic charge for one guess's quality estimate: a
 // tree convergecast of the congestion maximum, a part-wise flood probe
-// whose round count the estimate itself bounds (the RelaxBudget shape),
-// and the pipelined block-count convergecast (each vertex decides locally
-// which parts' admitted chains it tops and the per-part sums stream to
-// the root: one PipecastBudget).
+// whose round count the estimate itself bounds (the single-source
+// BatchRelaxBudget shape), and the pipelined block-count convergecast
+// (each vertex decides locally which parts' admitted chains it tops and
+// the per-part sums stream to the root: one PipecastBudget).
 func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 	return (t.Height() + 2) + (est + 2*t.Height() + 8) + PipecastBudget(t, p.NumParts())
 }

@@ -19,13 +19,16 @@ import (
 //
 // Left half, the batching win: k=8 sources computed by one batched run
 // (sssp.ApproxBatch, tag-multiplexed tokens over the shared part channels)
-// versus k sequential single-source runs over the identical shortcut, in
-// the same ledger. On the E14 families the batch runs message-level on the
-// engine: r_batch/r_seq are measured simulated rounds, rp_max the largest
-// per-phase quiet-point against its O(h+k) budget rp_bound
-// (congest.BatchRelaxBudget), and the acceptance bar is speedup > 2 with
-// byte-identical answers (pinned by the sssp tests). The 10⁴-node serving
-// row books both schedules analytically — same formulas, bigger network.
+// versus k sequential single-source runs (sssp.Approx, the same kernel at
+// k=1) over the identical shortcut, in the same ledger. On the E14
+// families the batch runs message-level on the engine: r_batch/r_seq are
+// measured simulated rounds, rp_max the largest per-phase quiet-point
+// against its O(h+k) budget rp_bound (congest.BatchRelaxBudget, the
+// single-source budget plus k−1), and the acceptance bar is speedup > 2
+// on TestE19QueryAcceptance's instances with byte-identical answers
+// (pinned by the sssp tests); the registry's default k5free row sits just
+// under it. The 10⁴-node serving row books both schedules analytically —
+// same formulas, bigger network.
 //
 // Right half, the serving story: a seeded Zipf-skewed trace replayed twice
 // against the oracle. The cold pass reports hit rate and amortized

@@ -15,10 +15,10 @@ type BatchResult struct {
 	Srcs []int
 	Eps  float64
 	// Dist[i] is source Srcs[i]'s distance vector: exact under the
-	// (1+ε)-rounded weights, byte-identical to what a sequential Approx
-	// run from Srcs[i] returns (both are the unique fixed point of the
-	// same monotone relaxation, and every phase a converged source sits
-	// through is a no-op on it).
+	// (1+ε)-rounded weights, byte-identical to what a single-source run
+	// from Srcs[i] returns (both are the unique fixed point of the same
+	// monotone relaxation, and every phase a converged source sits through
+	// is a no-op on it).
 	Dist   [][]float64
 	Phases int
 	// CommRounds counts simulated communication rounds: k cross-edge
@@ -28,7 +28,9 @@ type BatchResult struct {
 	// ChargedRounds counts analytic-mode rounds: k cross-edge rounds plus
 	// the O(h+k) framework budget (congest.BatchRelaxBudget) per phase.
 	ChargedRounds int
-	Messages      int
+	// Messages counts simulated messages: k tokens per live edge direction
+	// per cross-edge phase plus the relaxation protocol's messages.
+	Messages int
 	// Quality is the measured shortcut quality (the per-phase charge basis).
 	Quality int
 	// MaxPhaseRounds is the largest simulated quiet-point over the batched
@@ -43,9 +45,10 @@ type BatchResult struct {
 // sources at once: each Bellman–Ford phase relaxes every source's
 // tentative distances in one batched part-wise relaxation, the k tags
 // multiplexed over the same part channels (congest.BatchRelaxer) instead
-// of k sequential Approx pipelines. One phase costs O(h+k) rounds — the
-// Pipecast pipelining win — against k·O(h) for the sequential schedule,
-// and the answers are byte-identical to k sequential runs.
+// of k sequential single-source pipelines. One phase costs O(h+k) rounds —
+// the Pipecast pipelining win — against k·O(h) for the sequential
+// schedule, and the answers are byte-identical to k sequential runs.
+// Approx is the k=1 case.
 //
 // The iteration runs until one phase is quiet for every source, so
 // already-converged sources idle (at zero marginal rounds: a clean source
@@ -108,7 +111,7 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 		if opts.Simulate {
 			r, err := relaxer.Relax(rounded, dist)
 			if err != nil {
-				return nil, fmt.Errorf("sssp: batch phase %d relaxation: %w", phase, err)
+				return nil, fmt.Errorf("sssp: phase %d relaxation: %w", phase, err)
 			}
 			for i := 0; i < k; i++ {
 				for v := 0; v < n; v++ {
@@ -119,7 +122,7 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 				}
 			}
 			res.CommRounds += k + r.EffectiveRounds
-			res.Messages += k*2*g.M() + r.Stats.Messages
+			res.Messages += k*2*e.live + r.Stats.Messages
 			if r.EffectiveRounds > res.MaxPhaseRounds {
 				res.MaxPhaseRounds = r.EffectiveRounds
 			}
@@ -142,5 +145,5 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("sssp: batch no convergence within %d phases", maxPhases)
+	return nil, fmt.Errorf("sssp: no convergence within %d phases", maxPhases)
 }

@@ -3,6 +3,7 @@ package sssp_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -160,6 +161,35 @@ func TestApproxBatchDuplicateSources(t *testing.T) {
 		if batch.Dist[0][v] != batch.Dist[1][v] {
 			t.Fatalf("duplicate sources diverge at vertex %d", v)
 		}
+	}
+}
+
+// A churn tombstone is not an edge: a simulated batch over a graph that
+// gained and then lost an edge must report exactly what it reports over
+// the graph that never had it, message count included.
+func TestApproxBatchIgnoresRemovedEdges(t *testing.T) {
+	run := func(g *graph.Graph) *sssp.BatchResult {
+		t.Helper()
+		p, err := partition.RimArcs(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := graph.BFSTree(g, g.N()-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := shortcut.ObliviousAuto(g, tr, p)
+		r, err := sssp.ApproxBatch(g, []int{0, 5}, p, s, sssp.Options{Simulate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	base := gen.UniformWeights(gen.Wheel(17).G, xrand.New(3))
+	churned := base.Clone()
+	churned.RemoveEdge(churned.AddEdge(0, 8, 1))
+	if want, got := run(base), run(churned); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after removing an edge: %+v\nnever had it: %+v", got, want)
 	}
 }
 

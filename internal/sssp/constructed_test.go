@@ -7,13 +7,14 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/pipeline"
 	"repro/internal/sssp"
 )
 
 // TestApproxConstructed: the full in-network pipeline — the network builds
-// its own shortcut, then runs part-wise relaxation over it — keeps the
-// (1+ε) stretch guarantee and books the construction rounds in the ledger
-// matching the run's mode.
+// its own shortcut with the flooding construction, then runs part-wise
+// relaxation over it — keeps the (1+ε) stretch guarantee and books the
+// construction rounds in the ledger matching the run's mode.
 func TestApproxConstructed(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.Wheel(65).G
@@ -40,7 +41,7 @@ func TestApproxConstructed(t *testing.T) {
 	}
 	const eps = 0.1
 	for _, simulate := range []bool{false, true} {
-		r, err := sssp.ApproxConstructed(g, 0, tr, p, 2, sssp.Options{Eps: eps, Simulate: simulate})
+		r, err := sssp.ApproxProvided(g, 0, p, pipeline.Flood(g, tr, 2, simulate), sssp.Options{Eps: eps, Simulate: simulate})
 		if err != nil {
 			t.Fatalf("simulate=%v: %v", simulate, err)
 		}

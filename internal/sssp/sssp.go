@@ -15,8 +15,11 @@
 //     edge direction), and
 //  2. a part-wise relaxation: inside every part, improved distances flood
 //     along the part's induced edges plus its shortcut edges to the
-//     channel-graph fixed point (congest.RelaxPartwise, the SSSP analogue
+//     channel-graph fixed point (congest.BatchRelaxer, the SSSP analogue
 //     of the part-wise aggregation subproblem).
+//
+// ApproxBatch runs the phase loop for k sources at once, their tokens
+// tag-multiplexed over the same channels; Approx is its k=1 case.
 //
 // Distances only ever decrease and every value is realized by an actual
 // path of the network, so the fixed point of the phase iteration is the
@@ -47,7 +50,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
@@ -108,36 +110,11 @@ type Result struct {
 	Messages      int
 	// Quality is the measured shortcut quality (the per-phase charge basis).
 	Quality int
-	// ConstructRounds is the in-network shortcut construction's round cost
-	// when the run built its own shortcut (ApproxConstructed); the rounds
-	// are already folded into CommRounds or ChargedRounds per the run's
-	// mode. Zero when the shortcut was supplied by the caller.
+	// ConstructRounds is the shortcut provider's round cost when the
+	// shortcut came from one (ApproxProvided); the rounds are already
+	// folded into CommRounds or ChargedRounds per the provider's ledger.
+	// Zero when the shortcut was supplied by the caller.
 	ConstructRounds int
-}
-
-// ApproxConstructed is Approx over a shortcut the network builds itself:
-// the flooding construction (congest.ConstructShortcut) at congestion cap
-// runs first — simulated or analytic per opts.Simulate — and its round cost
-// lands in the matching ledger, so the result prices the full pipeline
-// rather than assuming a shortcut fell from the sky.
-func ApproxConstructed(g *graph.Graph, src int, t *graph.Tree, p *partition.Parts, cap int, opts Options) (*Result, error) {
-	cres, err := congest.ConstructShortcut(g, t, p, congest.ConstructOptions{Cap: cap, Simulate: opts.Simulate})
-	if err != nil {
-		return nil, fmt.Errorf("sssp: shortcut construction: %w", err)
-	}
-	r, err := Approx(g, src, p, cres.S, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Simulate {
-		r.ConstructRounds = cres.EffectiveRounds
-		r.CommRounds += cres.EffectiveRounds
-		r.Messages += cres.Stats.Messages
-	} else {
-		r.ConstructRounds = cres.ChargedRounds
-		r.ChargedRounds += cres.ChargedRounds
-	}
-	return r, nil
 }
 
 // ApproxProvided is Approx over the unified provider layer: the shortcut
@@ -162,73 +139,23 @@ func ApproxProvided(g *graph.Graph, src int, p *partition.Parts, provider pipeli
 }
 
 // Approx computes (1+ε)-approximate shortest paths from src with part-wise
-// relaxation over the given parts and shortcut. Edge weights must be
-// strictly positive.
+// relaxation over the given parts and shortcut: ApproxBatch with the one
+// source src. Edge weights must be strictly positive.
 func Approx(g *graph.Graph, src int, p *partition.Parts, s *shortcut.Shortcut, opts Options) (*Result, error) {
-	n := g.N()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("sssp: source %d out of range for n=%d", src, n)
-	}
-	opts, err := opts.normalized()
+	b, err := ApproxBatch(g, []int{src}, p, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = n + 2
-	}
-	rounded, err := RoundWeights(g, opts.Eps)
-	if err != nil {
-		return nil, err
-	}
-	m := s.Measure()
-	// The framework's per-primitive round budget — the same estimate the
-	// simulated primitive starts from, by construction.
-	charge := congest.RelaxBudget(m)
-	e := newEngine(g, rounded)
-	dist := make([]float64, n)
-	for v := range dist {
-		dist[v] = math.Inf(1)
-	}
-	dist[src] = 0
-	res := &Result{Source: src, Eps: opts.Eps, Quality: m.Quality}
-	var relaxer *congest.Relaxer
-	var oracle *congest.RelaxOracle
-	if opts.Simulate {
-		relaxer = congest.NewRelaxer(g, p, s)
-	} else {
-		oracle = congest.NewRelaxOracle(g, p, s)
-	}
-	for phase := 0; phase < maxPhases; phase++ {
-		changedCross := e.crossPhase(dist)
-		var changedIntra bool
-		if opts.Simulate {
-			r, err := relaxer.Relax(rounded, dist)
-			if err != nil {
-				return nil, fmt.Errorf("sssp: phase %d relaxation: %w", phase, err)
-			}
-			for v := 0; v < n; v++ {
-				if r.Dist[v] < dist[v] {
-					dist[v] = r.Dist[v]
-					changedIntra = true
-				}
-			}
-			res.CommRounds += 1 + r.EffectiveRounds
-			res.Messages += 2*g.M() + r.Stats.Messages
-		} else {
-			changedIntra = oracle.FixedPoint(rounded, dist)
-			res.ChargedRounds += 1 + charge
-		}
-		res.Phases++
-		if !changedCross && !changedIntra {
-			// A full quiet phase: the fixed point — exact distances under
-			// rounded weights — has been reached (and paid for: detecting
-			// quiescence costs the phase).
-			res.Dist = dist
-			return res, nil
-		}
-	}
-	return nil, fmt.Errorf("sssp: no convergence within %d phases", maxPhases)
+	return &Result{
+		Source:        src,
+		Eps:           b.Eps,
+		Dist:          b.Dist[0],
+		Phases:        b.Phases,
+		CommRounds:    b.CommRounds,
+		ChargedRounds: b.ChargedRounds,
+		Messages:      b.Messages,
+		Quality:       b.Quality,
+	}, nil
 }
 
 // engine holds the cross-edge phase's scratch, shared across the k
@@ -242,10 +169,20 @@ type engine struct {
 	g       *graph.Graph
 	rounded []float64
 	next    []float64
+	// live counts the edges that are not churn tombstones
+	// (graph.RemoveEdge): a cross-edge round sends one token over each
+	// in each direction.
+	live int
 }
 
 func newEngine(g *graph.Graph, rounded []float64) *engine {
-	return &engine{g: g, rounded: rounded, next: make([]float64, g.N())}
+	e := &engine{g: g, rounded: rounded, next: make([]float64, g.N())}
+	for id := 0; id < g.M(); id++ {
+		if !g.EdgeRemoved(id) {
+			e.live++
+		}
+	}
+	return e
 }
 
 // crossPhase performs one synchronous (Jacobi) relaxation round over every
