@@ -71,9 +71,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("corridor minima: ")
+	fmt.Printf("corridor minima:")
 	for i := 0; i < parts.NumParts(); i++ {
-		fmt.Printf("%d ", rSmart.Mins[i])
+		fmt.Printf(" %d", rSmart.Mins[i])
 		if rSmart.Mins[i] != rNaive.Mins[i] {
 			log.Fatalf("disagreement on corridor %d", i)
 		}

@@ -126,3 +126,26 @@ func TestBatchRelaxAllocsFlat(t *testing.T) {
 		})
 	}
 }
+
+// TestRoundPathAllocsFlat pins the engine's round loop itself: the pins
+// above cap allocations per run, so an allocation made once per round
+// hides in their slack. A sparse protocol on the 16×16 grid must allocate
+// exactly as much over 400 rounds as over 100.
+func TestRoundPathAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g := gen.Grid(16, 16).G
+	allocs := func(rounds int) float64 {
+		proto := sparseProto(func(int) int { return rounds }, nil)
+		return testing.AllocsPerRun(8, func() {
+			if _, err := congest.RunSync(g, proto, congest.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(400)
+	if long != short {
+		t.Errorf("a run allocates %.0f objects over 100 rounds but %.0f over 400: the round loop allocates per round", short, long)
+	}
+}

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -94,15 +95,10 @@ func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxRe
 	if k == 0 {
 		return nil, fmt.Errorf("congest: batched relaxation needs at least one source")
 	}
-	if err := checkRelaxInput(g, weights); err != nil {
+	if err := checkRelaxInput(g, weights, init...); err != nil {
 		return nil, err
 	}
 	n := g.N()
-	for s, iv := range init {
-		if len(iv) != n {
-			return nil, fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), n)
-		}
-	}
 	want := make([][]float64, k)
 	slab := make([]float64, k*n)
 	for s := range want {
@@ -121,24 +117,46 @@ func (r *BatchRelaxer) Relax(weights []float64, init [][]float64) (*BatchRelaxRe
 	return res, nil
 }
 
-// firstDirtySource scans a port's k per-source dirty slots (the window
-// dirty[off:off+k]) for the lowest-indexed source with a pending update.
-// It is a top-level function (not a closure in the round kernel) so the
-// hot path allocates nothing.
+// tagQueues holds every port's pending source tags: a dirty bitset of kw
+// words per port, one bit per tag with an update still to send, and the
+// number of bits set, so an idle port costs one compare and the lowest
+// pending tag is one trailing-zeros count per word.
+type tagQueues struct {
+	kw      int
+	dirty   []uint64 // port p's tags are dirty[p*kw : (p+1)*kw]
+	pending []int32  // per port: tags set in its window
+}
+
+// mark queues tag src on port p.
 //
 //congest:hotpath
 //congest:pure
-func firstDirtySource(dirty []bool, off, k int) int {
-	for s := 0; s < k; s++ {
-		if dirty[off+s] {
-			return s
-		}
+func (q *tagQueues) mark(p int32, src int) {
+	w := &q.dirty[int(p)*q.kw+src>>6]
+	if bit := uint64(1) << (src & 63); *w&bit == 0 {
+		*w |= bit
+		q.pending[p]++
 	}
-	return -1
+}
+
+// pop dequeues and returns port p's lowest pending tag; p must have one.
+//
+//congest:hotpath
+//congest:pure
+func (q *tagQueues) pop(p int32) int {
+	window := q.dirty[int(p)*q.kw : int(p+1)*q.kw]
+	i := 0
+	for window[i] == 0 {
+		i++
+	}
+	bit := bits.TrailingZeros64(window[i])
+	window[i] &^= 1 << bit
+	q.pending[p]--
+	return i<<6 + bit
 }
 
 // batchFold folds one delivered token into the receiving node's k-slot
-// distance row and, on improvement, marks the source dirty on every
+// distance row and, on improvement, queues the source on every
 // channel-carrying port of the node except the arrival port. row is the
 // node's dist[v*k : (v+1)*k] window; active and the pOff/pEnd window are
 // the node's ports; the return reports whether the token improved
@@ -146,14 +164,14 @@ func firstDirtySource(dirty []bool, off, k int) int {
 //
 //congest:hotpath
 //congest:pure
-func batchFold(row []float64, dirty, active []bool, pOff, pEnd int32, k, arrival, src int, cand float64) bool {
+func batchFold(row []float64, q *tagQueues, active []bool, pOff, pEnd int32, arrival, src int, cand float64) bool {
 	if cand >= row[src] {
 		return false
 	}
 	row[src] = cand
 	for pi := pOff; pi < pEnd; pi++ {
 		if active[pi] && int(pi-pOff) != arrival {
-			dirty[int(pi)*k+src] = true
+			q.mark(pi, src)
 		}
 	}
 	return true
@@ -176,7 +194,7 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 		}
 	}
 	type nodeState struct {
-		pOff, pEnd int32 // the node's ports; ×k into dirty
+		pOff, pEnd int32 // the node's ports, indexes into active and q
 		round      int32
 	}
 	// Ports in global CSR order; a port participates iff its edge carries
@@ -186,7 +204,8 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 		totPorts += g.Degree(v)
 	}
 	active := make([]bool, totPorts)
-	dirty := make([]bool, totPorts*k)
+	kw := (k + 63) >> 6
+	q := &tagQueues{kw: kw, dirty: make([]uint64, totPorts*kw), pending: make([]int32, totPorts)}
 	state := make([]nodeState, n)
 	pi := int32(0)
 	for v := 0; v < n; v++ {
@@ -201,7 +220,7 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 			if !math.IsInf(dist[v*k+s], 1) {
 				for p := st.pOff; p < st.pEnd; p++ {
 					if active[p] {
-						dirty[int(p)*k+s] = true
+						q.mark(p, s)
 					}
 				}
 			}
@@ -216,7 +235,7 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 		for _, msg := range msgs {
 			src := int(msg.Payload[0])
 			cand := WordFloat64(msg.Payload[1]) + weights[msg.Edge]
-			batchFold(row, dirty, active, st.pOff, st.pEnd, k, msg.Port, src, cand)
+			batchFold(row, q, active, st.pOff, st.pEnd, msg.Port, src, cand)
 		}
 		if int(st.round) == budget {
 			for s := 0; s < k; s++ {
@@ -227,16 +246,13 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 		// One pending token per port per round, lowest source tag first;
 		// the remaining tags wait for later rounds — the per-source
 		// congestion serialization that pipelines the batch in h+k rounds.
+		// Only channel-carrying ports ever have tags pending.
 		for p := st.pOff; p < st.pEnd; p++ {
-			if !active[p] {
+			if q.pending[p] == 0 {
 				continue
 			}
-			src := firstDirtySource(dirty, int(p)*k, k)
-			if src < 0 {
-				continue
-			}
+			src := q.pop(p)
 			nd.Send(int(p-st.pOff), Words{uint64(src), Float64Word(row[src])})
-			dirty[int(p)*k+src] = false
 		}
 		st.round++
 		return true

@@ -93,6 +93,14 @@ func TestBatchRelaxRejectsMalformedInput(t *testing.T) {
 	if _, err := r.Relax(bad, [][]float64{infInit(g.N(), 0)}); err == nil {
 		t.Error("negative weight accepted")
 	}
+	// A NaN initial distance passes every improvement test, so no attempt
+	// can match the fixed point: it must fail up front, not as a retryable
+	// exhaustion of the doubling budget.
+	nanInit := infInit(g.N(), 0)
+	nanInit[5] = math.NaN()
+	if _, err := r.Relax(weights, [][]float64{infInit(g.N(), 1), nanInit}); err == nil || congest.Retryable(err) {
+		t.Errorf("NaN initial distance: got %v, want a non-retryable error", err)
+	}
 }
 
 // BenchmarkBatchRelax times one relaxation phase from scratch on the

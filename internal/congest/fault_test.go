@@ -49,18 +49,24 @@ func faultedTranscript(t *testing.T, g *graph.Graph, rounds int, plan *congest.F
 	return out.String()
 }
 
+// transcriptFaultPlan is the transcript tests' adversary: Bernoulli
+// drops, two link outages, a crash/restart and a wiped crash/restart.
+func transcriptFaultPlan() *congest.FaultPlan {
+	return &congest.FaultPlan{
+		Seed:      99,
+		DropProb:  0.3,
+		LinkDowns: []congest.LinkDown{{Edge: 3, From: 2, To: 9}, {Edge: 17, From: 1, To: 5}},
+		Crashes:   []congest.Crash{{Node: 11, Round: 4, Restart: 9}, {Node: 30, Round: 2, Restart: 12, Wipe: true}},
+	}
+}
+
 // TestFaultedTranscriptIdenticalAcrossGOMAXPROCS is the determinism
 // acceptance for the fault layer: the same faulted run — Bernoulli drops,
 // a link outage, a crash/restart — yields byte-identical transcripts under
 // GOMAXPROCS=1 and GOMAXPROCS=8. Run under -race in CI.
 func TestFaultedTranscriptIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	e := gen.Grid(7, 9)
-	plan := &congest.FaultPlan{
-		Seed:      99,
-		DropProb:  0.3,
-		LinkDowns: []congest.LinkDown{{Edge: 3, From: 2, To: 9}, {Edge: 17, From: 1, To: 5}},
-		Crashes:   []congest.Crash{{Node: 11, Round: 4, Restart: 9}, {Node: 30, Round: 2, Restart: 12, Wipe: true}},
-	}
+	plan := transcriptFaultPlan()
 	prev := runtime.GOMAXPROCS(1)
 	one := faultedTranscript(t, e.G, 14, plan)
 	runtime.GOMAXPROCS(8)

@@ -11,15 +11,19 @@
 // shards the nodes into contiguous ranges and drives each round in two
 // phases. In the compute phase every worker walks its shard in node order
 // and calls each live node's RoundFunc directly, which queues sends into
-// the node's own dense per-port outbox slots. In the deliver phase the
-// workers build inboxes receiver-side: each receiver scans its ports and
-// pulls the message, if any, from the neighbor's opposite slot
-// (precomputed reverse ports), so inboxes come out in port order with no
-// sorting and no routing map; per-shard statistics are merged in shard
-// order after the phase barrier. There is no global lock anywhere on the
-// round path, no goroutine per node, and all per-round buffers (outbox
-// slots, inboxes, payload arenas) are reused, so a round allocates
-// nothing.
+// the node's own dense per-port outbox slots and marks the receiver in a
+// mail bitmap (one bit per node, set atomically because shards share
+// words); a node resets its inbox once it has read it. In the deliver
+// phase each worker walks the set bits of its own node range in ascending
+// order and builds only those inboxes, receiver-side: the receiver scans
+// its ports and pulls the message, if any, from the neighbor's opposite
+// slot (precomputed reverse ports), so inboxes come out in port order with
+// no sorting and no routing map. A round thus costs one RoundFunc call per
+// live node plus the ports of the nodes that have mail, not the ports of
+// every node. Per-shard statistics are merged in shard order after the
+// phase barrier. There is no global lock anywhere on the round path, no
+// goroutine per node, and all per-round buffers (outbox slots, inboxes,
+// payload arenas) are reused, so a round allocates nothing.
 //
 // Determinism: the engine's observable behavior — inbox contents and order,
 // statistics, error outcomes — is a pure function of the graph and the
@@ -37,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -166,6 +171,7 @@ type Node struct {
 	fn    RoundFunc
 
 	out       []outSlot // per port: queued send for this round
+	sent      int       // sends queued in out this round
 	sendArena []uint64  // backing storage for queued payload words
 }
 
@@ -219,6 +225,8 @@ func (n *Node) Send(port int, payload Words) {
 	off := len(n.sendArena)
 	n.sendArena = append(n.sendArena, payload...) //lint:allow hotalloc sendArena is the per-round payload slab, reset to len 0 each round; its capacity reaches steady state after the first rounds and the AllocsPerRun pins hold
 	n.out[port] = outSlot{has: true, off: int32(off), len: int32(len(payload)), bits: int32(payload.Bits())}
+	n.sent++
+	n.eng.markMail(n.ports[port].To)
 }
 
 // Broadcast queues the same message on every port.
@@ -229,9 +237,13 @@ func (n *Node) Broadcast(payload Words) {
 }
 
 func (n *Node) clearOut() {
+	if n.sent == 0 {
+		return
+	}
 	for p := range n.out {
 		n.out[p].has = false
 	}
+	n.sent = 0
 	n.sendArena = n.sendArena[:0]
 }
 
@@ -269,6 +281,11 @@ type engine struct {
 
 	inboxes    [][]Message
 	inboxArena [][]uint64 // per receiver: payload backing, reused per round
+	// mail has bit v set when some send queued this round is addressed to
+	// node v. Senders set bits atomically in the compute phase; each
+	// deliver shard clears the bits of its own node range as it takes
+	// them, atomically too, since neighboring shards can share a word.
+	mail []uint64
 
 	// Fixed worker pool.
 	workers   int
@@ -277,6 +294,10 @@ type engine struct {
 	phaseFn   func(shard int)
 	phaseWg   sync.WaitGroup
 	shardWork []shardResult
+	// computeFn and deliverFn are e.computeShard and e.deliverShard, bound
+	// once per engine: a method value allocates its closure, and the round
+	// loop hands runPhase two of them per round.
+	computeFn, deliverFn func(shard int)
 
 	stats     Stats
 	edgeLoad2 []int32 // per edge direction: messages delivered
@@ -314,6 +335,16 @@ func (e *engine) fail(err error) {
 
 func (e *engine) failed() bool { return e.errFlag.Load() }
 
+// markMail sets node v's bit in the mail bitmap. The load first skips the
+// locked write when the bit is already set, as it is for a hub that hears
+// from many neighbors in one round.
+func (e *engine) markMail(v int) {
+	w, bit := &e.mail[v>>6], uint64(1)<<(v&63)
+	if atomic.LoadUint64(w)&bit == 0 {
+		atomic.OrUint64(w, bit)
+	}
+}
+
 // runPhase executes fn over all shards on the worker pool and waits.
 func (e *engine) runPhase(fn func(shard int)) {
 	e.phaseFn = fn
@@ -338,6 +369,10 @@ func (e *engine) computeShard(shard int) {
 			continue
 		}
 		nd := &e.nodes[v]
+		// The inbox is read (or, while crashed, lost) once; the deliver
+		// phase rebuilds it only if v has mail, so it is reset here.
+		inbox := e.inboxes[v]
+		e.inboxes[v] = inbox[:0]
 		if e.faults != nil && e.crashed[v] {
 			// Crashed: no compute, and the outbox must be empty so the
 			// deliver phase finds nothing from it (slots are only cleared
@@ -348,7 +383,7 @@ func (e *engine) computeShard(shard int) {
 		}
 		nd.round++
 		nd.clearOut()
-		if failed || !nd.fn(nd, e.inboxes[v]) {
+		if failed || !nd.fn(nd, inbox) {
 			nd.clearOut()
 			e.alive[v] = false
 			res.exited++
@@ -356,77 +391,109 @@ func (e *engine) computeShard(shard int) {
 	}
 }
 
-// deliverShard builds the inboxes of the shard's nodes receiver-side, in
-// port order, from the senders' outbox slots. This is the packed-payload
-// receive path: message words are appended into the receiver's word
-// arena and the inbox headers fill pre-carved slab capacity, so at steady
-// state a delivery allocates nothing.
+// deliverShard builds the inboxes of the shard's nodes that have mail,
+// in ascending node order, taking their bits out of the mail bitmap. A
+// word can hold bits of a neighboring shard, so the shard masks it to its
+// own range and clears only those bits.
 //
 //congest:hotpath
 func (e *engine) deliverShard(shard int) {
 	res := &e.shardWork[shard]
 	res.messages, res.bits, res.anyMsg = 0, 0, false
 	res.dropped, res.downDrops, res.crashDrops = 0, 0, 0
-	for v := e.bounds[shard]; v < e.bounds[shard+1]; v++ {
-		if e.faults != nil && e.crashed[v] {
-			// Crashed receiver: everything addressed to it this round is
-			// lost, and its inbox must be empty so a restart sees no stale
-			// messages. (Crash precedes the link checks: a message to a
-			// crashed node is booked as a crash drop even if its link is
-			// also down.)
-			for p := range e.g.Adj(v) {
-				if e.nodes[e.g.Adj(v)[p].To].out[e.revPort[v][p]].has {
-					res.crashDrops++
-				}
-			}
-			e.inboxes[v] = e.inboxes[v][:0]
+	lo, hi := e.bounds[shard], e.bounds[shard+1]
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		word := atomic.LoadUint64(&e.mail[wi]) & rangeMask(wi<<6, lo, hi)
+		if word == 0 {
 			continue
 		}
-		inbox := e.inboxes[v][:0]
-		arena := e.inboxArena[v][:0]
-		for p, a := range e.g.Adj(v) {
-			sp := e.revPort[v][p]
-			slot := &e.nodes[a.To].out[sp]
-			if !slot.has {
+		atomic.AndUint64(&e.mail[wi], ^word)
+		for ; word != 0; word &= word - 1 {
+			e.deliverTo(res, wi<<6+bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// rangeMask selects the bits of the bitmap word starting at node base
+// whose nodes lie in [lo, hi); the word must overlap the range.
+//
+//congest:pure
+func rangeMask(base, lo, hi int) uint64 {
+	mask := ^uint64(0)
+	if lo > base {
+		mask <<= uint(lo - base)
+	}
+	if hi < base+64 {
+		mask &= 1<<uint(hi-base) - 1
+	}
+	return mask
+}
+
+// deliverTo builds receiver v's inbox in port order from its neighbors'
+// outbox slots. This is the packed-payload receive path: message words are
+// appended into the receiver's word arena and the inbox headers fill
+// pre-carved slab capacity, so at steady state a delivery allocates
+// nothing.
+//
+//congest:hotpath
+func (e *engine) deliverTo(res *shardResult, v int) {
+	if e.faults != nil && e.crashed[v] {
+		// Crashed receiver: everything addressed to it this round is lost,
+		// and its inbox stays empty (the compute phase reset it) so a
+		// restart sees no stale messages. (Crash precedes the link checks:
+		// a message to a crashed node is booked as a crash drop even if
+		// its link is also down.)
+		for p := range e.g.Adj(v) {
+			if e.nodes[e.g.Adj(v)[p].To].out[e.revPort[v][p]].has {
+				res.crashDrops++
+			}
+		}
+		return
+	}
+	inbox := e.inboxes[v][:0]
+	arena := e.inboxArena[v][:0]
+	for p, a := range e.g.Adj(v) {
+		sp := e.revPort[v][p]
+		slot := &e.nodes[a.To].out[sp]
+		if !slot.has {
+			continue
+		}
+		if e.faults != nil {
+			if e.downEdge[a.ID] {
+				res.downDrops++
 				continue
 			}
-			if e.faults != nil {
-				if e.downEdge[a.ID] {
-					res.downDrops++
-					continue
-				}
-				dir := 0
-				if e.g.Edge(a.ID).V == v {
-					dir = 1
-				}
-				if e.faults.drops(a.ID, dir, e.gRound) {
-					res.dropped++
-					continue
-				}
-			}
-			words := e.nodes[a.To].sendArena[slot.off : slot.off+slot.len]
-			off := len(arena)
-			arena = append(arena, words...) //lint:allow hotalloc inboxArena is the receiver's payload word slab, reset to len 0 each round; its capacity reaches steady state after the first rounds and the AllocsPerRun pins hold
-			inbox = append(inbox, Message{  //lint:allow hotalloc inboxSlab pre-carves capacity for one message per port — the per-round maximum — so this append never grows
-				Port:    p,
-				From:    a.To,
-				Edge:    a.ID,
-				Payload: arena[off : off+len(words)],
-			})
-			res.messages++
-			res.bits += int(slot.bits)
 			dir := 0
 			if e.g.Edge(a.ID).V == v {
 				dir = 1
 			}
-			e.edgeLoad2[2*a.ID+dir]++
+			if e.faults.drops(a.ID, dir, e.gRound) {
+				res.dropped++
+				continue
+			}
 		}
-		if len(inbox) > 0 {
-			res.anyMsg = true
+		words := e.nodes[a.To].sendArena[slot.off : slot.off+slot.len]
+		off := len(arena)
+		arena = append(arena, words...) //lint:allow hotalloc inboxArena is the receiver's payload word slab, reset to len 0 each round; its capacity reaches steady state after the first rounds and the AllocsPerRun pins hold
+		inbox = append(inbox, Message{  //lint:allow hotalloc inboxSlab pre-carves capacity for one message per port — the per-round maximum — so this append never grows
+			Port:    p,
+			From:    a.To,
+			Edge:    a.ID,
+			Payload: arena[off : off+len(words)],
+		})
+		res.messages++
+		res.bits += int(slot.bits)
+		dir := 0
+		if e.g.Edge(a.ID).V == v {
+			dir = 1
 		}
-		e.inboxes[v] = inbox
-		e.inboxArena[v] = arena
+		e.edgeLoad2[2*a.ID+dir]++
 	}
+	if len(inbox) > 0 {
+		res.anyMsg = true
+	}
+	e.inboxes[v] = inbox
+	e.inboxArena[v] = arena
 }
 
 // updateFaults refreshes the adversary's per-round state for local round
@@ -468,7 +535,11 @@ var ErrAborted = errors.New("congest: run aborted")
 
 // enginePool recycles engine scaffolding (slot arrays, inboxes, arenas)
 // across runs, so starting a simulation allocates O(1) once warm.
-var enginePool = sync.Pool{New: func() any { return &engine{} }}
+var enginePool = sync.Pool{New: func() any {
+	e := &engine{}
+	e.computeFn, e.deliverFn = e.computeShard, e.deliverShard
+	return e
+}}
 
 // prepare (re)sizes pooled engine state for graph g.
 func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
@@ -517,6 +588,12 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 		e.inboxArena = make([][]uint64, n)
 	}
 	e.inboxArena = e.inboxArena[:n]
+	words := (n + 63) >> 6
+	if cap(e.mail) < words {
+		e.mail = make([]uint64, words)
+	}
+	e.mail = e.mail[:words]
+	clear(e.mail) // a failed run can leave its last round's bits set
 	if cap(e.revPort) < n {
 		e.revPort = make([][]int32, n)
 	}
@@ -548,6 +625,7 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 		e.outSlab = make([]outSlot, total)
 	}
 	e.outSlab = e.outSlab[:total]
+	clear(e.outSlab) // the slab may hold another run's stale has flags
 	if cap(e.revSlab) < total {
 		e.revSlab = make([]int32, total)
 	}
@@ -579,7 +657,6 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 			out:       e.outSlab[lo:hi:hi],
 			sendArena: nd.sendArena[:0],
 		}
-		nd.clearOut() // the slab may hold another run's stale has flags
 		e.alive[v] = true
 	}
 	for v := 0; v < n; v++ {
@@ -668,13 +745,13 @@ func RunSync(g *graph.Graph, proto SyncProtocol, opts Options) (Stats, error) {
 		if e.faults != nil {
 			e.updateFaults(e.stats.Rounds + 1)
 		}
-		e.runPhase(e.computeShard)
+		e.runPhase(e.computeFn)
 		for s := range e.shardWork {
 			e.active -= e.shardWork[s].exited
 			e.stats.CrashedRounds += e.shardWork[s].crashedRounds
 		}
 		if !e.failed() {
-			e.runPhase(e.deliverShard)
+			e.runPhase(e.deliverFn)
 			anyMsg := false
 			roundMsgs, roundBits := 0, 0
 			for s := range e.shardWork {

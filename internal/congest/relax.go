@@ -23,15 +23,28 @@ type RelaxResult struct {
 	Budget          int
 }
 
-// checkRelaxInput rejects a weight vector of the wrong length or with a
-// negative or NaN entry.
-func checkRelaxInput(g *graph.Graph, weights []float64) error {
+// checkRelaxInput rejects, before any round runs, a weight vector of the
+// wrong length or with a negative or NaN entry, and an initial-distance
+// vector (one per source) of the wrong length or with a NaN entry: a NaN
+// candidate passes every improvement test, so the flood could never match
+// its fixed point and would retry to the end of its doubling budget.
+func checkRelaxInput(g *graph.Graph, weights []float64, init ...[]float64) error {
 	if len(weights) != g.M() {
 		return fmt.Errorf("congest: %d weights for %d edges", len(weights), g.M())
 	}
 	for id, w := range weights {
 		if w < 0 || math.IsNaN(w) {
 			return fmt.Errorf("congest: edge %d has weight %v", id, w)
+		}
+	}
+	for s, iv := range init {
+		if len(iv) != g.N() {
+			return fmt.Errorf("congest: source %d has %d initial distances for %d vertices", s, len(iv), g.N())
+		}
+		for v, d := range iv {
+			if math.IsNaN(d) {
+				return fmt.Errorf("congest: source %d has initial distance %v at vertex %d", s, d, v)
+			}
 		}
 	}
 	return nil
@@ -44,11 +57,8 @@ func checkRelaxInput(g *graph.Graph, weights []float64) error {
 // quantity graph.Dijkstra reports as Hops). The round budget starts at 16
 // and doubles until the flood reaches the sequential fixed point.
 func RelaxBellmanFord(g *graph.Graph, weights, init []float64) (*RelaxResult, error) {
-	if err := checkRelaxInput(g, weights); err != nil {
+	if err := checkRelaxInput(g, weights, init); err != nil {
 		return nil, err
-	}
-	if len(init) != g.N() {
-		return nil, fmt.Errorf("congest: %d initial distances for %d vertices", len(init), g.N())
 	}
 	want := append([]float64(nil), init...)
 	newRelaxOracle(g, func(int) []int32 { return oneChannel }).FixedPoint(weights, want)

@@ -178,4 +178,9 @@ func TestRelaxInputValidation(t *testing.T) {
 	if _, err := congest.RelaxBellmanFord(g, []float64{1, math.NaN(), 1}, infInit(4, 0)); err == nil {
 		t.Fatal("accepted NaN weight")
 	}
+	nanInit := infInit(4, 0)
+	nanInit[2] = math.NaN()
+	if _, err := congest.RelaxBellmanFord(g, w, nanInit); err == nil || congest.Retryable(err) {
+		t.Fatalf("NaN initial distance: got %v, want a non-retryable error", err)
+	}
 }
