@@ -69,8 +69,7 @@ func AggregateMinUnder(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut,
 
 // AggregateMinFixedPoint is AggregateMin's sequential fixed point: per
 // part, the minimum key over its members. The protocol checks every
-// attempt against it, and analytic callers use it in place of the
-// protocol, so both modes agree on Mins.
+// attempt against it.
 func AggregateMinFixedPoint(p *partition.Parts, keys []uint64) []uint64 {
 	mins := make([]uint64, p.NumParts())
 	for i, set := range p.Sets {

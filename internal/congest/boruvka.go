@@ -91,21 +91,12 @@ func BoruvkaDecompose(g *graph.Graph, t *graph.Tree, phases int, simulate bool) 
 	for phi, ph := range trace {
 		// Local lightest outgoing edge per vertex, tagged with the
 		// vertex's fragment.
-		for v := 0; v < g.N(); v++ {
-			bestEdge := -1
-			for _, a := range g.Adj(v) {
-				if ph.Frag[a.To] == ph.Frag[v] {
-					continue
-				}
-				if bestEdge == -1 || graph.EdgeLess(g, a.ID, bestEdge) {
-					bestEdge = a.ID
-				}
-			}
-			if bestEdge == -1 {
+		for v, id := range ph.LightestOutgoing(g) {
+			if id == -1 {
 				contrib[v] = nil
 				continue
 			}
-			backing[v] = Token{Tag: ph.Frag[v], Value: uint64(bestEdge)}
+			backing[v] = Token{Tag: ph.Frag[v], Value: uint64(id)}
 			contrib[v] = backing[v : v+1 : v+1]
 		}
 		up, err := Pipecast(t, ph.NumFrags, contrib, edgeMin)

@@ -29,9 +29,8 @@ import (
 // frontiers — lives in preallocated CSR slabs indexed by node ID and every
 // node shares one RoundFunc, so a round allocates nothing. The subtree tag
 // lists are environment-provided setup state (the same convention as the
-// child counts treeCombine precomputed and the channel CSR AggregateMin
-// builds); a deployment would replace them with one extra DONE token per
-// edge without changing the asymptotics.
+// channel CSR AggregateMin builds); a deployment would replace them with
+// one extra DONE token per edge without changing the asymptotics.
 //
 // Round bound: a vertex at height h emits its i-th token (0-based) no
 // later than round h + i + 1, by induction — its children sit at height

@@ -347,23 +347,3 @@ func (a *Adversary) PipeBroadcast(t *graph.Tree, tokens []Token) (*BroadcastResu
 	}
 	return res, nil
 }
-
-// treeCombineUnder is treeCombine routed through the adversary's Pipecast
-// (nil adversary = fault-free).
-func treeCombineUnder(t *graph.Tree, values []uint64, comb Combiner, a *Adversary) (total uint64, stats Stats, err error) {
-	g := t.G
-	if len(values) != g.N() {
-		return 0, stats, fmt.Errorf("congest: %d values for %d vertices", len(values), g.N())
-	}
-	backing := make([]Token, g.N())
-	contrib := make([][]Token, g.N())
-	for v := range contrib {
-		backing[v] = Token{Tag: 0, Value: values[v]}
-		contrib[v] = backing[v : v+1 : v+1]
-	}
-	res, err := a.Pipecast(t, 1, contrib, comb)
-	if err != nil {
-		return 0, stats, err
-	}
-	return res.Values[0], res.Stats, nil
-}

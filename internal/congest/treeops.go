@@ -30,7 +30,7 @@ func TreeBroadcast(t *graph.Tree, value uint64) (values []uint64, stats Stats, e
 // root's total is returned. This is the subtree-aggregation primitive the
 // min-cut 1-respecting evaluation uses.
 func TreeSum(t *graph.Tree, values []uint64) (total uint64, stats Stats, err error) {
-	return treeCombine(t, values, CombineSum)
+	return treeCombineUnder(t, values, CombineSum, nil)
 }
 
 // TreeMax convergecasts the maximum of per-vertex values up a rooted
@@ -39,14 +39,16 @@ func TreeSum(t *graph.Tree, values []uint64) (total uint64, stats Stats, err err
 // congestion in-network — each vertex's value is the number of parts
 // admitted over its parent edge.
 func TreeMax(t *graph.Tree, values []uint64) (max uint64, stats Stats, err error) {
-	return treeCombine(t, values, CombineMax)
+	return treeCombineUnder(t, values, CombineMax, nil)
 }
 
-// treeCombine runs the pipelined convergecast with a single tag carried by
-// every vertex: each vertex contributes one token, so the stream degenerates
-// to the classic wait-for-children convergecast (n-1 messages, O(height)
-// rounds) while sharing the pipelined core's protocol and state layout.
-func treeCombine(t *graph.Tree, values []uint64, comb Combiner) (total uint64, stats Stats, err error) {
+// treeCombineUnder runs the pipelined convergecast with a single tag
+// carried by every vertex, through the adversary's Pipecast (nil adversary
+// = fault-free): each vertex contributes one token, so the stream
+// degenerates to the classic wait-for-children convergecast (n-1 messages,
+// O(height) rounds) while sharing the pipelined core's protocol and state
+// layout.
+func treeCombineUnder(t *graph.Tree, values []uint64, comb Combiner, a *Adversary) (total uint64, stats Stats, err error) {
 	g := t.G
 	if len(values) != g.N() {
 		return 0, stats, fmt.Errorf("congest: %d values for %d vertices", len(values), g.N())
@@ -57,7 +59,7 @@ func treeCombine(t *graph.Tree, values []uint64, comb Combiner) (total uint64, s
 		backing[v] = Token{Tag: 0, Value: values[v]}
 		contrib[v] = backing[v : v+1 : v+1]
 	}
-	res, err := Pipecast(t, 1, contrib, comb)
+	res, err := a.Pipecast(t, 1, contrib, comb)
 	if err != nil {
 		return 0, stats, err
 	}

@@ -246,23 +246,27 @@ func ScalePipeline(family string, n int, mode ScaleMode) (*ScaleResult, error) {
 	// than the per-phase halving guarantee (unit weights merge in long
 	// chains), so the phase count is chosen by probing the sequential trace:
 	// the largest count that keeps at least √n fragments. The probe is the
-	// environment's free sequential computation; only the chosen run is
-	// priced.
+	// environment's free sequential computation, one trace read phase by
+	// phase; only the chosen run is priced.
 	var parts *partition.Parts
 	if err := stage("decompose", func(s *ScaleStage) error {
 		target := 1
 		for target*target < res.N {
 			target++
 		}
+		trace, final, err := partition.BoruvkaTrace(g, 64)
+		if err != nil {
+			return err
+		}
+		// fragsAfter(p) is the fragment count after p phases.
+		fragsAfter := func(p int) int {
+			if p < len(trace) {
+				return trace[p].NumFrags
+			}
+			return final.NumParts()
+		}
 		phases := 1
-		for phases < 64 {
-			_, probe, err := partition.BoruvkaTrace(g, phases+1)
-			if err != nil {
-				return err
-			}
-			if probe.NumParts() < target {
-				break
-			}
+		for phases < 64 && fragsAfter(phases+1) >= target {
 			phases++
 		}
 		dec, err := congest.BoruvkaDecompose(g, tree, phases, simDeep)

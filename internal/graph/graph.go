@@ -1,8 +1,8 @@
 // Package graph provides the core graph substrate used by the entire
 // repository: weighted undirected multigraphs with stable edge identifiers,
-// traversals, rooted spanning trees, LCA and heavy-light machinery,
-// union-find, sequential MST and min-cut reference algorithms, and minor
-// operations (contraction, deletion, reductions).
+// traversals, rooted spanning trees and LCA, union-find, sequential MST
+// and min-cut reference algorithms, and minor operations (contraction,
+// deletion, reductions).
 //
 // Vertices are dense integers 0..N()-1. Edges carry stable integer IDs in
 // insertion order; all higher layers (shortcuts in particular) identify edges

@@ -190,19 +190,6 @@ func (t *Tree) EdgePathToRoot(v int) []int {
 	return ids
 }
 
-// SubtreeSizes returns the size of each vertex's subtree.
-func (t *Tree) SubtreeSizes() []int {
-	size := make([]int, t.N())
-	for i := len(t.Order) - 1; i >= 0; i-- {
-		v := t.Order[i]
-		size[v]++
-		if p := t.Parent[v]; p != -1 {
-			size[p] += size[v]
-		}
-	}
-	return size
-}
-
 // LCA answers lowest-common-ancestor queries on a Tree in O(log n) time after
 // O(n log n) preprocessing (binary lifting).
 type LCA struct {
@@ -271,91 +258,4 @@ func (l *LCA) Query(u, v int) int {
 func (l *LCA) Dist(u, v int) int {
 	a := l.Query(u, v)
 	return l.t.Depth[u] + l.t.Depth[v] - 2*l.t.Depth[a]
-}
-
-// HLD is a heavy-light decomposition of a rooted tree: a partition of the
-// vertices into vertex-disjoint downward chains such that every root-leaf
-// path meets O(log n) chains. Used both for decomposition-tree folding
-// (paper, proof of Theorem 7) and as a general tree utility.
-type HLD struct {
-	t     *Tree
-	Head  []int // chain head (topmost vertex) of each vertex's chain
-	Heavy []int // heavy child of each vertex, or -1
-	Pos   []int // position in a global segment ordering (chains contiguous)
-}
-
-// NewHLD computes the heavy-light decomposition of t. The heavy child of a
-// vertex is its child with the largest subtree.
-func NewHLD(t *Tree) *HLD {
-	n := t.N()
-	h := &HLD{
-		t:     t,
-		Head:  make([]int, n),
-		Heavy: make([]int, n),
-		Pos:   make([]int, n),
-	}
-	size := t.SubtreeSizes()
-	for v := 0; v < n; v++ {
-		h.Heavy[v] = -1
-		best := -1
-		for _, c := range t.Children[v] {
-			if size[c] > best {
-				best = size[c]
-				h.Heavy[v] = c
-			}
-		}
-	}
-	pos := 0
-	// Iterative DFS that walks heavy paths first so chains are contiguous.
-	type frame struct{ v, head int }
-	stack := []frame{{t.Root, t.Root}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		// Walk down the heavy chain starting at f.v.
-		for v := f.v; v != -1; v = h.Heavy[v] {
-			h.Head[v] = f.head
-			h.Pos[v] = pos
-			pos++
-			for _, c := range t.Children[v] {
-				if c != h.Heavy[v] {
-					stack = append(stack, frame{c, c})
-				}
-			}
-			if h.Heavy[v] != -1 {
-				f.head = h.Head[v] // same chain continues
-			}
-		}
-	}
-	return h
-}
-
-// ChainChanges returns the number of distinct chains met on the path from v
-// to the root. The heavy-light guarantee is that this is O(log n).
-func (h *HLD) ChainChanges(v int) int {
-	count := 0
-	for v != -1 {
-		count++
-		v = h.t.Parent[h.Head[v]]
-	}
-	return count
-}
-
-// Chains returns all chains as top-down vertex lists.
-func (h *HLD) Chains() [][]int {
-	byHead := make(map[int][]int)
-	for _, v := range h.t.Order { // top-down order keeps chains sorted
-		byHead[h.Head[v]] = append(byHead[h.Head[v]], v)
-	}
-	var heads []int
-	for _, v := range h.t.Order {
-		if h.Head[v] == v {
-			heads = append(heads, v)
-		}
-	}
-	out := make([][]int, 0, len(heads))
-	for _, hd := range heads {
-		out = append(out, byHead[hd])
-	}
-	return out
 }

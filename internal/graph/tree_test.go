@@ -106,17 +106,6 @@ func TestPathToRoot(t *testing.T) {
 	}
 }
 
-func TestSubtreeSizes(t *testing.T) {
-	g := mustPath(t, 6)
-	tr, _ := BFSTree(g, 0)
-	size := tr.SubtreeSizes()
-	for v := 0; v < 6; v++ {
-		if size[v] != 6-v {
-			t.Fatalf("size[%d] = %d want %d", v, size[v], 6-v)
-		}
-	}
-}
-
 func TestLCAOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -164,60 +153,5 @@ func TestLCAAncestor(t *testing.T) {
 	}
 	if got := l.Ancestor(3, 10); got != -1 {
 		t.Fatalf("Ancestor beyond root = %d want -1", got)
-	}
-}
-
-func TestHLDChainBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 15; trial++ {
-		n := 10 + rng.Intn(500)
-		g := randomConnected(rng, n, 0)
-		tr, err := BFSTree(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewHLD(tr)
-		// log2(n) bound on chain changes along any root path.
-		lg := 1
-		for 1<<lg < n {
-			lg++
-		}
-		for v := 0; v < n; v++ {
-			if c := h.ChainChanges(v); c > lg+1 {
-				t.Fatalf("n=%d vertex %d crosses %d chains > log bound %d", n, v, c, lg+1)
-			}
-		}
-		// Chains partition the vertices and are downward paths.
-		chains := h.Chains()
-		seen := make([]bool, n)
-		total := 0
-		for _, ch := range chains {
-			for i, v := range ch {
-				if seen[v] {
-					t.Fatalf("vertex %d in two chains", v)
-				}
-				seen[v] = true
-				total++
-				if i > 0 && tr.Parent[v] != ch[i-1] {
-					t.Fatalf("chain not a downward path at %d", v)
-				}
-			}
-		}
-		if total != n {
-			t.Fatalf("chains cover %d of %d", total, n)
-		}
-	}
-}
-
-func TestHLDHeavyChildIsLargest(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(2, 4, 1)
-	tr, _ := BFSTree(g, 0)
-	h := NewHLD(tr)
-	if h.Heavy[0] != 2 {
-		t.Fatalf("heavy child of root = %d want 2 (subtree size 3)", h.Heavy[0])
 	}
 }

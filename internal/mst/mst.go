@@ -6,10 +6,14 @@
 //     dissemination run over tree-restricted shortcuts;
 //   - baselines: the same algorithm with empty shortcuts (naive part-
 //     internal flooding) and a Garay-Kutten-Peleg-flavored O(D+√n) two-phase
-//     algorithm (fragment growth, then pipelined convergecast to a root).
+//     algorithm (fragment growth, then a congest.Pipecast convergecast of
+//     the inter-fragment candidate edges to a root).
 //
-// All variants produce the exact MST under the canonical edge order and are
-// verified against sequential Kruskal.
+// Every variant replays one sequential Borůvka trace
+// (partition.BoruvkaTrace): its fragments are the parts each phase
+// aggregates over, and its per-fragment lightest outgoing edges are what
+// the aggregations must find. All variants produce the exact MST under the
+// canonical edge order and are verified against sequential Kruskal.
 package mst
 
 import (
@@ -58,14 +62,14 @@ var (
 
 // provide invokes the provider for a fragment family and books its
 // two-ledger cost into the run's matching fields.
-func provide(provider Provider, p *partition.Parts, stats *RunStats) (*shortcut.Shortcut, pipeline.Rounds, error) {
+func provide(provider Provider, p *partition.Parts, stats *RunStats) (*shortcut.Shortcut, error) {
 	s, cost, err := provider(p)
 	if err != nil {
-		return nil, cost, fmt.Errorf("mst: shortcut provider: %w", err)
+		return nil, fmt.Errorf("mst: shortcut provider: %w", err)
 	}
 	stats.CommRounds += cost.Simulated
 	stats.ChargedRounds += cost.Charged
-	return s, cost, nil
+	return s, nil
 }
 
 // edgeRanks maps each edge to its rank in the canonical order, so min-edge
@@ -88,11 +92,11 @@ func edgeRanks(g *graph.Graph) []uint64 {
 type Options struct {
 	// Simulate runs every aggregation message-level on the CONGEST engine
 	// (the default everywhere the tables measure rounds). When false, the
-	// aggregation fixed points are computed sequentially — the identical
-	// per-fragment minima every member would learn — and each aggregation
-	// is booked into ChargedRounds at the shortcut's measured quality
-	// (the framework's O(b·d_T + c) budget for one part-wise aggregation).
-	// The two-ledger convention holds in both modes: nothing
+	// aggregation fixed points are read off the sequential Borůvka trace —
+	// the identical per-fragment minima every member would learn — and each
+	// aggregation is booked into ChargedRounds at the shortcut's measured
+	// quality (the framework's O(b·d_T + c) budget for one part-wise
+	// aggregation). The two-ledger convention holds in both modes: nothing
 	// engine-measured lands in ChargedRounds and vice versa. The analytic
 	// mode is what lets the zero-witness pipeline finish an MST on a
 	// 10⁶-node grid, where simulating Θ(diameter) rounds across every
@@ -109,7 +113,8 @@ func ShortcutBoruvka(g *graph.Graph, provider Provider) (*RunStats, error) {
 
 // ShortcutBoruvkaOpts runs Borůvka's algorithm with fragment-wise
 // aggregation over shortcuts from the provider. The environment (this
-// function) maintains fragment bookkeeping exactly as a union-find; every
+// function) holds the fragment bookkeeping as the sequential Borůvka trace
+// (partition.BoruvkaTrace) and replays it phase by phase; every
 // information flow between nodes is either simulated message passing
 // (aggregations, counted in CommRounds) or charged per the framework's
 // proven bounds (ChargedRounds), per opts.
@@ -118,139 +123,150 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunS
 	if n == 0 {
 		return &RunStats{}, nil
 	}
-	rank := edgeRanks(g)
-	rankToEdge := make([]int, g.M())
-	for id, r := range rank {
-		rankToEdge[r] = id
+	trace, final, err := partition.BoruvkaTrace(g, maxPhases)
+	if err != nil {
+		return nil, fmt.Errorf("mst: %w", err)
 	}
-	uf := graph.NewUnionFind(n)
-	chosen := make([]bool, g.M())
-	stats := &RunStats{}
-	const maxPhases = 2 * 64
+	r := newReplay(g, opts.Simulate)
+	stats := r.stats
 	// The dissemination step at the end of a phase constructs a shortcut for
 	// the *merged* fragments — exactly the family the next phase aggregates
 	// over. The network keeps it, so the provider runs once per fragment
 	// family, not twice (a second invocation would both recompute and
 	// double-charge the construction).
-	var carriedParts *partition.Parts
-	var carriedShortcut *shortcut.Shortcut
-	for phase := 0; uf.Count() > 1 && phase < maxPhases; phase++ {
-		parts, s := carriedParts, carriedShortcut
-		carriedParts, carriedShortcut = nil, nil
-		if parts == nil {
-			var err error
-			parts, err = partition.New(g, uf.Sets())
-			if err != nil {
-				return nil, fmt.Errorf("mst: fragments invalid: %w", err)
-			}
-			if parts.NumParts() == 1 {
-				break
-			}
-			s, _, err = provide(provider, parts, stats)
-			if err != nil {
-				return nil, err
-			}
+	var parts *partition.Parts
+	var s *shortcut.Shortcut
+	if len(trace) > 0 {
+		parts = trace[0].Parts(g)
+		if s, err = provide(provider, parts, stats); err != nil {
+			return nil, err
 		}
-		// One round: neighbors exchange fragment IDs (a constant round in
-		// whichever ledger the mode books; contents are determined by the
-		// parts).
-		if opts.Simulate {
-			stats.CommRounds++
-		} else {
-			stats.ChargedRounds++
-		}
-		// Keys: each node's minimum incident outgoing edge, by rank.
-		keys := make([]uint64, n)
-		for v := 0; v < n; v++ {
-			keys[v] = math.MaxUint64
-			for _, a := range g.Adj(v) {
-				if uf.Find(a.To) != uf.Find(v) && rank[a.ID] < keys[v] {
-					keys[v] = rank[a.ID]
-				}
-			}
-		}
-		var mins []uint64
-		if opts.Simulate {
-			res, err := congest.AggregateMin(g, parts, s, keys)
-			if err != nil {
-				return nil, fmt.Errorf("mst: phase %d aggregation: %w", phase, err)
-			}
-			stats.CommRounds += res.EffectiveRounds
-			stats.Messages += res.Stats.Messages
-			mins = res.Mins
-		} else {
-			mins = congest.AggregateMinFixedPoint(parts, keys)
-			stats.ChargedRounds += s.Measure().Quality
-		}
-		// Merge along each fragment's minimum outgoing edge.
-		merged := false
-		for i := 0; i < parts.NumParts(); i++ {
-			r := mins[i]
-			if r == math.MaxUint64 {
-				continue
-			}
-			id := rankToEdge[r]
-			e := g.Edge(id)
-			if uf.Union(e.U, e.V) {
-				merged = true
-			}
-			if !chosen[id] {
-				chosen[id] = true
-				stats.Weight += e.W
-			}
-		}
-		stats.Phases++
-		if !merged {
-			break
+	}
+	for i := range trace {
+		if err := r.phase(i, &trace[i], parts, s); err != nil {
+			return nil, err
 		}
 		// Disseminate merged fragment identities: an aggregation of the
 		// minimum member ID over the *new* fragments (every node must learn
 		// its new fragment). Charged with the same shortcut provider.
-		newParts, err := partition.New(g, uf.Sets())
+		next := final
+		if i+1 < len(trace) {
+			next = trace[i+1].Parts(g)
+		}
+		if next.NumParts() == 1 {
+			break
+		}
+		ns, err := provide(provider, next, stats)
 		if err != nil {
-			return nil, fmt.Errorf("mst: merged fragments invalid: %w", err)
+			return nil, err
 		}
-		if newParts.NumParts() > 1 {
-			ns, _, err := provide(provider, newParts, stats)
+		if opts.Simulate {
+			ids := make([]uint64, n)
+			for v := 0; v < n; v++ {
+				ids[v] = uint64(v)
+			}
+			res, err := congest.AggregateMin(g, next, ns, ids)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("mst: phase %d dissemination: %w", i, err)
 			}
-			if opts.Simulate {
-				ids := make([]uint64, n)
-				for v := 0; v < n; v++ {
-					ids[v] = uint64(v)
-				}
-				res2, err := congest.AggregateMin(g, newParts, ns, ids)
-				if err != nil {
-					return nil, fmt.Errorf("mst: phase %d dissemination: %w", phase, err)
-				}
-				stats.CommRounds += res2.EffectiveRounds
-				stats.Messages += res2.Stats.Messages
-			} else {
-				// The fixed point (each member learns its fragment's
-				// minimum member ID) is determined by the partition the
-				// environment already holds; charge one aggregation at the
-				// new shortcut's quality.
-				stats.ChargedRounds += ns.Measure().Quality
-			}
-			carriedParts, carriedShortcut = newParts, ns
+			stats.CommRounds += res.EffectiveRounds
+			stats.Messages += res.Stats.Messages
+		} else {
+			// The fixed point (each member learns its fragment's minimum
+			// member ID) is determined by the partition the environment
+			// already holds; charge one aggregation at the new shortcut's
+			// quality.
+			stats.ChargedRounds += ns.Measure().Quality
 		}
+		parts, s = next, ns
 	}
-	// Completeness: the loop exits early when no fragment can merge (the
-	// graph is disconnected) or the phase budget runs out. Either way the
-	// chosen edges are a partial forest, not the MST — surface that instead
-	// of returning it as if the run finished (the same zero-masquerade class
-	// the BFS flood fixed).
-	if uf.Count() > 1 {
+	// Completeness: Borůvka stops early when no fragment can merge (the
+	// graph is disconnected). The chosen edges are then a spanning forest,
+	// not the MST — surface that instead of returning it as if the run
+	// finished (the same zero-masquerade class the BFS flood fixed).
+	if final.NumParts() > 1 {
 		return nil, &congest.IncompleteError{Protocol: "MST", Rounds: stats.CommRounds, Budget: stats.Phases,
-			Detail: fmt.Sprintf("halted with %d fragments after %d phases (disconnected graph or phase budget exhausted)",
-				uf.Count(), stats.Phases)}
+			Detail: fmt.Sprintf("halted with %d fragments after %d phases (disconnected graph)",
+				final.NumParts(), stats.Phases)}
 	}
-	stats.EdgeIDs = make([]int, 0, n-1)
-	for id, c := range chosen {
+	return r.result(), nil
+}
+
+// maxPhases bounds the replayed trace. Borůvka at least halves the
+// fragments with an outgoing edge every phase, so a trace ends within
+// ⌈log₂ n⌉+1 phases long before this.
+const maxPhases = 2 * 64
+
+// replay books a distributed run of a sequential Borůvka trace: per phase,
+// every fragment learns its lightest outgoing edge by one part-wise min
+// aggregation over the phase's shortcut, and merges along the trace's Best.
+type replay struct {
+	g        *graph.Graph
+	simulate bool
+	rank     []uint64 // canonical edge order, the aggregation keys (simulate only)
+	chosen   []bool
+	stats    *RunStats
+}
+
+func newReplay(g *graph.Graph, simulate bool) *replay {
+	r := &replay{g: g, simulate: simulate, chosen: make([]bool, g.M()), stats: &RunStats{}}
+	if simulate {
+		r.rank = edgeRanks(g)
+	}
+	return r
+}
+
+// phase replays trace phase i on that phase's fragments, parts, and their
+// shortcut s. Simulate mode runs the aggregation on the engine, whose
+// self-check against the sequential per-fragment minima is the check
+// against the trace's Best; analytic mode books it at the shortcut's
+// quality.
+func (r *replay) phase(i int, ph *partition.BoruvkaPhase, parts *partition.Parts, s *shortcut.Shortcut) error {
+	// One round: neighbors exchange fragment IDs (a constant round in
+	// whichever ledger the mode books; contents are determined by the
+	// parts).
+	if r.simulate {
+		// Keys: each node's lightest outgoing edge, by rank.
+		keys := make([]uint64, r.g.N())
+		for v, id := range ph.LightestOutgoing(r.g) {
+			keys[v] = math.MaxUint64
+			if id != -1 {
+				keys[v] = r.rank[id]
+			}
+		}
+		res, err := congest.AggregateMin(r.g, parts, s, keys)
+		if err != nil {
+			return fmt.Errorf("mst: phase %d aggregation: %w", i, err)
+		}
+		r.stats.CommRounds += 1 + res.EffectiveRounds
+		r.stats.Messages += res.Stats.Messages
+	} else {
+		r.stats.ChargedRounds += 1 + s.Measure().Quality
+	}
+	// Merge along each fragment's minimum outgoing edge.
+	for _, id := range ph.Best {
+		r.choose(int(id))
+	}
+	r.stats.Phases++
+	return nil
+}
+
+// choose adds an MST edge once; -1 (a fragment with no outgoing edge) and
+// repeats (two fragments picking the edge between them) are ignored.
+func (r *replay) choose(id int) {
+	if id != -1 && !r.chosen[id] {
+		r.chosen[id] = true
+		r.stats.Weight += r.g.Edge(id).W
+	}
+}
+
+// result fills in the chosen edges, ascending.
+func (r *replay) result() *RunStats {
+	r.stats.EdgeIDs = make([]int, 0, r.g.N()-1)
+	for id, c := range r.chosen {
 		if c {
-			stats.EdgeIDs = append(stats.EdgeIDs, id)
+			r.stats.EdgeIDs = append(r.stats.EdgeIDs, id)
 		}
 	}
-	return stats, nil
+	return r.stats
 }

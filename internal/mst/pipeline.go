@@ -2,7 +2,6 @@ package mst
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/congest"
@@ -12,182 +11,99 @@ import (
 )
 
 // PipelinedMST is the O(D + √n)-flavored baseline in the style of
-// Garay-Kutten-Peleg [GKP98]: Phase A grows Borůvka fragments by
-// part-internal flooding (no shortcuts) until roughly √n fragments remain;
-// Phase B pipelines every remaining inter-fragment candidate edge up a BFS
-// tree to a root, which finishes the MST centrally and broadcasts it.
-// Simplification vs the original: fragment growth is phase-capped rather
-// than diameter-capped, so Phase A can exceed O(√n) rounds on adversarial
-// fragment shapes (see DESIGN.md substitutions); on the evaluation
-// workloads it exhibits the intended O(D+√n) scaling.
+// Garay-Kutten-Peleg [GKP98]: Phase A replays the sequential Borůvka trace
+// (partition.BoruvkaTrace) with part-internal flooding (no shortcuts) until
+// at most ⌈√n⌉ fragments remain; Phase B pipelines every remaining
+// inter-fragment candidate edge up a BFS tree to a root with
+// congest.Pipecast, and the root finishes the MST centrally and broadcasts
+// it. Simplification vs the original: fragment growth is phase-capped
+// rather than diameter-capped, so Phase A can exceed O(√n) rounds on
+// adversarial fragment shapes (see DESIGN.md substitutions); on the
+// evaluation workloads it exhibits the intended O(D+√n) scaling.
 func PipelinedMST(g *graph.Graph) (*RunStats, error) {
 	n := g.N()
 	if n == 0 {
 		return &RunStats{}, nil
 	}
-	rank := edgeRanks(g)
-	rankToEdge := make([]int, g.M())
-	for id, r := range rank {
-		rankToEdge[r] = id
-	}
-	root := 0
-	t, err := graph.BFSTree(g, root)
+	t, err := graph.BFSTree(g, 0)
 	if err != nil {
 		return nil, fmt.Errorf("mst: %w", err)
 	}
-	stats := &RunStats{}
+	trace, final, err := partition.BoruvkaTrace(g, maxPhases)
+	if err != nil {
+		return nil, fmt.Errorf("mst: %w", err)
+	}
+	r := newReplay(g, true)
+	stats := r.stats
 	stats.CommRounds += t.Height() + 1 // building the BFS tree
 
-	// Phase A: Borůvka halvings until <= sqrt(n) fragments.
+	// Phase A: Borůvka phases until at most ⌈√n⌉ fragments remain.
 	target := 1
 	for target*target < n {
 		target++
 	}
-	uf := graph.NewUnionFind(n)
-	chosen := make([]bool, g.M())
-	for phase := 0; uf.Count() > target && phase < 64; phase++ {
-		parts, err := partition.New(g, uf.Sets())
-		if err != nil {
+	a := 0
+	for ; a < len(trace) && trace[a].NumFrags > target; a++ {
+		parts := trace[a].Parts(g)
+		if err := r.phase(a, &trace[a], parts, shortcut.Empty(g, t, parts)); err != nil {
 			return nil, err
 		}
-		s := shortcut.Empty(g, t, parts)
-		keys := make([]uint64, n)
-		for v := 0; v < n; v++ {
-			keys[v] = math.MaxUint64
-			for _, a := range g.Adj(v) {
-				if uf.Find(a.To) != uf.Find(v) && rank[a.ID] < keys[v] {
-					keys[v] = rank[a.ID]
-				}
-			}
-		}
-		res, err := congest.AggregateMin(g, parts, s, keys)
-		if err != nil {
-			return nil, fmt.Errorf("mst: pipelined phase A: %w", err)
-		}
-		stats.CommRounds += res.EffectiveRounds + 1
-		stats.Messages += res.Stats.Messages
-		merged := false
-		for i := 0; i < parts.NumParts(); i++ {
-			r := res.Mins[i]
-			if r == math.MaxUint64 {
-				continue
-			}
-			id := rankToEdge[r]
-			e := g.Edge(id)
-			if uf.Union(e.U, e.V) {
-				merged = true
-			}
-			if !chosen[id] {
-				chosen[id] = true
-				stats.Weight += e.W
-			}
-		}
-		stats.Phases++
-		if !merged {
-			break
-		}
+	}
+	frags := final
+	if a < len(trace) {
+		frags = trace[a].Parts(g)
 	}
 
-	// Phase B: candidate edges = per fragment-pair minimum inter-fragment
-	// edge. Pipeline them to the root over the BFS tree: each token climbs
-	// one hop per round, one token per tree edge per round.
-	type pairKey struct{ a, b int }
-	bestPair := make(map[pairKey]int)
+	// Phase B: the candidates are, per fragment pair, the lightest edge
+	// between them. Each climbs the BFS tree from its U endpoint as its own
+	// Pipecast tag, one token per tree edge per round; tags follow the
+	// canonical edge order, so the root receives the candidates sorted.
+	k := frags.NumParts()
+	pairBest := make([]int32, k*k)
+	for i := range pairBest {
+		pairBest[i] = -1
+	}
 	for id := 0; id < g.M(); id++ {
-		e := g.Edge(id)
-		ra, rb := uf.Find(e.U), uf.Find(e.V)
-		if ra == rb {
+		if g.EdgeRemoved(id) {
 			continue
 		}
-		if ra > rb {
-			ra, rb = rb, ra
+		e := g.Edge(id)
+		a, b := frags.Of[e.U], frags.Of[e.V]
+		if a == b {
+			continue
 		}
-		k := pairKey{ra, rb}
-		if prev, ok := bestPair[k]; !ok || graph.EdgeLess(g, id, prev) {
-			bestPair[k] = id
+		pair := &pairBest[min(a, b)*k+max(a, b)]
+		if *pair == -1 || graph.EdgeLess(g, id, int(*pair)) {
+			*pair = int32(id)
 		}
 	}
-	// Pipelined convergecast simulation: queue tokens at an endpoint's
-	// vertex; per round each vertex forwards one token to its parent.
-	queues := make([][]int, n)
-	var keys []pairKey
-	for k := range bestPair {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
+	var cands []int
+	for _, id := range pairBest {
+		if id != -1 {
+			cands = append(cands, int(id))
 		}
-		return keys[i].b < keys[j].b
-	})
-	rounds := 0
-	remaining := len(bestPair)
-	arrivedAtRoot := 0
-	for _, k := range keys {
-		id := bestPair[k]
+	}
+	sort.Slice(cands, func(i, j int) bool { return graph.EdgeLess(g, cands[i], cands[j]) })
+	contrib := make([][]congest.Token, n)
+	for tag, id := range cands {
 		u := g.Edge(id).U
-		if u == root {
-			arrivedAtRoot++ // already at the root
-			continue
-		}
-		queues[u] = append(queues[u], id)
+		contrib[u] = append(contrib[u], congest.Token{Tag: int32(tag), Value: uint64(id)})
 	}
-	staged := make([][]int, n) // tokens that moved this round, landing next round
-	for arrivedAtRoot < remaining {
-		moved := false
-		for v := 0; v < n; v++ {
-			if v == root || len(queues[v]) == 0 {
-				continue
-			}
-			id := queues[v][0]
-			queues[v] = queues[v][1:]
-			if p := t.Parent[v]; p == root {
-				arrivedAtRoot++
-			} else {
-				staged[p] = append(staged[p], id)
-			}
-			stats.Messages++
-			moved = true
-		}
-		for v := range staged {
-			if len(staged[v]) > 0 {
-				queues[v] = append(queues[v], staged[v]...)
-				staged[v] = staged[v][:0]
-			}
-		}
-		rounds++
-		if !moved && arrivedAtRoot < remaining {
-			return nil, fmt.Errorf("mst: pipeline stalled with %d tokens left", remaining-arrivedAtRoot)
-		}
+	up, err := congest.Pipecast(t, len(cands), contrib, congest.CombineMin)
+	if err != nil {
+		return nil, fmt.Errorf("mst: pipelined phase B: %w", err)
 	}
-	stats.CommRounds += rounds
-	// Root computes the fragment MST centrally (free local computation) and
-	// broadcasts (D rounds): Kruskal over the candidates respecting uf.
-	fragEdgeOrig := make([]int, 0, len(bestPair))
-	for _, k := range keys {
-		fragEdgeOrig = append(fragEdgeOrig, bestPair[k])
-	}
-	order2 := make([]int, len(fragEdgeOrig))
-	for i := range order2 {
-		order2[i] = i
-	}
-	sort.Slice(order2, func(a, b int) bool {
-		return graph.EdgeLess(g, fragEdgeOrig[order2[a]], fragEdgeOrig[order2[b]])
-	})
-	for _, fi := range order2 {
-		id := fragEdgeOrig[fi]
-		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
-			chosen[id] = true
-			stats.Weight += e.W
+	stats.CommRounds += up.EffectiveRounds
+	stats.Messages += up.Stats.Messages
+	// The root computes the fragment MST centrally (free local
+	// computation): Kruskal over the fragment labels.
+	uf := graph.NewUnionFind(k)
+	for _, v := range up.Values {
+		id := int(v)
+		if e := g.Edge(id); uf.Union(frags.Of[e.U], frags.Of[e.V]) {
+			r.choose(id)
 		}
 	}
 	stats.CommRounds += t.Height() + 1 // broadcast of the result
-	stats.EdgeIDs = make([]int, 0, n-1)
-	for id, c := range chosen {
-		if c {
-			stats.EdgeIDs = append(stats.EdgeIDs, id)
-		}
-	}
-	return stats, nil
+	return r.result(), nil
 }

@@ -132,9 +132,8 @@ func BoruvkaFragments(g *graph.Graph, phases int) (*Parts, error) {
 
 // BoruvkaPhase records one phase of the sequential Borůvka run in the
 // dense fragment-label space a distributed replay needs: labels are
-// assigned in smallest-member order (the same order UnionFind.Sets uses,
-// so the final phase's Next labels coincide with the resulting part
-// indices).
+// assigned in smallest-member order, and part indices are the labels (so
+// the final phase's Next labels are the resulting part indices).
 type BoruvkaPhase struct {
 	// Frag is each vertex's fragment label at the start of the phase.
 	Frag []int32
@@ -151,12 +150,14 @@ type BoruvkaPhase struct {
 // BoruvkaTrace runs sequential Borůvka for up to `phases` phases and
 // returns, besides the resulting fragment parts, the per-phase merge trace
 // — fragment labels, chosen lightest outgoing edges, and the post-merge
-// relabeling. The trace is the ground truth the in-network decomposition
-// (congest.BoruvkaDecompose) replays with pipelined convergecasts: each
-// phase's Best is one min-convergecast of locally known outgoing edges and
-// each Next one pipelined broadcast. A phase in which no fragment has an
-// outgoing edge ends the run early (exactly as BoruvkaFragments stopped),
-// so the trace can be shorter than `phases`.
+// relabeling. The trace is the ground truth every distributed Borůvka
+// replays: the in-network decomposition (congest.BoruvkaDecompose) runs
+// each phase's Best as one min-convergecast of locally known outgoing
+// edges and each Next as one pipelined broadcast, and the MST algorithms
+// (package mst) run each Best as one part-wise min aggregation and merge
+// along it. A phase in which no fragment has an outgoing edge ends the run
+// early (exactly as BoruvkaFragments stopped), so the trace can be shorter
+// than `phases`. RemoveEdge tombstones are skipped.
 func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 	n := g.N()
 	uf := graph.NewUnionFind(n)
@@ -165,11 +166,15 @@ func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 	label := g.AcquireScratch() // fragment root -> dense label + 1
 	defer g.ReleaseScratch(label)
 	roots := make([]int, 0, n)
+	frag, numFrags := denseLabels(g, uf, label)
 	var trace []BoruvkaPhase
 	for ph := 0; ph < phases; ph++ {
 		best.Reset()
 		roots = roots[:0]
 		for id := 0; id < g.M(); id++ {
+			if g.EdgeRemoved(id) {
+				continue
+			}
 			e := g.Edge(id)
 			ru, rv := uf.Find(e.U), uf.Find(e.V)
 			if ru == rv {
@@ -187,8 +192,7 @@ func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 		if len(roots) == 0 {
 			break
 		}
-		rec := BoruvkaPhase{Frag: denseLabels(g, uf, label)}
-		rec.NumFrags = numLabels(rec.Frag)
+		rec := BoruvkaPhase{Frag: frag, NumFrags: numFrags}
 		rec.Best = make([]int32, rec.NumFrags)
 		for i := range rec.Best {
 			rec.Best[i] = -1
@@ -203,25 +207,66 @@ func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 			uf.Union(e.U, e.V)
 		}
 		// Next labels: the post-merge labeling, read off any member.
-		next := denseLabels(g, uf, label)
+		frag, numFrags = denseLabels(g, uf, label)
 		rec.Next = make([]int32, rec.NumFrags)
 		for v := 0; v < n; v++ {
-			rec.Next[rec.Frag[v]] = next[v]
+			rec.Next[rec.Frag[v]] = frag[v]
 		}
 		trace = append(trace, rec)
 	}
-	// Fragments grow along edges, so each is connected by construction.
-	p, err := NewUnchecked(g, uf.Sets())
-	if err != nil {
-		return nil, nil, err
+	return trace, fromLabels(g, frag, numFrags), nil
+}
+
+// Parts returns the phase's fragments as a part family: fragment f is part
+// f. Fragments grow along edges, so each is connected by construction and
+// no connectivity check runs.
+func (ph *BoruvkaPhase) Parts(g *graph.Graph) *Parts {
+	return fromLabels(g, ph.Frag, ph.NumFrags)
+}
+
+// LightestOutgoing returns each vertex's graph.EdgeLess-lightest incident
+// edge into another fragment of the phase, or -1 — what a vertex decides
+// locally from its neighbors' fragment labels. A fragment's Best is the
+// lightest of its members' entries.
+func (ph *BoruvkaPhase) LightestOutgoing(g *graph.Graph) []int32 {
+	out := make([]int32, g.N())
+	for v := range out {
+		best := -1
+		for _, a := range g.Adj(v) {
+			if ph.Frag[a.To] != ph.Frag[v] && (best == -1 || graph.EdgeLess(g, a.ID, best)) {
+				best = a.ID
+			}
+		}
+		out[v] = int32(best)
 	}
-	return trace, p, nil
+	return out
+}
+
+// fromLabels carves the parts of a dense labeling from one slab: sizes
+// first, then members in vertex order, so every set comes out sorted.
+func fromLabels(g *graph.Graph, frag []int32, num int) *Parts {
+	p := &Parts{G: g, Sets: make([][]int, num), Of: make([]int, len(frag))}
+	size := make([]int, num)
+	for _, l := range frag {
+		size[l]++
+	}
+	store := make([]int, len(frag))
+	base := 0
+	for l, sz := range size {
+		p.Sets[l] = store[base : base : base+sz]
+		base += sz
+	}
+	for v, l := range frag {
+		p.Sets[l] = append(p.Sets[l], v)
+		p.Of[v] = int(l)
+	}
+	return p
 }
 
 // denseLabels assigns each union-find fragment a dense label in
-// smallest-member order and returns the per-vertex labeling. The label
-// scratch is reset here; callers just lend it.
-func denseLabels(g *graph.Graph, uf *graph.UnionFind, label *graph.Scratch) []int32 {
+// smallest-member order and returns the per-vertex labeling and the number
+// of labels. The label scratch is reset here; callers just lend it.
+func denseLabels(g *graph.Graph, uf *graph.UnionFind, label *graph.Scratch) ([]int32, int) {
 	label.Reset()
 	out := make([]int32, g.N())
 	num := int32(0)
@@ -235,18 +280,7 @@ func denseLabels(g *graph.Graph, uf *graph.UnionFind, label *graph.Scratch) []in
 		}
 		out[v] = l
 	}
-	return out
-}
-
-// numLabels returns 1 + the maximum label (labels are dense from 0).
-func numLabels(frag []int32) int {
-	num := int32(0)
-	for _, l := range frag {
-		if l+1 > num {
-			num = l + 1
-		}
-	}
-	return int(num)
+	return out, int(num)
 }
 
 // GridRows returns the rows of a rows x cols grid as parts: long skinny

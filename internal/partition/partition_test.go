@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/xrand"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -331,5 +332,28 @@ func TestBoruvkaTraceDisconnected(t *testing.T) {
 	ids, w, _, p := traceForest(t, g)
 	if !slices.Equal(ids, []int{0, 1}) || w != 3 || p.NumParts() != 2 {
 		t.Fatalf("forest ids=%v w=%v parts=%d", ids, w, p.NumParts())
+	}
+}
+
+// TestBoruvkaTraceSkipsTombstones runs the trace on a grid with a
+// RemoveEdge tombstone in its edge list: it must not read the tombstone's
+// endpoints, and its forest must be Kruskal's tree of the live edges
+// (Kruskal refuses tombstones, so it runs on the simplified copy and its
+// IDs are mapped back).
+func TestBoruvkaTraceSkipsTombstones(t *testing.T) {
+	g := gen.DistinctWeights(gen.UniformWeights(gen.Grid(6, 6).G, xrand.New(3)))
+	g.RemoveEdge(7)
+	s, kept := g.Simplify()
+	kIDs, kW := graph.Kruskal(s)
+	for i, id := range kIDs {
+		kIDs[i] = kept[id]
+	}
+	slices.Sort(kIDs)
+	bIDs, bW, _, p := traceForest(t, g)
+	if diff := kW - bW; !slices.Equal(kIDs, bIDs) || diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("trace forest %v (weight %v), kruskal %v (weight %v)", bIDs, bW, kIDs, kW)
+	}
+	if p.NumParts() != 1 {
+		t.Fatalf("%d fragments left on a connected graph", p.NumParts())
 	}
 }

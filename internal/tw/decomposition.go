@@ -311,12 +311,6 @@ func (r *Rooted) MinDepthBagOfVertex() []int32 {
 // connected part form a subtree, so the highest bag is unique.
 func (r *Rooted) HighestBag(part []int) int {
 	minBag := r.MinDepthBagOfVertex()
-	return r.highestBagFrom(minBag, part)
-}
-
-// highestBagFrom is HighestBag against a precomputed MinDepthBagOfVertex
-// array, for callers resolving many parts against one rooting.
-func (r *Rooted) highestBagFrom(minBag []int32, part []int) int {
 	best := -1
 	for _, v := range part {
 		if b := int(minBag[v]); b != -1 && (best == -1 || r.Depth[b] < r.Depth[best]) {
@@ -324,17 +318,6 @@ func (r *Rooted) highestBagFrom(minBag []int32, part []int) int {
 		}
 	}
 	return best
-}
-
-// HighestBags resolves the highest bag of many parts against one rooting,
-// sharing the per-vertex sweep.
-func (r *Rooted) HighestBags(parts [][]int) []int {
-	minBag := r.MinDepthBagOfVertex()
-	out := make([]int, len(parts))
-	for i, part := range parts {
-		out[i] = r.highestBagFrom(minBag, part)
-	}
-	return out
 }
 
 // TopBagOfEdge returns, for every graph edge, the minimum-depth bag
@@ -355,51 +338,6 @@ func (r *Rooted) TopBagOfEdge() []int {
 		e := r.D.G.Edge(id)
 		// The CSR lists are ascending; walk the merge-intersection keeping
 		// the minimum-depth common bag.
-		a, b := inBag[off[e.U]:off[e.U+1]], inBag[off[e.V]:off[e.V+1]]
-		best := -1
-		x, y := 0, 0
-		for x < len(a) && y < len(b) {
-			switch {
-			case a[x] < b[y]:
-				x++
-			case a[x] > b[y]:
-				y++
-			default:
-				if bi := int(a[x]); best == -1 || r.Depth[bi] < r.Depth[best] {
-					best = bi
-				}
-				x++
-				y++
-			}
-		}
-		out[id] = best
-	}
-	return out
-}
-
-// TopBagOfTreeEdges returns, for every tree edge (given as the parent-edge
-// array of a spanning tree, -1 at the root), the minimum-depth bag containing
-// both endpoints, indexed by edge ID (-1 for non-tree edges and uncontained
-// edges). It does the per-edge work of TopBagOfEdge for just the n-1 tree
-// edges instead of all m graph edges.
-func (r *Rooted) TopBagOfTreeEdges(parentEdge []int) []int {
-	inBag, off, err := r.D.inBagCSR()
-	if err != nil {
-		out := make([]int, r.D.G.M())
-		for i := range out {
-			out[i] = -1
-		}
-		return out
-	}
-	out := make([]int, r.D.G.M())
-	for i := range out {
-		out[i] = -1
-	}
-	for _, id := range parentEdge {
-		if id == -1 {
-			continue
-		}
-		e := r.D.G.Edge(id)
 		a, b := inBag[off[e.U]:off[e.U+1]], inBag[off[e.V]:off[e.V+1]]
 		best := -1
 		x, y := 0, 0
