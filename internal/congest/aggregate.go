@@ -16,7 +16,8 @@ type AggregateResult struct {
 	// EffectiveRounds is the number of rounds until the flood went quiet —
 	// the quantity Theorem 1 bounds by Õ(quality). The run itself executes
 	// a fixed budget of rounds (nodes cannot detect global quiescence), so
-	// Stats.Rounds exceeds this.
+	// Stats.Rounds exceeds this; nodes sleep through the quiet tail, which
+	// the engine counts without running.
 	EffectiveRounds int
 	Budget          int
 }
@@ -113,7 +114,6 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 		chOff, chEnd int32 // into channels/dirty
 		ptOff, ptEnd int32 // into parts/best
 		own          int32 // index into parts/best, or -1
-		round        int32
 	}
 	totCh := 0
 	for id := 0; id < g.M(); id++ {
@@ -123,7 +123,6 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 	dirty := make([]bool, totCh)
 	parts := make([]int32, 0, totCh+n)
 	best := make([]uint64, 0, totCh+n)
-	sentRound := make([]int32, 0, totCh)
 	state := make([]nodeState, n)
 	for v := 0; v < n; v++ {
 		st := &state[v]
@@ -131,7 +130,6 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 		st.ptOff = int32(len(parts))
 		st.own = -1
 		for port, a := range g.Adj(v) {
-			sentRound = append(sentRound, -1)
 			for _, pi := range partsOnEdge(a.ID) {
 				channels = append(channels, channel{int32(port), pi})
 				if localPartIdx(parts, st.ptOff, int32(len(parts)), pi) == -1 {
@@ -162,10 +160,6 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 			}
 		}
 	}
-	portOff := make([]int32, n+1) // node -> offset into sentRound
-	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
-	}
 	step := func(nd *Node, msgs []Message) bool {
 		st := &state[nd.ID]
 		// Fold in the previous round's deliveries.
@@ -183,25 +177,32 @@ func runAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) []in
 				}
 			}
 		}
-		if int(st.round) == budget {
+		if nd.Round() == budget+1 {
 			if st.own != -1 {
 				finalBest[nd.ID] = best[st.own]
 			}
 			return false
 		}
-		// One pending update per port, lowest part ID first (channels are
-		// built in (port, part) order).
-		sent := sentRound[portOff[nd.ID]:portOff[nd.ID+1]]
+		// One pending update per port, lowest part ID first: channels are
+		// built in (port, part) order, so a port's channels are contiguous
+		// and the first dirty one is its update this round.
+		sentPort, pending := int32(-1), false
 		for ci := st.chOff; ci < st.chEnd; ci++ {
 			ch := channels[ci]
-			if !dirty[ci] || sent[ch.port] == st.round {
+			if !dirty[ci] {
+				continue
+			}
+			if ch.port == sentPort {
+				pending = true
 				continue
 			}
 			nd.Send(int(ch.port), Words{uint64(ch.part), best[localPartIdx(parts, st.ptOff, st.ptEnd, ch.part)]})
 			dirty[ci] = false
-			sent[ch.port] = st.round
+			sentPort = ch.port
 		}
-		st.round++
+		if !pending {
+			nd.SleepUntil(budget + 1) // nothing left to send until mail
+		}
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, ropts)

@@ -22,10 +22,11 @@ type BatchRelaxResult struct {
 	// EffectiveRounds is the quiet-point of the whole batch: the round
 	// after which no token of any source moved. The run executes a fixed
 	// budget (nodes cannot detect global quiescence), so Stats.Rounds
-	// exceeds this. The pipelining win is that it grows like h+k, not
-	// k·h: a port queues at most one pending token per source, so once the
-	// first tag drains the remaining sources stream behind it one round
-	// apart, exactly the Pipecast multi-token schedule.
+	// exceeds this; nodes sleep through the quiet tail, which the engine
+	// counts without running. The pipelining win is that it grows like
+	// h+k, not k·h: a port queues at most one pending token per source, so
+	// once the first tag drains the remaining sources stream behind it one
+	// round apart, exactly the Pipecast multi-token schedule.
 	EffectiveRounds int
 	Budget          int
 }
@@ -195,7 +196,6 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 	}
 	type nodeState struct {
 		pOff, pEnd int32 // the node's ports, indexes into active and q
-		round      int32
 	}
 	// Ports in global CSR order; a port participates iff its edge carries
 	// at least one channel.
@@ -237,7 +237,7 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 			cand := WordFloat64(msg.Payload[1]) + weights[msg.Edge]
 			batchFold(row, q, active, st.pOff, st.pEnd, msg.Port, src, cand)
 		}
-		if int(st.round) == budget {
+		if nd.Round() == budget+1 {
 			for s := 0; s < k; s++ {
 				finalDist[s*n+nd.ID] = row[s]
 			}
@@ -247,14 +247,18 @@ func runBatchRelax(g *graph.Graph, onChannel []bool, weights []float64, init, wa
 		// the remaining tags wait for later rounds — the per-source
 		// congestion serialization that pipelines the batch in h+k rounds.
 		// Only channel-carrying ports ever have tags pending.
+		pending := false
 		for p := st.pOff; p < st.pEnd; p++ {
 			if q.pending[p] == 0 {
 				continue
 			}
 			src := q.pop(p)
 			nd.Send(int(p-st.pOff), Words{uint64(src), Float64Word(row[src])})
+			pending = pending || q.pending[p] > 0
 		}
-		st.round++
+		if !pending {
+			nd.SleepUntil(budget + 1) // nothing left to send until mail
+		}
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})

@@ -42,7 +42,8 @@ type ConstructResult struct {
 	Stats Stats
 	// EffectiveRounds: rounds until the flood-and-evict protocol went quiet
 	// (simulate mode). The run executes a fixed budget — nodes cannot detect
-	// global quiescence — so Stats.Rounds exceeds this.
+	// global quiescence — so Stats.Rounds exceeds this; nodes sleep through
+	// the quiet tail, which the engine counts without running.
 	EffectiveRounds int
 	// ChargedRounds is the analytic-mode construction charge,
 	// ConstructBudget(t, cap).
@@ -135,13 +136,12 @@ const (
 // All part identities are priority ranks (rank 0 = highest priority), so
 // "keep the cap best" is a sorted-prefix truncation.
 type conNode struct {
-	parentPort int32
-	own        int32 // priority rank of this vertex's part, or -1
-	round      int32
-	dirty      bool
-	rcv        [][]int32 // per port: ranks currently admitted by that child
-	sent       []int32   // sorted; what the parent currently believes, <= cap
-	tmp        []int32   // scratch for the target computation
+	parentPort       int32
+	own              int32 // priority rank of this vertex's part, or -1
+	dirty            bool
+	slotOff, slotEnd int32   // the node's tree-child slots in the run's rcv
+	sent             []int32 // sorted; what the parent currently believes, <= cap
+	tmp              []int32 // scratch for the target computation
 }
 
 // runConstruct executes the flood-and-evict protocol for a fixed round
@@ -150,51 +150,69 @@ func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget
 	n := g.N()
 	final := make([][]int32, n)
 	state := make([]conNode, n)
+	// Nodes send on their parent port alone, so only tree children admit
+	// ranks: one slot per child edge, numbered in (node, port) order, and
+	// portSlot[portOff[v]+port] is the slot behind a child port of v.
+	portOff := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		portOff[v+1] = portOff[v] + int32(g.Degree(v))
+	}
+	portSlot := make([]int32, portOff[n])
+	slots := int32(0)
 	for v := 0; v < n; v++ {
 		st := &state[v]
 		st.parentPort = -1
+		st.slotOff = slots
 		for port, a := range g.Adj(v) {
-			if a.ID == t.ParentEdge[v] && a.To == t.Parent[v] {
+			portSlot[portOff[v]+int32(port)] = -1
+			switch {
+			case a.ID == t.ParentEdge[v] && a.To == t.Parent[v]:
 				st.parentPort = int32(port)
-				break
+			case a.ID == t.ParentEdge[a.To] && t.Parent[a.To] == v:
+				portSlot[portOff[v]+int32(port)] = slots
+				slots++
 			}
 		}
+		st.slotEnd = slots
 		st.own = int32(-1)
 		if pi := p.Of[v]; pi != -1 {
 			st.own = prio[pi]
 			st.dirty = true
 		}
-		// A child admits at most cap ranks (its own |sent| bound), so one
-		// contiguous backing slab sliced per port keeps insSorted growth
-		// out of the rounds at two setup allocations per node.
-		deg := g.Degree(v)
-		st.rcv = make([][]int32, deg)
-		backing := make([]int32, deg*cap)
-		for i := range st.rcv {
-			st.rcv[i] = backing[i*cap : i*cap : (i+1)*cap]
-		}
-		st.sent = make([]int32, 0, cap+1)
-		st.tmp = make([]int32, 0, cap+1)
+	}
+	// A child admits at most cap ranks (its own |sent| bound), so each slot
+	// is a cap-wide window of one slab; sent (<= cap) and tmp (<= cap+1
+	// while it merges) share a second slab, cap+1 wide each.
+	rcv := make([][]int32, slots)
+	rcvSlab := make([]int32, int(slots)*cap)
+	for s := range rcv {
+		rcv[s] = rcvSlab[s*cap : s*cap : (s+1)*cap]
+	}
+	w := cap + 1
+	setSlab := make([]int32, 2*n*w)
+	for v := range state {
+		state[v].sent = setSlab[2*v*w : 2*v*w : (2*v+1)*w]
+		state[v].tmp = setSlab[(2*v+1)*w : (2*v+1)*w : (2*v+2)*w]
 	}
 	step := func(nd *Node, msgs []Message) bool {
 		st := &state[nd.ID]
 		for _, m := range msgs {
+			s := portSlot[portOff[nd.ID]+int32(m.Port)]
 			rank := int32(m.Payload[1])
-			set := st.rcv[m.Port]
 			switch m.Payload[0] {
 			case conAdmit:
-				st.rcv[m.Port] = insSorted(set, rank)
+				rcv[s] = insSorted(rcv[s], rank)
 			case conEvict:
-				st.rcv[m.Port] = delSorted(set, rank)
+				rcv[s] = delSorted(rcv[s], rank)
 			}
 			st.dirty = true
 		}
-		if int(st.round) == budget {
+		if nd.Round() == budget+1 {
 			final[nd.ID] = st.sent
 			return false
 		}
 		if st.dirty && st.parentPort != -1 {
-			target := conTarget(st, cap)
+			target := conTarget(st, rcv[st.slotOff:st.slotEnd], cap)
 			// One message per round: retract the worst stale admission
 			// first (keeping |sent| <= cap at all times), else forward the
 			// best missing part.
@@ -210,7 +228,9 @@ func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget
 		} else if st.dirty {
 			st.dirty = false // root: nothing to forward
 		}
-		st.round++
+		if !st.dirty {
+			nd.SleepUntil(budget + 1) // in step with the parent until mail
+		}
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, ropts)
@@ -221,15 +241,15 @@ func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget
 }
 
 // conTarget computes the (up to) cap best priority ranks currently present
-// at the node: its own part plus everything admitted by its children. The
-// merge keeps only the best cap+1 candidates, so a round costs
-// O(degree · cap) regardless of how many parts exist.
-func conTarget(st *conNode, cap int) []int32 {
+// at the node: its own part plus everything admitted by its children, whose
+// sets are rcv. The merge keeps only the best cap+1 candidates, so a round
+// costs O(children · cap) regardless of how many parts exist.
+func conTarget(st *conNode, rcv [][]int32, cap int) []int32 {
 	tmp := st.tmp[:0]
 	if st.own != -1 {
 		tmp = append(tmp, st.own) //lint:allow hotalloc st.tmp is preallocated with cap+1 capacity at setup and insBounded keeps len <= cap
 	}
-	for _, set := range st.rcv {
+	for _, set := range rcv {
 		for _, i := range set {
 			tmp = insBounded(tmp, i, cap)
 		}

@@ -33,12 +33,10 @@ func LeaderElectSync(g *graph.Graph, diamBound int, opts Options) (leader int, s
 	}
 	best := make([]uint64, n)
 	shared := RoundFunc(func(nd *Node, msgs []Message) bool {
-		if nd.Round() == 1 {
+		improved := nd.Round() == 1
+		if improved {
 			best[nd.ID] = uint64(nd.ID)
-			nd.Broadcast(Words{best[nd.ID]})
-			return true
 		}
-		improved := false
 		for _, m := range msgs {
 			if m.Payload[0] < best[nd.ID] {
 				best[nd.ID] = m.Payload[0]
@@ -48,6 +46,7 @@ func LeaderElectSync(g *graph.Graph, diamBound int, opts Options) (leader int, s
 		if improved {
 			nd.Broadcast(Words{best[nd.ID]})
 		}
+		nd.SleepUntil(diamBound + 2) // quiet until mail, or the round it exits
 		return nd.Round() <= diamBound+1
 	})
 	stats, err = RunSync(g, func(*Node) RoundFunc { return shared }, opts)
@@ -90,11 +89,9 @@ func DistributedBFSSync(g *graph.Graph, root, diamBound int, opts Options) (pare
 		if joined[nd.ID] {
 			return false // announcement delivered last round; leave the live set
 		}
-		if nd.Round() == 1 {
-			if nd.ID == root {
-				joined[root] = true
-				nd.Broadcast(Words{uint64(nd.ID)})
-			}
+		if nd.Round() == 1 && nd.ID == root {
+			joined[root] = true
+			nd.Broadcast(Words{uint64(nd.ID)})
 			return true
 		}
 		if len(msgs) > 0 {
@@ -106,6 +103,7 @@ func DistributedBFSSync(g *graph.Graph, root, diamBound int, opts Options) (pare
 			nd.Broadcast(Words{uint64(nd.ID)})
 			return true
 		}
+		nd.SleepUntil(diamBound + 2) // wait for the wave, or give up
 		return nd.Round() <= diamBound+1
 	})
 	stats, err = RunSync(g, func(*Node) RoundFunc { return shared }, opts)

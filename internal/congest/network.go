@@ -10,20 +10,26 @@
 // Engine design (barrier-synchronous round scheduler). A fixed worker pool
 // shards the nodes into contiguous ranges and drives each round in two
 // phases. In the compute phase every worker walks its shard in node order
-// and calls each live node's RoundFunc directly, which queues sends into
-// the node's own dense per-port outbox slots and marks the receiver in a
-// mail bitmap (one bit per node, set atomically because shards share
-// words); a node resets its inbox once it has read it. In the deliver
-// phase each worker walks the set bits of its own node range in ascending
-// order and builds only those inboxes, receiver-side: the receiver scans
-// its ports and pulls the message, if any, from the neighbor's opposite
-// slot (precomputed reverse ports), so inboxes come out in port order with
-// no sorting and no routing map. A round thus costs one RoundFunc call per
-// live node plus the ports of the nodes that have mail, not the ports of
-// every node. Per-shard statistics are merged in shard order after the
-// phase barrier. There is no global lock anywhere on the round path, no
-// goroutine per node, and all per-round buffers (outbox slots, inboxes,
-// payload arenas) are reused, so a round allocates nothing.
+// and calls the RoundFunc of each live node that is awake or has mail,
+// which queues sends into the node's own dense per-port outbox slots and
+// marks the receiver in a mail bitmap (one bit per node, set atomically
+// because shards share words); a node resets its inbox once it has read
+// it. A node that called Node.SleepUntil is skipped until mail or its wake
+// round. In the deliver phase each worker walks the set bits of its own
+// node range in ascending order and builds only those inboxes,
+// receiver-side: the receiver scans its ports and pulls the message, if
+// any, from the neighbor's opposite slot (precomputed reverse ports), so
+// inboxes come out in port order with no sorting and no routing map. A
+// round thus costs one RoundFunc call per awake node plus the ports of the
+// nodes that have mail, not the ports of every node. Per-shard statistics
+// — including how many nodes stay awake and the earliest wake round of the
+// sleepers — are merged in shard order after the phase barrier. When no
+// message is in flight and every live node sleeps, a fault-free run counts
+// the silent rounds up to the earliest wake in Stats.Rounds instead of
+// running them, so a protocol's fixed-budget quiet tail costs O(1). There
+// is no global lock anywhere on the round path, no goroutine per node, and
+// all per-round buffers (outbox slots, inboxes, payload arenas) are
+// reused, so a round allocates nothing.
 //
 // Determinism: the engine's observable behavior — inbox contents and order,
 // statistics, error outcomes — is a pure function of the graph and the
@@ -93,8 +99,11 @@ type Options struct {
 	// figures. It is the streaming observation hook for million-node
 	// runs: a caller can fold per-round wall-clock or bytes trends
 	// without the engine — or the caller — ever materializing
-	// O(n·rounds) state. The callback must not retain the probe past the
-	// call and must not touch the engine.
+	// O(n·rounds) state. Silent rounds the engine counts without running
+	// them (every node asleep, nothing in flight) arrive too, one call
+	// each in a burst, with Messages and Bits 0 and Active unchanged. The
+	// callback must not retain the probe past the call and must not touch
+	// the engine.
 	OnRound func(RoundProbe)
 }
 
@@ -168,6 +177,7 @@ type Node struct {
 
 	eng   *engine
 	round int
+	wake  int // SleepUntil's round: calls with an empty inbox before it are skipped
 	fn    RoundFunc
 
 	out       []outSlot // per port: queued send for this round
@@ -205,7 +215,23 @@ func (n *Node) Neighbor(port int) int { return n.ports[port].To }
 func (n *Node) PortEdge(port int) int { return n.ports[port].ID }
 
 // Round returns the current round number (1 in the first RoundFunc call).
+// It keeps counting while the node sleeps.
 func (n *Node) Round() int { return n.round }
+
+// SleepUntil tells the engine that, called with an empty inbox in any
+// round before round, the node would queue nothing, would return true and
+// would change no state, so the engine may skip those calls. Mail, a
+// crash, or reaching round ends the sleep, and so does every call of the
+// node's RoundFunc, which sleeps on only by calling SleepUntil again.
+// SleepUntil(math.MaxInt) sleeps until mail. Round keeps counting while
+// the node sleeps. When no message is in flight and every live node
+// sleeps, a fault-free run counts the silent rounds up to the earliest
+// wake in Stats.Rounds without running them.
+//
+// A node whose next empty-inbox call would return false must not sleep:
+// that call ends its participation, and skipping it stalls the run to
+// MaxRounds.
+func (n *Node) SleepUntil(round int) { n.wake = round }
 
 // Send queues a message on a port for delivery at the end of this round.
 // At most one message per port per round; exceeding bandwidth or
@@ -279,6 +305,10 @@ type engine struct {
 	downEdge   []bool
 	downMarked []int32 // edges currently marked down, for O(marked) clearing
 
+	// step is how far every live node's round advances at the next compute
+	// phase: 1, plus the silent rounds skipped just before it.
+	step int
+
 	inboxes    [][]Message
 	inboxArena [][]uint64 // per receiver: payload backing, reused per round
 	// mail has bit v set when some send queued this round is addressed to
@@ -314,6 +344,8 @@ type shardResult struct {
 	bits     int
 	anyMsg   bool
 	exited   int
+	awake    int // live nodes with no wake round ahead: called next round
+	wake     int // earliest wake round ahead among the rest (math.MaxInt: none)
 
 	// Fault counters, merged into Stats in shard order.
 	dropped       int
@@ -321,7 +353,7 @@ type shardResult struct {
 	crashDrops    int
 	crashedRounds int
 
-	_ [4]int64 // pad to keep shards off each other's cache lines
+	_ [2]int64 // pad to keep shards off each other's cache lines
 }
 
 func (e *engine) fail(err error) {
@@ -356,13 +388,17 @@ func (e *engine) runPhase(fn func(shard int)) {
 }
 
 // computeShard runs the compute phase over the shard's live nodes in node
-// order: one direct RoundFunc call per node.
+// order: one direct RoundFunc call per awake node or node with mail, and
+// none for a sleeping node without mail. It counts the live nodes with no
+// wake round ahead and finds the earliest wake round of the rest.
 //
 //congest:hotpath
 func (e *engine) computeShard(shard int) {
 	res := &e.shardWork[shard]
 	res.exited = 0
 	res.crashedRounds = 0
+	res.awake = 0
+	res.wake = math.MaxInt
 	failed := e.failed()
 	for v := e.bounds[shard]; v < e.bounds[shard+1]; v++ {
 		if !e.alive[v] {
@@ -376,17 +412,28 @@ func (e *engine) computeShard(shard int) {
 		if e.faults != nil && e.crashed[v] {
 			// Crashed: no compute, and the outbox must be empty so the
 			// deliver phase finds nothing from it (slots are only cleared
-			// at the owner's next compute otherwise).
+			// at the owner's next compute otherwise). The crash ends any
+			// sleep, so the node is called at its restart.
 			nd.clearOut()
+			nd.wake = 0
 			res.crashedRounds++
 			continue
 		}
-		nd.round++
+		nd.round += e.step
 		nd.clearOut()
-		if failed || !nd.fn(nd, inbox) {
-			nd.clearOut()
-			e.alive[v] = false
-			res.exited++
+		if failed || nd.wake <= nd.round || len(inbox) > 0 {
+			nd.wake = 0
+			if failed || !nd.fn(nd, inbox) {
+				nd.clearOut()
+				e.alive[v] = false
+				res.exited++
+				continue
+			}
+		}
+		if nd.wake > nd.round {
+			res.wake = min(res.wake, nd.wake)
+		} else {
+			res.awake++
 		}
 	}
 }
@@ -530,6 +577,24 @@ func (e *engine) updateFaults(local int) {
 	}
 }
 
+// skipSilent counts the silent rounds before round wake in Stats.Rounds
+// without running them, capped at MaxRounds+1 so the round bound aborts
+// the run at the same round as running them would, and reports each to
+// OnRound with zero figures. Every live node's round catches up at its
+// next compute phase through step.
+func (e *engine) skipSilent(wake int) {
+	last := min(wake-1, e.maxRounds+1)
+	if e.onRound != nil {
+		for r := e.stats.Rounds + 1; r <= last; r++ {
+			e.onRound(RoundProbe{Round: r, Active: e.active})
+		}
+	}
+	if last > e.stats.Rounds {
+		e.step += last - e.stats.Rounds
+		e.stats.Rounds = last
+	}
+}
+
 // ErrAborted is wrapped by RunSync when the protocol was cut short.
 var ErrAborted = errors.New("congest: run aborted")
 
@@ -552,6 +617,7 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 	e.stats = Stats{}
 	e.active = n
 
+	e.step = 1
 	e.faults = faults
 	e.gRound = 0
 	e.downMarked = e.downMarked[:0]
@@ -696,8 +762,10 @@ func (e *engine) prepare(g *graph.Graph, bw, maxRounds int, faults *FaultPlan) {
 
 // RunSync executes a round-driven protocol: proto is called once per node
 // to build its state and per-round callback, then the engine drives rounds
-// until every callback has returned false. A node-round costs one function
-// call on a shard worker.
+// until every callback has returned false. An awake node-round costs one
+// function call on a shard worker; a sleeping one costs a visit, and a
+// round in which every node sleeps and nothing is in flight is counted
+// without running.
 func RunSync(g *graph.Graph, proto SyncProtocol, opts Options) (Stats, error) {
 	n := g.N()
 	if err := opts.validate(n, g.M()); err != nil {
@@ -746,10 +814,15 @@ func RunSync(g *graph.Graph, proto SyncProtocol, opts Options) (Stats, error) {
 			e.updateFaults(e.stats.Rounds + 1)
 		}
 		e.runPhase(e.computeFn)
+		e.step = 1
+		awake, wake := 0, math.MaxInt
 		for s := range e.shardWork {
 			e.active -= e.shardWork[s].exited
 			e.stats.CrashedRounds += e.shardWork[s].crashedRounds
+			awake += e.shardWork[s].awake
+			wake = min(wake, e.shardWork[s].wake)
 		}
+		silent := false
 		if !e.failed() {
 			e.runPhase(e.deliverFn)
 			anyMsg := false
@@ -775,8 +848,16 @@ func RunSync(g *graph.Graph, proto SyncProtocol, opts Options) (Stats, error) {
 					Active:   e.active,
 				})
 			}
+			// Nothing in flight and every live node asleep: the rounds
+			// before the earliest wake would call no RoundFunc and deliver
+			// nothing. A fault plan can act in any round, so it keeps
+			// every round running.
+			silent = !anyMsg && awake == 0 && e.active > 0 && e.faults == nil
 		}
 		e.stats.Rounds++
+		if silent {
+			e.skipSilent(wake)
+		}
 		if e.stats.Rounds > e.maxRounds {
 			e.fail(fmt.Errorf("congest: exceeded %d rounds", e.maxRounds))
 		}

@@ -270,6 +270,7 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 		if v == root {
 			for s := slotOff[v]; s < slotOff[v+1]; s++ {
 				if frontier[s] < myLen {
+					nd.SleepUntil(math.MaxInt) // waiting on a child's token
 					return true
 				}
 			}
@@ -288,6 +289,9 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 			i := nextEmit[v]
 			nd.Send(int(parentPort[v]), Words{uint64(tags[myOff+i]), acc[myOff+i]})
 			nextEmit[v]++
+		}
+		if nextEmit[v] < myLen && nextEmit[v] >= minF {
+			nd.SleepUntil(math.MaxInt) // waiting on a child's token
 		}
 		return true
 	}
@@ -405,7 +409,11 @@ func pipeBroadcastOpts(t *graph.Tree, tokens []Token, opts Options) (*BroadcastR
 			recvd[v]++
 		}
 		if numChild == 0 {
-			return int(recvd[v]) < k // leaf: done once the stream arrived
+			if int(recvd[v]) < k { // leaf: done once the stream arrived
+				nd.SleepUntil(math.MaxInt) // waiting on the parent's token
+				return true
+			}
+			return false
 		}
 		if int(sent[v]) == k {
 			return false // all forwarded (implies all received)
@@ -430,6 +438,9 @@ func pipeBroadcastOpts(t *graph.Tree, tokens []Token, opts Options) (*BroadcastR
 				nd.Send(int(childPorts[ci]), Words{uint64(tg), val})
 			}
 			sent[v]++
+		}
+		if v != root && count[v] == 0 && int(sent[v]) < k {
+			nd.SleepUntil(math.MaxInt) // waiting on the parent's token
 		}
 		return true
 	}

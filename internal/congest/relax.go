@@ -18,7 +18,8 @@ type RelaxResult struct {
 	Stats Stats
 	// EffectiveRounds is the number of rounds until the relaxation flood
 	// went quiet. The run executes a fixed budget (nodes cannot detect
-	// global quiescence), so Stats.Rounds exceeds this.
+	// global quiescence), so Stats.Rounds exceeds this; nodes sleep
+	// through the quiet tail, which the engine counts without running.
 	EffectiveRounds int
 	Budget          int
 }
@@ -95,7 +96,6 @@ func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*Rel
 	for v := range pending {
 		pending[v] = !math.IsInf(dist[v], 1)
 	}
-	round := make([]int32, n)
 	step := func(nd *Node, msgs []Message) bool {
 		v := nd.ID
 		for _, msg := range msgs {
@@ -104,7 +104,7 @@ func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*Rel
 				pending[v] = true
 			}
 		}
-		if int(round[v]) == budget {
+		if nd.Round() == budget+1 {
 			finalDist[v] = dist[v]
 			return false
 		}
@@ -112,7 +112,7 @@ func runBFRelax(g *graph.Graph, weights, init, want []float64, budget int) (*Rel
 			nd.Broadcast(Words{Float64Word(dist[v])})
 			pending[v] = false
 		}
-		round[v]++
+		nd.SleepUntil(budget + 1) // quiet until an improvement arrives
 		return true
 	}
 	stats, err := RunSync(g, func(*Node) RoundFunc { return step }, Options{MaxRounds: budget + 64})

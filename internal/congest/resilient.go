@@ -39,8 +39,10 @@ import (
 // Limitation (documented, by design): protocols whose per-node state lives
 // in shared slabs rebuild nothing when a crash restarts a node with
 // Wipe — the SyncProtocol factory returns the shared RoundFunc, so a wiped
-// restart degrades to a preserve-state restart. Whole-protocol retries,
-// not per-node wipes, are the recovery mechanism here.
+// restart keeps the node's protocol state. Only its round count restarts:
+// the protocols read Node.Round, which a wipe resets to 0, so a wiped node
+// runs a full budget from its restart before it halts. Whole-protocol
+// retries, not per-node wipes, are the recovery mechanism here.
 
 // Adversary couples a fault plan with the retry policy and tracks how much
 // of the plan's timeline has been consumed across attempts. The zero
@@ -125,9 +127,10 @@ func (a *Adversary) converge(protocol string, budget int, attempt func(budget in
 }
 
 // attemptOptions is one attempt's engine options for a protocol whose
-// nodes halt themselves after budget rounds: 64 rounds of slack when fault
-// free, and under an adversary twice the budget from its timeline, because
-// crashes stall nodes' local round counters.
+// nodes halt themselves at Node.Round budget+1, sleeping through their
+// quiet tail: 64 rounds of slack when fault free, and under an adversary
+// twice the budget from its timeline, because crashes stall nodes' round
+// counts and a wiped restart starts its count again.
 func (a *Adversary) attemptOptions(budget int) Options {
 	if a == nil {
 		return Options{MaxRounds: budget + 64}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/shortcut"
+	"repro/internal/xrand"
 )
 
 // TestSearchCapModesAgree: the in-network doubling search selects the same
@@ -166,43 +167,70 @@ func TestBootstrapPrioritiesMeasured(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchCap times the analytic doubling cap search on a 160×160
-// grid cut into about √n Borůvka fragments (the search stage of the
-// benchmark's grid-analytic pipeline) and reports the cost per guess.
+// BenchmarkSearchCap times the doubling cap search per guess on the
+// search stages of two end-to-end workloads, each cut into about √n
+// Borůvka fragments. analytic is grid-analytic's: a 160×160 grid with its
+// BFS tree from vertex 0. simulate is chain-simulate's, every protocol
+// message-level: the 20×31 wheel chain at seed 7 with the canonical BFS
+// tree from the elected leader (130 parts); it also reports the engine
+// rounds and the effective rounds of one search.
 func BenchmarkSearchCap(b *testing.B) {
-	g := gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(160, 160), rand.New(rand.NewSource(2018)))).Graph()
-	tr, err := graph.BFSTree(g, 0)
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		simulate bool
+	}{
+		{"analytic", gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(160, 160), rand.New(rand.NewSource(2018)))).Graph(), false},
+		{"simulate", gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.WheelChainCSR(20, 31), xrand.New(7))).Graph(), true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.g
+			tr, err := graph.BFSTree(g, 0)
+			if tc.simulate {
+				var parent, parentEdge []int
+				if parent, parentEdge, err = congest.CanonicalBFSParents(g, 0); err == nil {
+					tr, err = graph.TreeFromParents(g, 0, parent, parentEdge)
+				}
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The most Borůvka phases that still leave at least √n fragments.
+			target := 1
+			for target*target < g.N() {
+				target++
+			}
+			phases := 1
+			for ; phases < 64; phases++ {
+				next, err := partition.BoruvkaFragments(g, phases+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if next.NumParts() < target {
+					break
+				}
+			}
+			p, err := partition.BoruvkaFragments(g, phases)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			guesses, rounds, effective := 0, 0, 0
+			for b.Loop() {
+				res, err := congest.SearchCap(g, tr, p, congest.SearchOptions{Simulate: tc.simulate})
+				if err != nil {
+					b.Fatal(err)
+				}
+				guesses += res.Guesses
+				rounds += res.Stats.Rounds
+				effective += res.EffectiveRounds
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(guesses), "ns/guess")
+			b.ReportMetric(float64(p.NumParts()), "parts")
+			if tc.simulate {
+				b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+				b.ReportMetric(float64(effective)/float64(b.N), "effective-rounds/op")
+			}
+		})
 	}
-	// The most Borůvka phases that still leave at least √n fragments.
-	target := 1
-	for target*target < g.N() {
-		target++
-	}
-	phases := 1
-	for ; phases < 64; phases++ {
-		next, err := partition.BoruvkaFragments(g, phases+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if next.NumParts() < target {
-			break
-		}
-	}
-	p, err := partition.BoruvkaFragments(g, phases)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	guesses := 0
-	for b.Loop() {
-		res, err := congest.SearchCap(g, tr, p, congest.SearchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		guesses += res.Guesses
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(guesses), "ns/guess")
-	b.ReportMetric(float64(p.NumParts()), "parts")
 }
