@@ -195,22 +195,7 @@ func BenchmarkSearchCap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The most Borůvka phases that still leave at least √n fragments.
-			target := 1
-			for target*target < g.N() {
-				target++
-			}
-			phases := 1
-			for ; phases < 64; phases++ {
-				next, err := partition.BoruvkaFragments(g, phases+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if next.NumParts() < target {
-					break
-				}
-			}
-			p, err := partition.BoruvkaFragments(g, phases)
+			p, err := partition.BoruvkaFragments(g, decomposePhases(b, g))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -30,8 +30,8 @@ const (
 	// wall-clock and bytes the measurement layer wants — and prices the
 	// downstream stages analytically.
 	ScaleHybrid ScaleMode = "hybrid"
-	// ScaleSimulate runs every stage message-level. Decomposition and cap
-	// search pipeline one token per fragment, so this mode is for experiment
+	// ScaleSimulate runs every stage message-level. The cap search
+	// pipelines one token per fragment, so this mode is for experiment
 	// sizes, not scale runs.
 	ScaleSimulate ScaleMode = "simulate"
 )

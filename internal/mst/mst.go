@@ -10,16 +10,16 @@
 //     the inter-fragment candidate edges to a root).
 //
 // Every variant replays one sequential Borůvka trace
-// (partition.BoruvkaTrace): its fragments are the parts each phase
-// aggregates over, and its per-fragment lightest outgoing edges are what
-// the aggregations must find. All variants produce the exact MST under the
-// canonical edge order and are verified against sequential Kruskal.
+// (partition.BoruvkaTrace) through one per-phase routine,
+// congest.ReplayBoruvkaPhase: the trace's fragments are the parts each
+// phase aggregates over, and its per-fragment lightest outgoing edges are
+// what the aggregations must find. All variants produce the exact MST
+// under the canonical edge order and are verified against sequential
+// Kruskal.
 package mst
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -72,21 +72,6 @@ func provide(provider Provider, p *partition.Parts, stats *RunStats) (*shortcut.
 	return s, nil
 }
 
-// edgeRanks maps each edge to its rank in the canonical order, so min-edge
-// aggregation can run over single-word keys (an O(log n)-bit edge name).
-func edgeRanks(g *graph.Graph) []uint64 {
-	order := make([]int, g.M())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return graph.EdgeLess(g, order[a], order[b]) })
-	rank := make([]uint64, g.M())
-	for r, id := range order {
-		rank[id] = uint64(r)
-	}
-	return rank
-}
-
 // Options configures how ShortcutBoruvka realizes its fragment-wise
 // aggregations.
 type Options struct {
@@ -114,71 +99,60 @@ func ShortcutBoruvka(g *graph.Graph, provider Provider) (*RunStats, error) {
 // ShortcutBoruvkaOpts runs Borůvka's algorithm with fragment-wise
 // aggregation over shortcuts from the provider. The environment (this
 // function) holds the fragment bookkeeping as the sequential Borůvka trace
-// (partition.BoruvkaTrace) and replays it phase by phase; every
-// information flow between nodes is either simulated message passing
-// (aggregations, counted in CommRounds) or charged per the framework's
-// proven bounds (ChargedRounds), per opts.
+// (partition.BoruvkaTrace) and replays it phase by phase through
+// congest.ReplayBoruvkaPhase; every information flow between nodes is
+// either simulated message passing (aggregations, counted in CommRounds) or
+// charged per the framework's proven bounds (ChargedRounds), per opts.
 func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunStats, error) {
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return &RunStats{}, nil
 	}
 	trace, final, err := partition.BoruvkaTrace(g, maxPhases)
 	if err != nil {
 		return nil, fmt.Errorf("mst: %w", err)
 	}
-	r := newReplay(g, opts.Simulate)
+	r := newReplay(g)
 	stats := r.stats
-	// The dissemination step at the end of a phase constructs a shortcut for
-	// the *merged* fragments — exactly the family the next phase aggregates
-	// over. The network keeps it, so the provider runs once per fragment
-	// family, not twice (a second invocation would both recompute and
-	// double-charge the construction).
-	var parts *partition.Parts
-	var s *shortcut.Shortcut
-	if len(trace) > 0 {
-		parts = trace[0].Parts(g)
-		if s, err = provide(provider, parts, stats); err != nil {
-			return nil, err
-		}
+	var rank []uint64
+	if opts.Simulate {
+		rank = congest.EdgeRanks(g)
 	}
-	for i := range trace {
-		if err := r.phase(i, &trace[i], parts, s); err != nil {
-			return nil, err
+	// Family i is the fragments at the start of phase i, and phase i runs
+	// once family i+1 exists: its closing relabel (every node must learn its
+	// merged fragment) runs over family i+1's shortcut, and the network
+	// keeps that shortcut for phase i+1. So the provider runs once per
+	// family; a second invocation would both recompute and double-charge
+	// the construction. A single merged fragment needs no relabel, since
+	// the MST is then complete. Analytic mode charges each aggregation at
+	// its shortcut's measured quality (the framework's O(b·d_T + c) budget).
+	var cur *congest.Fragments
+	for i := 0; i <= len(trace); i++ {
+		p := final
+		if i < len(trace) {
+			p = trace[i].Parts(g)
 		}
-		// Disseminate merged fragment identities: an aggregation of the
-		// minimum member ID over the *new* fragments (every node must learn
-		// its new fragment). Charged with the same shortcut provider.
-		next := final
-		if i+1 < len(trace) {
-			next = trace[i+1].Parts(g)
-		}
-		if next.NumParts() == 1 {
-			break
-		}
-		ns, err := provide(provider, next, stats)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Simulate {
-			ids := make([]uint64, n)
-			for v := 0; v < n; v++ {
-				ids[v] = uint64(v)
-			}
-			res, err := congest.AggregateMin(g, next, ns, ids)
+		var next *congest.Fragments
+		if p.NumParts() > 1 {
+			s, err := provide(provider, p, stats)
 			if err != nil {
-				return nil, fmt.Errorf("mst: phase %d dissemination: %w", i, err)
+				return nil, err
 			}
-			stats.CommRounds += res.EffectiveRounds
-			stats.Messages += res.Stats.Messages
-		} else {
-			// The fixed point (each member learns its fragment's minimum
-			// member ID) is determined by the partition the environment
-			// already holds; charge one aggregation at the new shortcut's
-			// quality.
-			stats.ChargedRounds += ns.Measure().Quality
+			next = &congest.Fragments{Parts: p, S: s}
+			if !opts.Simulate {
+				next.Charge = s.Measure().Quality
+			}
 		}
-		parts, s = next, ns
+		if i > 0 {
+			c, err := congest.ReplayBoruvkaPhase(g, rank, &trace[i-1], cur, next, opts.Simulate)
+			if err != nil {
+				return nil, fmt.Errorf("mst: phase %d: %w", i-1, err)
+			}
+			stats.CommRounds += c.EffectiveRounds
+			stats.ChargedRounds += c.ChargedRounds
+			stats.Messages += c.Stats.Messages
+			r.merge(&trace[i-1])
+		}
+		cur = next
 	}
 	// Completeness: Borůvka stops early when no fragment can merge (the
 	// graph is disconnected). The chosen edges are then a spanning forest,
@@ -197,58 +171,24 @@ func ShortcutBoruvkaOpts(g *graph.Graph, provider Provider, opts Options) (*RunS
 // ⌈log₂ n⌉+1 phases long before this.
 const maxPhases = 2 * 64
 
-// replay books a distributed run of a sequential Borůvka trace: per phase,
-// every fragment learns its lightest outgoing edge by one part-wise min
-// aggregation over the phase's shortcut, and merges along the trace's Best.
+// replay collects the MST a replayed Borůvka trace chooses: every phase
+// merges each fragment along its lightest outgoing edge, the trace's Best.
 type replay struct {
-	g        *graph.Graph
-	simulate bool
-	rank     []uint64 // canonical edge order, the aggregation keys (simulate only)
-	chosen   []bool
-	stats    *RunStats
+	g      *graph.Graph
+	chosen []bool
+	stats  *RunStats
 }
 
-func newReplay(g *graph.Graph, simulate bool) *replay {
-	r := &replay{g: g, simulate: simulate, chosen: make([]bool, g.M()), stats: &RunStats{}}
-	if simulate {
-		r.rank = edgeRanks(g)
-	}
-	return r
+func newReplay(g *graph.Graph) *replay {
+	return &replay{g: g, chosen: make([]bool, g.M()), stats: &RunStats{}}
 }
 
-// phase replays trace phase i on that phase's fragments, parts, and their
-// shortcut s. Simulate mode runs the aggregation on the engine, whose
-// self-check against the sequential per-fragment minima is the check
-// against the trace's Best; analytic mode books it at the shortcut's
-// quality.
-func (r *replay) phase(i int, ph *partition.BoruvkaPhase, parts *partition.Parts, s *shortcut.Shortcut) error {
-	// One round: neighbors exchange fragment IDs (a constant round in
-	// whichever ledger the mode books; contents are determined by the
-	// parts).
-	if r.simulate {
-		// Keys: each node's lightest outgoing edge, by rank.
-		keys := make([]uint64, r.g.N())
-		for v, id := range ph.LightestOutgoing(r.g) {
-			keys[v] = math.MaxUint64
-			if id != -1 {
-				keys[v] = r.rank[id]
-			}
-		}
-		res, err := congest.AggregateMin(r.g, parts, s, keys)
-		if err != nil {
-			return fmt.Errorf("mst: phase %d aggregation: %w", i, err)
-		}
-		r.stats.CommRounds += 1 + res.EffectiveRounds
-		r.stats.Messages += res.Stats.Messages
-	} else {
-		r.stats.ChargedRounds += 1 + s.Measure().Quality
-	}
-	// Merge along each fragment's minimum outgoing edge.
+// merge books one phase: every fragment's Best joins the MST.
+func (r *replay) merge(ph *partition.BoruvkaPhase) {
 	for _, id := range ph.Best {
 		r.choose(int(id))
 	}
 	r.stats.Phases++
-	return nil
 }
 
 // choose adds an MST edge once; -1 (a fragment with no outgoing edge) and

@@ -149,6 +149,30 @@ func TestPipelinedMST(t *testing.T) {
 	}
 }
 
+// TestPipelinedMSTBooksRelabel: phase B reads every vertex's merged
+// fragment, so phase A must pay for teaching it. On a path whose weights
+// increase along it, phase 0 merges the whole path into one fragment, and
+// its name (the smallest member ID, vertex 0) needs n − 1 rounds to reach
+// vertex n − 1. The run therefore costs at least the BFS tree (h + 1), the
+// fragment-ID exchange (1), that relabel (n − 1) and the result broadcast
+// (h + 1).
+func TestPipelinedMSTBooksRelabel(t *testing.T) {
+	const n = 64
+	g := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1, float64(i+1))
+	}
+	rs, err := mst.PipelinedMST(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertExactMST(t, g, rs)
+	h := n - 1 // the BFS tree from vertex 0 is the path
+	if want := 2*(h+1) + 1 + (n - 1); rs.CommRounds < want {
+		t.Fatalf("pipelined MST booked %d rounds; the relabel alone implies at least %d", rs.CommRounds, want)
+	}
+}
+
 func TestPipelinedMSTRoundScaling(t *testing.T) {
 	// The pipelined baseline should scale roughly with D + sqrt(n), i.e.
 	// far below n on a low-diameter graph.

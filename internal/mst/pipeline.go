@@ -7,14 +7,13 @@ import (
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/shortcut"
 )
 
 // PipelinedMST is the O(D + √n)-flavored baseline in the style of
-// Garay-Kutten-Peleg [GKP98]: Phase A replays the sequential Borůvka trace
-// (partition.BoruvkaTrace) with part-internal flooding (no shortcuts) until
-// at most ⌈√n⌉ fragments remain; Phase B pipelines every remaining
-// inter-fragment candidate edge up a BFS tree to a root with
+// Garay-Kutten-Peleg [GKP98]: Phase A is the in-network Borůvka
+// decomposition (congest.BoruvkaDecompose, whose floods stay inside the
+// fragments) until at most ⌈√n⌉ fragments remain; Phase B pipelines every
+// remaining inter-fragment candidate edge up a BFS tree to a root with
 // congest.Pipecast, and the root finishes the MST centrally and broadcasts
 // it. Simplification vs the original: fragment growth is phase-capped
 // rather than diameter-capped, so Phase A can exceed O(√n) rounds on
@@ -29,30 +28,32 @@ func PipelinedMST(g *graph.Graph) (*RunStats, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mst: %w", err)
 	}
-	trace, final, err := partition.BoruvkaTrace(g, maxPhases)
+	trace, _, err := partition.BoruvkaTrace(g, maxPhases)
 	if err != nil {
 		return nil, fmt.Errorf("mst: %w", err)
 	}
-	r := newReplay(g, true)
+	r := newReplay(g)
 	stats := r.stats
 	stats.CommRounds += t.Height() + 1 // building the BFS tree
 
-	// Phase A: Borůvka phases until at most ⌈√n⌉ fragments remain.
+	// Phase A: Borůvka phases until at most ⌈√n⌉ fragments remain, each
+	// with its relabel, since phase B reads every vertex's fragment.
 	target := 1
 	for target*target < n {
 		target++
 	}
 	a := 0
-	for ; a < len(trace) && trace[a].NumFrags > target; a++ {
-		parts := trace[a].Parts(g)
-		if err := r.phase(a, &trace[a], parts, shortcut.Empty(g, t, parts)); err != nil {
-			return nil, err
-		}
+	for a < len(trace) && trace[a].NumFrags > target {
+		r.merge(&trace[a])
+		a++
 	}
-	frags := final
-	if a < len(trace) {
-		frags = trace[a].Parts(g)
+	dec, err := congest.BoruvkaDecompose(g, t, a, true)
+	if err != nil {
+		return nil, fmt.Errorf("mst: pipelined phase A: %w", err)
 	}
+	stats.CommRounds += dec.EffectiveRounds
+	stats.Messages += dec.Stats.Messages
+	frags := dec.Parts
 
 	// Phase B: the candidates are, per fragment pair, the lightest edge
 	// between them. Each climbs the BFS tree from its U endpoint as its own

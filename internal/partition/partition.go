@@ -124,7 +124,8 @@ func Voronoi(g *graph.Graph, numSeeds int, rng *rand.Rand) (*Parts, error) {
 // BoruvkaFragments returns the parts after `phases` rounds of sequential
 // Borůvka on g: each fragment (a partial MST component) is one part. This is
 // exactly the part family the distributed MST algorithm feeds to the
-// shortcut framework.
+// shortcut framework. A negative phase count is an error, as in
+// BoruvkaTrace.
 func BoruvkaFragments(g *graph.Graph, phases int) (*Parts, error) {
 	_, p, err := BoruvkaTrace(g, phases)
 	return p, err
@@ -132,8 +133,7 @@ func BoruvkaFragments(g *graph.Graph, phases int) (*Parts, error) {
 
 // BoruvkaPhase records one phase of the sequential Borůvka run in the
 // dense fragment-label space a distributed replay needs: labels are
-// assigned in smallest-member order, and part indices are the labels (so
-// the final phase's Next labels are the resulting part indices).
+// assigned in smallest-member order, and part indices are the labels.
 type BoruvkaPhase struct {
 	// Frag is each vertex's fragment label at the start of the phase.
 	Frag []int32
@@ -142,30 +142,31 @@ type BoruvkaPhase struct {
 	// Best is, per fragment, the lightest outgoing edge chosen this phase
 	// (graph.EdgeLess order), or -1 for a fragment with no outgoing edge.
 	Best []int32
-	// Next maps this phase's fragment labels to the labels after the
-	// phase's merges (the next phase's Frag, or the final part indices).
-	Next []int32
 }
 
 // BoruvkaTrace runs sequential Borůvka for up to `phases` phases and
 // returns, besides the resulting fragment parts, the per-phase merge trace
-// — fragment labels, chosen lightest outgoing edges, and the post-merge
-// relabeling. The trace is the ground truth every distributed Borůvka
-// replays: the in-network decomposition (congest.BoruvkaDecompose) runs
-// each phase's Best as one min-convergecast of locally known outgoing
-// edges and each Next as one pipelined broadcast, and the MST algorithms
-// (package mst) run each Best as one part-wise min aggregation and merge
-// along it. A phase in which no fragment has an outgoing edge ends the run
-// early (exactly as BoruvkaFragments stopped), so the trace can be shorter
-// than `phases`. RemoveEdge tombstones are skipped.
+// — fragment labels and chosen lightest outgoing edges. The trace is the
+// ground truth every distributed Borůvka replays through one per-phase
+// routine (congest.ReplayBoruvkaPhase): each phase's Best is one part-wise
+// min aggregation of the members' locally known outgoing edges, and the
+// merge one min-ID aggregation over the next phase's fragments. The
+// in-network decomposition (congest.BoruvkaDecompose) runs both over the
+// empty shortcut, and the MST algorithms (package mst) over their
+// shortcuts. A phase in which no fragment has an outgoing edge ends the
+// run early (exactly as BoruvkaFragments stopped), so the trace can be
+// shorter than `phases`. A negative phase count is an error; zero phases
+// leave every vertex its own fragment. RemoveEdge tombstones are skipped.
 func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
-	n := g.N()
-	uf := graph.NewUnionFind(n)
+	if phases < 0 {
+		return nil, nil, fmt.Errorf("partition: negative Borůvka phase count %d", phases)
+	}
+	uf := graph.NewUnionFind(g.N())
 	best := g.AcquireScratch() // fragment root -> lightest outgoing edge ID
 	defer g.ReleaseScratch(best)
 	label := g.AcquireScratch() // fragment root -> dense label + 1
 	defer g.ReleaseScratch(label)
-	roots := make([]int, 0, n)
+	roots := make([]int, 0, g.N())
 	frag, numFrags := denseLabels(g, uf, label)
 	var trace []BoruvkaPhase
 	for ph := 0; ph < phases; ph++ {
@@ -206,12 +207,7 @@ func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 			e := g.Edge(int(id))
 			uf.Union(e.U, e.V)
 		}
-		// Next labels: the post-merge labeling, read off any member.
 		frag, numFrags = denseLabels(g, uf, label)
-		rec.Next = make([]int32, rec.NumFrags)
-		for v := 0; v < n; v++ {
-			rec.Next[rec.Frag[v]] = frag[v]
-		}
 		trace = append(trace, rec)
 	}
 	return trace, fromLabels(g, frag, numFrags), nil

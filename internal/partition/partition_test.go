@@ -173,9 +173,10 @@ func TestPathsAsParts(t *testing.T) {
 
 // TestBoruvkaTraceConsistency: the trace's per-phase record is internally
 // consistent and its endpoint matches BoruvkaFragments — dense labels in
-// smallest-member order, Next mappings that compose to the final part
-// indices, and Best edges that actually leave their fragment and are
-// lightest among the fragment's incident outgoing edges.
+// smallest-member order, fragments that only merge from one phase to the
+// next (and into the final parts), and Best edges that actually leave
+// their fragment and are lightest among the fragment's incident outgoing
+// edges.
 func TestBoruvkaTraceConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := gen.DistinctWeights(gen.UniformWeights(gen.Grid(7, 9).G, rng))
@@ -197,7 +198,7 @@ func TestBoruvkaTraceConsistency(t *testing.T) {
 		}
 	}
 	for phi, ph := range trace {
-		if len(ph.Frag) != g.N() || len(ph.Best) != ph.NumFrags || len(ph.Next) != ph.NumFrags {
+		if len(ph.Frag) != g.N() || len(ph.Best) != ph.NumFrags {
 			t.Fatalf("phase %d: inconsistent record shapes", phi)
 		}
 		// Labels dense in smallest-member order: the first occurrence of
@@ -238,16 +239,21 @@ func TestBoruvkaTraceConsistency(t *testing.T) {
 				}
 			}
 		}
-		// Next composes with the following phase's labels (or the final
-		// part indices).
+		// Fragments only merge: members of one fragment share the next
+		// phase's label (or the final part index).
+		into := make([]int32, ph.NumFrags)
+		for f := range into {
+			into[f] = -1
+		}
 		for v := 0; v < g.N(); v++ {
-			next := ph.Next[ph.Frag[v]]
+			next := int32(p.Of[v])
 			if phi+1 < len(trace) {
-				if next != trace[phi+1].Frag[v] {
-					t.Fatalf("phase %d vertex %d: Next %d != next phase label %d", phi, v, next, trace[phi+1].Frag[v])
-				}
-			} else if int(next) != p.Of[v] {
-				t.Fatalf("final phase vertex %d: Next %d != part index %d", v, next, p.Of[v])
+				next = trace[phi+1].Frag[v]
+			}
+			if f := ph.Frag[v]; into[f] == -1 {
+				into[f] = next
+			} else if into[f] != next {
+				t.Fatalf("phase %d fragment %d splits into labels %d and %d", phi, f, into[f], next)
 			}
 		}
 	}

@@ -226,16 +226,16 @@ func (s *Setup) Provider() Provider {
 	return AutoFlood(s.G, s.Tree, s.Simulate)
 }
 
-// Decompose runs the Borůvka fragment decomposition in-network over the
-// elected tree (congest.BoruvkaDecompose): per phase, one pipelined
-// min-convergecast of the fragments' lightest outgoing edges up the tree
-// and one pipelined relabeling broadcast back down — the decomposition the
-// self-sufficient SSSP pipeline feeds to the shortcut framework, priced in
-// the setup's mode. In simulate mode the protocols run on the engine and
-// the measured rounds land in the simulated ledger; analytic mode charges
-// congest.DecomposePhaseBudget per phase. (Before this existed, the
-// decomposition was partition.BoruvkaFragments plus a flat modeled
-// aggregation charge per phase.)
+// Decompose runs the Borůvka fragment decomposition in-network
+// (congest.BoruvkaDecompose): per phase, a flood inside each fragment finds
+// its lightest outgoing edge and a flood inside each merged fragment
+// relabels it, the per-phase routine the MST runs over its shortcuts, here
+// over the empty shortcut. This is the decomposition the self-sufficient
+// SSSP pipeline feeds to the shortcut framework, priced in the setup's
+// mode: in simulate mode the floods run on the engine and the measured
+// rounds land in the simulated ledger; analytic mode charges the exchange
+// round plus, per flood, twice the family's largest fragment eccentricity
+// plus one.
 func (s *Setup) Decompose(phases int) (*partition.Parts, Rounds, error) {
 	res, err := congest.BoruvkaDecompose(s.G, s.Tree, phases, s.Simulate)
 	if err != nil {

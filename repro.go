@@ -184,7 +184,8 @@ func (nw *Network) VoronoiParts(numSeeds int) (*Parts, error) {
 }
 
 // FragmentParts returns the Borůvka fragments after the given number of
-// phases — the part family the MST algorithm actually queries.
+// phases — the part family the MST algorithm actually queries. A negative
+// phase count is an error; zero phases give singleton fragments.
 func (nw *Network) FragmentParts(phases int) (*Parts, error) {
 	return partition.BoruvkaFragments(nw.G, phases)
 }
@@ -397,12 +398,13 @@ func (nw *Network) MinCutConstructed(eps float64, simulate bool) (*CutResult, er
 // SSSPSelfSufficient runs the (1+ε)-approximate single-source shortest
 // paths with zero generator-supplied structure: the network elects a
 // leader, builds its own BFS tree, decomposes itself into Borůvka
-// fragments in-network (per phase, a pipelined min-convergecast of
-// fragment-best outgoing edges plus a pipelined relabeling broadcast over
-// the elected tree — congest.BoruvkaDecompose), cap-searches a shortcut
-// over the fragments, and runs the part-wise relaxation. In simulate mode
-// every decomposition round is measured on the engine; analytic mode
-// charges the pipelined O(height + fragments) budget per phase.
+// fragments in-network (per phase, a flood inside each fragment finds its
+// lightest outgoing edge and a flood inside each merged fragment relabels
+// it — congest.BoruvkaDecompose), cap-searches a shortcut over the
+// fragments, and runs the part-wise relaxation. In simulate mode every
+// decomposition round is measured on the engine; analytic mode charges
+// one exchange round per phase plus, per flood, twice the family's largest
+// fragment eccentricity plus one.
 func (nw *Network) SSSPSelfSufficient(src int, eps float64, simulate bool) (*SSSPResult, error) {
 	setup, err := nw.bootstrap(simulate)
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func TestGridNetworkFacade(t *testing.T) {
@@ -287,6 +289,56 @@ func TestConstructorsRejectBadArguments(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if nw, err := tc.build(); err == nil {
 				t.Fatalf("got network with %d vertices, want an error", nw.G.N())
+			}
+		})
+	}
+}
+
+// TestBoruvkaEntryPointsRejectNegativePhases: every Borůvka entry point
+// rejects a negative phase count, which used to come back as singleton
+// parts as if no phase had run, and still accepts zero phases, which do
+// leave every vertex its own fragment.
+func TestBoruvkaEntryPointsRejectNegativePhases(t *testing.T) {
+	nw, err := repro.GridNetwork(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := graph.BFSTree(nw.G, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decompose := func(simulate bool) func(int) (*repro.Parts, error) {
+		return func(phases int) (*repro.Parts, error) {
+			res, err := congest.BoruvkaDecompose(nw.G, tr, phases, simulate)
+			if err != nil {
+				return nil, err
+			}
+			return res.Parts, nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(phases int) (*repro.Parts, error)
+	}{
+		{"partition.BoruvkaTrace", func(phases int) (*repro.Parts, error) {
+			_, p, err := partition.BoruvkaTrace(nw.G, phases)
+			return p, err
+		}},
+		{"partition.BoruvkaFragments", func(phases int) (*repro.Parts, error) { return partition.BoruvkaFragments(nw.G, phases) }},
+		{"congest.BoruvkaDecompose analytic", decompose(false)},
+		{"congest.BoruvkaDecompose simulate", decompose(true)},
+		{"Network.FragmentParts", nw.FragmentParts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p, err := tc.run(-1); err == nil {
+				t.Fatalf("phases = -1 returned %d parts, want an error", p.NumParts())
+			}
+			p, err := tc.run(0)
+			if err != nil {
+				t.Fatalf("phases = 0: %v", err)
+			}
+			if p.NumParts() != nw.G.N() {
+				t.Fatalf("phases = 0 returned %d parts, want %d singletons", p.NumParts(), nw.G.N())
 			}
 		})
 	}
