@@ -115,18 +115,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir type-checks the single package rooted at dir (every non-test
-// .go file in it), resolving its imports via LoadFixture. The returned
-// package is the one at dir itself; sibling fixture dependencies are
-// loaded but not returned.
-func LoadDir(dir string) (*Package, error) {
-	pkgs, err := LoadFixture(dir)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[len(pkgs)-1], nil
-}
-
 // LoadFixture type-checks the fixture package rooted at dir together
 // with its fixture dependencies, in dependency order (dependencies
 // first, dir's own package last). It exists for analysistest fixtures,

@@ -31,7 +31,7 @@ func closureAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) 
 			}
 			return -1
 		}
-		for port := 0; port < nd.Degree(); port++ {
+		for port := range nd.ports {
 			for _, pi := range partsOnEdge(nd.PortEdge(port)) {
 				channels = append(channels, channel{int32(port), pi})
 				if localIdx(pi) == -1 {
@@ -59,7 +59,7 @@ func closureAggregate(g *graph.Graph, p *partition.Parts, partsOnEdge func(int) 
 				dirty[ci] = true
 			}
 		}
-		sentRound := make([]int32, nd.Degree())
+		sentRound := make([]int32, len(nd.ports))
 		for i := range sentRound {
 			sentRound[i] = -1
 		}

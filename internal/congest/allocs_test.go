@@ -138,7 +138,7 @@ func TestRoundPathAllocsFlat(t *testing.T) {
 	}
 	g := gen.Grid(16, 16).G
 	allocs := func(rounds int) float64 {
-		proto := sparseProto(func(int) int { return rounds }, nil)
+		proto := sparseProto(g, func(int) int { return rounds }, nil)
 		return testing.AllocsPerRun(8, func() {
 			if _, err := congest.RunSync(g, proto, congest.Options{}); err != nil {
 				t.Fatal(err)

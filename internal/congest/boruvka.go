@@ -148,17 +148,25 @@ func BoruvkaDecompose(g *graph.Graph, t *graph.Tree, phases int, simulate bool) 
 	// families i and i+1 exist.
 	var cur *Fragments
 	for i := 0; i <= len(trace); i++ {
-		p := parts
+		p, frags := parts, parts.NumParts()
 		if i < len(trace) {
-			p = trace[i].Parts(g)
+			frags = trace[i].NumFrags
 		}
-		next := &Fragments{Parts: p, S: shortcut.Empty(g, t, p)}
-		if !simulate {
-			e, err := next.S.MaxAugmentedEcc()
-			if err != nil {
-				return nil, fmt.Errorf("congest: boruvka decomposition charge: %w", err)
+		next := &Fragments{Charge: 1}
+		// Analytic mode reads only the charge, and a family of single
+		// vertices (phase 0's) has e = 0, so it is not built.
+		if simulate || frags < g.N() {
+			if i < len(trace) {
+				p = trace[i].Parts(g)
 			}
-			next.Charge = 2*e + 1
+			next.Parts, next.S = p, shortcut.Empty(g, t, p)
+			if !simulate {
+				e, err := next.S.MaxAugmentedEcc()
+				if err != nil {
+					return nil, fmt.Errorf("congest: boruvka decomposition charge: %w", err)
+				}
+				next.Charge = 2*e + 1
+			}
 		}
 		if i > 0 {
 			c, err := ReplayBoruvkaPhase(g, rank, &trace[i-1], cur, next, simulate)

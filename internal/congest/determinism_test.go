@@ -153,12 +153,12 @@ func sparseSelect(v, r, p int) bool {
 // engine discards. Its factory queues a send as well, which the engine
 // discards at the node's first round, also when a wiped restart rebuilds
 // the node. seen, when non-nil, observes every inbox.
-func sparseProto(last func(v int) int, seen func(n *congest.Node, msgs []congest.Message)) congest.SyncProtocol {
+func sparseProto(g *graph.Graph, last func(v int) int, seen func(n *congest.Node, msgs []congest.Message)) congest.SyncProtocol {
 	step := congest.RoundFunc(func(n *congest.Node, msgs []congest.Message) bool {
 		if seen != nil {
 			seen(n, msgs)
 		}
-		for p := 0; p < n.Degree(); p++ {
+		for p := 0; p < g.Degree(n.ID); p++ {
 			if sparseSelect(n.ID, n.Round(), p) {
 				n.Send(p, congest.Words{uint64(n.ID)<<20 | uint64(n.Round())})
 			}
@@ -166,7 +166,7 @@ func sparseProto(last func(v int) int, seen func(n *congest.Node, msgs []congest
 		return n.Round() < last(n.ID)
 	})
 	return func(nd *congest.Node) congest.RoundFunc {
-		if nd.Degree() > 0 {
+		if g.Degree(nd.ID) > 0 {
 			nd.Send(0, congest.Words{1<<40 | uint64(nd.ID)})
 		}
 		return step
@@ -179,7 +179,7 @@ func sparseProto(last func(v int) int, seen func(n *congest.Node, msgs []congest
 func sparseTranscript(t *testing.T, g *graph.Graph, plan *congest.FaultPlan) string {
 	t.Helper()
 	sb := make([]strings.Builder, g.N())
-	proto := sparseProto(func(v int) int { return 6 + v*5%11 }, func(n *congest.Node, msgs []congest.Message) {
+	proto := sparseProto(g, func(v int) int { return 6 + v*5%11 }, func(n *congest.Node, msgs []congest.Message) {
 		for _, m := range msgs {
 			fmt.Fprintf(&sb[n.ID], "r%d p%d f%d e%d w%x;", n.Round(), m.Port, m.From, m.Edge, m.Payload[0])
 		}

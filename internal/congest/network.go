@@ -205,9 +205,6 @@ type RoundFunc func(n *Node, msgs []Message) bool
 // once per node before round 1, it returns the node's RoundFunc.
 type SyncProtocol func(n *Node) RoundFunc
 
-// Degree returns the number of incident edge-ports.
-func (n *Node) Degree() int { return len(n.ports) }
-
 // Neighbor returns the vertex at the other end of the given port.
 func (n *Node) Neighbor(port int) int { return n.ports[port].To }
 

@@ -66,7 +66,7 @@ type SearchResult struct {
 // outside the part), the per-part counts pipeline to the root — one token
 // per tree edge per round — and the resulting ranking broadcasts back
 // down: one PipecastBudget each way. Simulate mode runs exactly this
-// protocol (BootstrapPriorities) and reports measured rounds instead.
+// protocol (BootstrapPrioritiesUnder) and reports measured rounds instead.
 func PriorityBudget(t *graph.Tree, p *partition.Parts) int {
 	return 2 * PipecastBudget(t, p.NumParts())
 }
@@ -86,8 +86,8 @@ type BootstrapResult struct {
 	ChargedRounds int
 }
 
-// BootstrapPriorities computes the block-count part priorities the way a
-// deployed network does — the distributed realization of
+// BootstrapPrioritiesUnder computes the block-count part priorities the
+// way a deployed network does — the distributed realization of
 // shortcut.TreeBlockCounts + TreeBlockPriorities. Every part member
 // decides locally whether it tops a tree block of its part (its tree
 // parent lies outside the part, or it is the root); the indicators
@@ -96,14 +96,9 @@ type BootstrapResult struct {
 // the counts (shortcut.RankBlockCounts), and the ranking streams back
 // down (PipeBroadcast, same bound). Both steps' fixed points are
 // validated against the sequential functions, so the two modes share the
-// ranking — and with it every downstream construction — exactly.
-func BootstrapPriorities(t *graph.Tree, p *partition.Parts, simulate bool) (*BootstrapResult, error) {
-	return BootstrapPrioritiesUnder(t, p, simulate, nil)
-}
-
-// BootstrapPrioritiesUnder is the priority bootstrap under an adversary:
-// both pipelined streams run through the adversary's retrying wrappers (a
-// nil adversary is the fault-free bootstrap).
+// ranking — and with it every downstream construction — exactly. Both
+// pipelined streams run through the adversary's retrying wrappers (a nil
+// adversary is the fault-free bootstrap).
 func BootstrapPrioritiesUnder(t *graph.Tree, p *partition.Parts, simulate bool, adv *Adversary) (*BootstrapResult, error) {
 	counts := shortcut.TreeBlockCounts(t, p)
 	res := &BootstrapResult{Counts: counts, Priorities: shortcut.RankBlockCounts(counts)}
@@ -141,7 +136,7 @@ func BootstrapPrioritiesUnder(t *graph.Tree, p *partition.Parts, simulate bool, 
 // one count token, tagged with the member's part, for every vertex that
 // tops a tree block of its part (its tree parent lies outside the part,
 // or it is the root) — the locally decidable indicators whose per-part
-// sums are shortcut.TreeBlockCounts. Shared by BootstrapPriorities and
+// sums are shortcut.TreeBlockCounts. Shared by BootstrapPrioritiesUnder and
 // the E15 experiment so table and protocol can never diverge.
 func BlockTopTokens(t *graph.Tree, p *partition.Parts) [][]Token {
 	n := t.G.N()
@@ -179,7 +174,8 @@ func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 // estimated by convergecast over the constructed shortcut:
 //
 //   - congestion: every vertex knows how many parts it admitted over its
-//     parent edge; the maximum convergecasts up the tree (TreeMax);
+//     parent edge; the maximum convergecasts up the tree (a single-token
+//     Pipecast under CombineMax);
 //   - block counts: every vertex decides locally which parts' admitted
 //     chains it tops (shortcut.BlockTops); the per-part sums pipeline up
 //     the tree (Pipecast), one token per tree edge per round;
@@ -195,7 +191,7 @@ func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 // lowest estimate (ties toward the smaller cap) wins and is re-broadcast
 // down the tree. Block-count part priorities are computed once and shared
 // by all guesses; in simulate mode their bootstrap runs message-level on
-// the pipelined tree layer (BootstrapPriorities) and its measured rounds
+// the pipelined tree layer (BootstrapPrioritiesUnder) and its measured rounds
 // are booked — no modeled charge remains anywhere in the simulated
 // ledger. Analytic mode charges PriorityBudget as before.
 func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOptions) (*SearchResult, error) {
@@ -283,11 +279,12 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // maxBlocks · maxAugmentedEcc + congestion — and, in simulate mode, runs
 // the in-network protocols realizing it, booking their measured rounds
 // into res and validating each convergecast against the ground truth: the
-// congestion maximum (TreeMax), the augmented-eccentricity probe
-// (AggregateMin), and the per-part block-count sums (a pipelined
-// multi-token convergecast of the locally decidable BlockTops indicators
-// — formerly a modeled charge). The estimate's value is always derived
-// from the converged fixed point, so both modes agree on it.
+// congestion maximum (a single-token max convergecast), the
+// augmented-eccentricity probe (AggregateMin), and the per-part
+// block-count sums (a pipelined multi-token convergecast of the locally
+// decidable BlockTops indicators — formerly a modeled charge). The
+// estimate's value is always derived from the converged fixed point, so
+// both modes agree on it.
 func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
 	maxEcc, err := s.MaxAugmentedEcc()

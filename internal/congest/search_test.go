@@ -125,11 +125,11 @@ func TestSearchCapTracksCentralSweep(t *testing.T) {
 // (the modeled simulated charge is gone).
 func TestBootstrapPrioritiesMeasured(t *testing.T) {
 	for _, tc := range constructInstances(t) {
-		sim, err := congest.BootstrapPriorities(tc.tr, tc.p, true)
+		sim, err := congest.BootstrapPrioritiesUnder(tc.tr, tc.p, true, nil)
 		if err != nil {
 			t.Fatalf("%s simulate: %v", tc.name, err)
 		}
-		ana, err := congest.BootstrapPriorities(tc.tr, tc.p, false)
+		ana, err := congest.BootstrapPrioritiesUnder(tc.tr, tc.p, false, nil)
 		if err != nil {
 			t.Fatalf("%s analytic: %v", tc.name, err)
 		}

@@ -64,7 +64,7 @@ func sleepyProto(t *testing.T, g *graph.Graph, sleep bool, opts congest.Options)
 		if r >= last(v) {
 			return false
 		}
-		for p := 0; p < nd.Degree(); p++ {
+		for p := 0; p < g.Degree(v); p++ {
 			if sparseSelect(v, r, p) && (r%8 == 0 || sleepMix(v, r, p+2)%4 == 0) {
 				nd.Send(p, congest.Words{uint64(v)<<20 | uint64(r)})
 			}

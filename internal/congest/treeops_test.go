@@ -9,6 +9,9 @@ import (
 	"repro/internal/graph"
 )
 
+// TestTreeBroadcast: one token broadcast down a tree — the single-token
+// PipeBroadcast the priority bootstrap runs — finishes within height+2
+// rounds.
 func TestTreeBroadcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 6; trial++ {
@@ -18,18 +21,12 @@ func TestTreeBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const secret = 0xDEADBEEF
-		values, stats, err := congest.TreeBroadcast(tr, secret)
+		res, err := congest.PipeBroadcast(tr, []congest.Token{{Tag: 0, Value: 0xDEADBEEF}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, got := range values {
-			if got != secret {
-				t.Fatalf("vertex %d got %x", v, got)
-			}
-		}
-		if stats.LastActiveRound > tr.Height()+2 {
-			t.Fatalf("broadcast active for %d rounds, height %d", stats.LastActiveRound, tr.Height())
+		if res.Stats.LastActiveRound > tr.Height()+2 {
+			t.Fatalf("broadcast active for %d rounds, height %d", res.Stats.LastActiveRound, tr.Height())
 		}
 	}
 }
@@ -61,6 +58,9 @@ func TestTreeSum(t *testing.T) {
 	}
 }
 
+// TestTreeMax: a single-tag Pipecast under CombineMax — the congestion
+// convergecast of the cap search — returns the maximum with one message
+// per tree edge.
 func TestTreeMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 6; trial++ {
@@ -69,23 +69,22 @@ func TestTreeMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		values := make([]uint64, g.N())
+		contrib := make([][]congest.Token, g.N())
 		var want uint64
-		for v := range values {
-			values[v] = uint64(rng.Intn(1000))
-			if values[v] > want {
-				want = values[v]
-			}
+		for v := range contrib {
+			x := uint64(rng.Intn(1000))
+			contrib[v] = []congest.Token{{Tag: 0, Value: x}}
+			want = max(want, x)
 		}
-		got, stats, err := congest.TreeMax(tr, values)
+		res, err := congest.Pipecast(tr, 1, contrib, congest.CombineMax)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("max %d want %d", got, want)
+		if res.Values[0] != want {
+			t.Fatalf("max %d want %d", res.Values[0], want)
 		}
-		if stats.Messages != g.N()-1 {
-			t.Fatalf("convergecast used %d messages, want n-1=%d", stats.Messages, g.N()-1)
+		if res.Stats.Messages != g.N()-1 {
+			t.Fatalf("convergecast used %d messages, want n-1=%d", res.Stats.Messages, g.N()-1)
 		}
 	}
 }
@@ -101,13 +100,7 @@ func TestTreeSumLengthMismatch(t *testing.T) {
 func TestTreeBroadcastOnStar(t *testing.T) {
 	g := gen.Star(10)
 	tr, _ := graph.BFSTree(g, 0)
-	values, _, err := congest.TreeBroadcast(tr, 7)
-	if err != nil {
+	if _, err := congest.PipeBroadcast(tr, []congest.Token{{Tag: 0, Value: 7}}); err != nil {
 		t.Fatal(err)
-	}
-	for _, v := range values {
-		if v != 7 {
-			t.Fatal("star broadcast incomplete")
-		}
 	}
 }

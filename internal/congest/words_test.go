@@ -73,10 +73,7 @@ func TestNodeAccessors(t *testing.T) {
 	// goroutine) rather than Fatalf.
 	step := func(n *congest.Node, _ []congest.Message) bool {
 		if n.ID == 0 {
-			if n.Degree() != 3 {
-				t.Errorf("center degree %d want 3", n.Degree())
-			}
-			for port := 0; port < n.Degree(); port++ {
+			for port := 0; port < g.Degree(0); port++ {
 				nb := n.Neighbor(port)
 				e := g.Edge(n.PortEdge(port))
 				if !((e.U == 0 && e.V == nb) || (e.V == 0 && e.U == nb)) {

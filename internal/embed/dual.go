@@ -6,42 +6,6 @@ import (
 	"repro/internal/graph"
 )
 
-// Dual holds the dual graph of an embedding: one dual vertex per face, one
-// dual edge per primal edge connecting the faces on its two sides.
-type Dual struct {
-	G        *graph.Graph // the dual graph; dual edge IDs equal primal edge IDs
-	Faces    [][]int      // primal faces as dart cycles
-	FaceOf   []int        // primal dart -> face index
-	PrimalOf []int        // dual edge ID -> primal edge ID (identity, kept for clarity)
-}
-
-// NewDual constructs the dual graph of e. Dual edge i corresponds exactly to
-// primal edge i (IDs aligned), which is what tree-cotree needs. Self-loops in
-// the dual (an edge with the same face on both sides, i.e. a bridge) are
-// dropped, recorded with PrimalOf[i] == -1 semantics via the Bridges list.
-type dualBuild struct{}
-
-func NewDual(e *Embedding) (*Dual, []int) {
-	faces, faceOf := e.Faces()
-	d := &Dual{
-		G:      graph.New(len(faces)),
-		Faces:  faces,
-		FaceOf: faceOf,
-	}
-	var bridges []int
-	for id := 0; id < e.G.M(); id++ {
-		f1, f2 := faceOf[2*id], faceOf[2*id+1]
-		if f1 == f2 {
-			bridges = append(bridges, id) // bridge: dual self-loop, omitted
-			d.PrimalOf = append(d.PrimalOf, -1)
-			continue
-		}
-		d.G.AddEdge(f1, f2, 1)
-		d.PrimalOf = append(d.PrimalOf, id)
-	}
-	return d, bridges
-}
-
 // TreeCotree computes a tree-cotree decomposition of a connected embedding:
 // a primal spanning tree T (the given one), a dual spanning tree ("cotree")
 // disjoint from T, and the leftover edges X in neither. Euler's formula

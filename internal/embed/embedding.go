@@ -1,7 +1,7 @@
 // Package embed implements combinatorial embeddings (rotation systems) of
-// graphs on orientable surfaces: face tracing, Euler genus, dual graphs,
-// tree-cotree decompositions, and the planarization ("cutting") operation of
-// the paper's Appendix A (Lemma 11).
+// graphs on orientable surfaces: face tracing, Euler genus, tree-cotree
+// decompositions, and the planarization ("cutting") operation of the paper's
+// Appendix A (Lemma 11).
 //
 // Darts. Every edge with ID e yields two darts (directed half-edges):
 // dart 2e points from Edge(e).U to Edge(e).V, dart 2e+1 points back.
@@ -90,30 +90,6 @@ func NewTrusted(g *graph.Graph, rot [][]int) *Embedding {
 		for i, d := range ds {
 			e.pos[d] = i
 		}
-	}
-	return e
-}
-
-// FromAdjacencyOrder builds the embedding whose rotation at each vertex is
-// simply the adjacency-list order. For graphs generated with geometric
-// structure (grids, triangulations) whose adjacency lists are constructed in
-// counterclockwise order this is the intended embedding; for arbitrary graphs
-// it is *some* embedding on *some* surface.
-func FromAdjacencyOrder(g *graph.Graph) *Embedding {
-	rot := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, a := range g.Adj(v) {
-			d := 2 * a.ID
-			if g.Edge(a.ID).U != v {
-				d++
-			}
-			rot[v] = append(rot[v], d)
-		}
-	}
-	e, err := New(g, rot)
-	if err != nil {
-		// Adjacency order is a permutation of darts by construction.
-		panic(fmt.Sprintf("embed.FromAdjacencyOrder: internal error: %v", err))
 	}
 	return e
 }

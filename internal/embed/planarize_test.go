@@ -8,36 +8,6 @@ import (
 	"repro/internal/graph"
 )
 
-func TestDualOfGrid(t *testing.T) {
-	e := gen.Grid(3, 3)
-	d, bridges := embed.NewDual(e.Emb)
-	// 3x3 grid: 4 inner faces + outer = 5 dual vertices, 12 dual edges.
-	if d.G.N() != 5 {
-		t.Fatalf("dual vertices %d want 5", d.G.N())
-	}
-	if d.G.M() != 12 {
-		t.Fatalf("dual edges %d want 12", d.G.M())
-	}
-	if len(bridges) != 0 {
-		t.Fatalf("grid has no bridges, got %v", bridges)
-	}
-	if !graph.IsConnected(d.G) {
-		t.Fatal("dual should be connected")
-	}
-}
-
-func TestDualBridges(t *testing.T) {
-	// A path has one face; both edges are bridges.
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	e := embed.FromAdjacencyOrder(g)
-	d, bridges := embed.NewDual(e)
-	if d.G.N() != 1 || len(bridges) != 2 {
-		t.Fatalf("path dual: %d faces, bridges %v", d.G.N(), bridges)
-	}
-}
-
 func TestTreeCotreePlanar(t *testing.T) {
 	e := gen.Grid(4, 5)
 	tr, err := graph.BFSTree(e.G, 0)

@@ -109,51 +109,6 @@ func WheelCSR(n int) *graph.CSR {
 	return csrFromEdges(n, u, v, unitWeights(2*rim))
 }
 
-// KTreeCSR emits a random k-tree directly in CSR form, drawing from rng
-// exactly as KTree does: the same seed yields the byte-identical graph
-// (same vertex and edge IDs). The attachment cliques live in one flat
-// stride-k slab instead of per-clique slices.
-//
-//congest:pure
-func KTreeCSR(n, k int, rng *rand.Rand) *graph.CSR {
-	if n < k+1 {
-		panic(fmt.Sprintf("gen.KTreeCSR: need n >= k+1, got n=%d k=%d", n, k))
-	}
-	m := k*(k-1)/2 + (n-k)*k
-	u := make([]int32, 0, m)
-	v := make([]int32, 0, m)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			u = append(u, int32(i))
-			v = append(v, int32(j))
-		}
-	}
-	// cl holds every attachment clique back to back; clique c is
-	// cl[c*k:(c+1)*k] in the same member order KTree keeps.
-	numCliques := 1 + (n-k)*k
-	cl := make([]int32, k, numCliques*k)
-	for i := 0; i < k; i++ {
-		cl[i] = int32(i)
-	}
-	for w := k; w < n; w++ {
-		ci := rng.Intn(len(cl) / k)
-		base := ci * k
-		for _, x := range cl[base : base+k] {
-			u = append(u, int32(w))
-			v = append(v, x)
-		}
-		for drop := 0; drop < k; drop++ {
-			cl = append(cl, int32(w))
-			for i := 0; i < k; i++ {
-				if i != drop {
-					cl = append(cl, cl[base+i])
-				}
-			}
-		}
-	}
-	return csrFromEdges(n, u, v, unitWeights(m))
-}
-
 // WheelChainCSR emits a chain of `bags` wheels (each with `rim` rim
 // vertices plus a hub) whose consecutive hubs are joined by bridge edges:
 // a K5-minor-free, hop-heavy family (diameter Θ(bags)) for the scale

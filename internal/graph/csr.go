@@ -33,25 +33,11 @@ func (c *CSR) N() int { return len(c.Off) - 1 }
 // M returns the number of edges.
 func (c *CSR) M() int { return len(c.U) }
 
-// Degree returns the number of incident edge-endpoints at v.
-func (c *CSR) Degree(v int32) int32 { return c.Off[v+1] - c.Off[v] }
-
 // Arcs returns vertex v's arc range as parallel neighbor/edge-ID slices.
 // The slices alias the CSR slabs and must not be modified.
 func (c *CSR) Arcs(v int32) (dst, aid []int32) {
 	lo, hi := c.Off[v], c.Off[v+1]
 	return c.Dst[lo:hi], c.AID[lo:hi]
-}
-
-// Other returns the endpoint of edge id that is not v.
-func (c *CSR) Other(id, v int32) int32 {
-	if c.U[id] == v {
-		return c.V[id]
-	}
-	if c.V[id] != v {
-		panic(fmt.Sprintf("graph.CSR.Other: vertex %d not an endpoint of edge %d {%d,%d}", v, id, c.U[id], c.V[id]))
-	}
-	return c.U[id]
 }
 
 // Bytes returns the total size of the CSR slabs in bytes — the memory
@@ -245,38 +231,4 @@ func (c *CSR) MST() (ids []int32, weight float64) {
 	}
 	slices.Sort(ids)
 	return ids, weight
-}
-
-// FromEdges builds a Graph from a complete edge list with one degree
-// prefix pass: the adjacency is carved from a single backing array sized
-// by the exact arc count, so construction performs a constant number of
-// allocations instead of paying append-doubling on 10⁷ arcs (the
-// NewWithEdgeCapacity constructor pre-sizes only the edge list). Port
-// order is ascending edge ID — identical to an AddEdge loop over the same
-// list.
-func FromEdges(n int, edges []Edge) *Graph {
-	deg := make([]int32, n)
-	for id, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			panic(fmt.Sprintf("graph.FromEdges: edge %d endpoints {%d,%d} out of range with n=%d", id, e.U, e.V, n))
-		}
-		if e.U == e.V {
-			panic(fmt.Sprintf("graph.FromEdges: edge %d is a self-loop at %d", id, e.U))
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
-	g := &Graph{adj: make([][]Arc, n), edges: make([]Edge, len(edges))}
-	copy(g.edges, edges)
-	store := make([]Arc, 2*len(edges))
-	pos := int32(0)
-	for v, d := range deg {
-		g.adj[v] = store[pos : pos : pos+d]
-		pos += d
-	}
-	for id, e := range edges {
-		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, ID: id})
-		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, ID: id})
-	}
-	return g
 }

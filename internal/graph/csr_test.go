@@ -94,25 +94,6 @@ func TestCSRMSTMatchesKruskal(t *testing.T) {
 	}
 }
 
-// TestFromEdges checks the degree-prefix constructor reproduces an AddEdge
-// loop exactly (edges, port order) with pre-sized adjacency.
-func TestFromEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	want := randomConnectedGraph(120, 80, rng)
-	got := graph.FromEdges(want.N(), want.Edges())
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < want.N(); v++ {
-		if !reflect.DeepEqual(want.Adj(v), got.Adj(v)) {
-			t.Fatalf("vertex %d: adjacency %v, want %v", v, got.Adj(v), want.Adj(v))
-		}
-	}
-	if !reflect.DeepEqual(graph.NewCSR(want), graph.NewCSR(got)) {
-		t.Fatal("FromEdges CSR snapshot differs from AddEdge-built graph")
-	}
-}
-
 // TestCSRDisconnected checks the disconnected sentinels.
 func TestCSRDisconnected(t *testing.T) {
 	g := graph.New(4)

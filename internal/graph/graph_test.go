@@ -296,8 +296,17 @@ func TestConnectedSubset(t *testing.T) {
 
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind(5)
-	if u.Count() != 5 {
-		t.Fatalf("count %d", u.Count())
+	roots := func() int {
+		n := 0
+		for v := 0; v < 5; v++ {
+			if u.Find(v) == v {
+				n++
+			}
+		}
+		return n
+	}
+	if got := roots(); got != 5 {
+		t.Fatalf("%d sets want 5", got)
 	}
 	if !u.Union(0, 1) || !u.Union(1, 2) {
 		t.Fatal("unions should succeed")
@@ -305,16 +314,16 @@ func TestUnionFindBasics(t *testing.T) {
 	if u.Union(0, 2) {
 		t.Fatal("redundant union should report false")
 	}
-	if !u.Same(0, 2) || u.Same(0, 3) {
-		t.Fatal("Same wrong")
+	if u.Find(0) != u.Find(2) || u.Find(0) == u.Find(3) {
+		t.Fatal("Find wrong")
 	}
-	if u.Count() != 3 {
-		t.Fatalf("count %d want 3", u.Count())
+	if got := roots(); got != 3 {
+		t.Fatalf("%d sets want 3", got)
 	}
 }
 
 func TestUnionFindQuick(t *testing.T) {
-	// Property: after any sequence of unions, Same agrees with naive
+	// Property: after any sequence of unions, Find agrees with naive
 	// component labeling.
 	f := func(pairs []struct{ A, B uint8 }) bool {
 		const n = 40
@@ -339,7 +348,7 @@ func TestUnionFindQuick(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if u.Same(i, j) != (naive[i] == naive[j]) {
+				if (u.Find(i) == u.Find(j)) != (naive[i] == naive[j]) {
 					return false
 				}
 			}

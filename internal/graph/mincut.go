@@ -9,7 +9,7 @@ import (
 // connected weighted graph using the Stoer–Wagner algorithm, along with one
 // side of an optimal cut (original vertex indices). It runs in O(n^3) time
 // and serves as the correctness reference for the distributed (1+ε)
-// approximation. Edge weights must be non-negative.
+// approximation. Edge weights must be non-negative (NaN is an error).
 func GlobalMinCut(g *Graph) (weight float64, side []int, err error) {
 	n := g.N()
 	if n < 2 {
@@ -24,8 +24,8 @@ func GlobalMinCut(g *Graph) (weight float64, side []int, err error) {
 		w[i] = make([]float64, n)
 	}
 	for _, e := range g.Edges() {
-		if e.W < 0 {
-			return 0, nil, fmt.Errorf("graph.GlobalMinCut: negative weight %v on edge {%d,%d}", e.W, e.U, e.V)
+		if e.W < 0 || math.IsNaN(e.W) {
+			return 0, nil, fmt.Errorf("graph.GlobalMinCut: weight %v on edge {%d,%d}", e.W, e.U, e.V)
 		}
 		w[e.U][e.V] += e.W
 		w[e.V][e.U] += e.W

@@ -1,40 +1,9 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 )
-
-// ContractEdge returns a new graph with edge id contracted: its endpoints are
-// identified, self-loops dropped, and parallel edges kept. The returned slice
-// maps new vertex indices to representative old indices, and vertexMap maps
-// every old vertex to its new index.
-func ContractEdge(g *Graph, id int) (c *Graph, vertexMap []int) {
-	e := g.Edge(id)
-	keep, drop := e.U, e.V
-	if keep > drop {
-		keep, drop = drop, keep
-	}
-	vertexMap = make([]int, g.N())
-	next := 0
-	for v := 0; v < g.N(); v++ {
-		if v == drop {
-			continue
-		}
-		vertexMap[v] = next
-		next++
-	}
-	vertexMap[drop] = vertexMap[keep]
-	c = New(g.N() - 1)
-	for _, e := range g.Edges() {
-		nu, nv := vertexMap[e.U], vertexMap[e.V]
-		if nu != nv {
-			c.AddEdge(nu, nv, e.W)
-		}
-	}
-	return c, vertexMap
-}
 
 // IsForest reports whether g is acyclic, i.e. K3-minor-free.
 func IsForest(g *Graph) bool {
@@ -241,19 +210,4 @@ func PlanarDensityOK(g *Graph) bool {
 		return m <= n-1 || m <= 1
 	}
 	return m <= 3*n-6
-}
-
-// MinorFreeDensityOK reports whether the simple version of g satisfies the
-// generic excluded-minor edge bound m <= c·h·sqrt(log h)·n used as a sanity
-// certificate (Kostochka/Thomason: K_h-minor-free graphs have average degree
-// O(h√log h)). The constant is taken loosely (c = 4) since this is only a
-// smoke check used by tests.
-func MinorFreeDensityOK(g *Graph, h int) bool {
-	s, _ := g.Simplify()
-	if h < 3 {
-		return s.M() == 0
-	}
-	// Loose bound: avg degree <= 2·h·sqrt(log2 h).
-	limit := 2 * float64(h) * math.Sqrt(math.Log2(float64(h)))
-	return 2*float64(s.M()) <= limit*float64(s.N())
 }

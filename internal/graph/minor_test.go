@@ -15,33 +15,6 @@ func completeGraph(n int) *Graph {
 	return g
 }
 
-func TestContractEdge(t *testing.T) {
-	g := mustCycle(t, 4) // 0-1-2-3-0
-	c, vm := ContractEdge(g, 0)
-	if c.N() != 3 {
-		t.Fatalf("n = %d", c.N())
-	}
-	if vm[0] != vm[1] {
-		t.Fatal("endpoints not identified")
-	}
-	// Cycle C4 contracts to a triangle: 3 edges, no self-loops.
-	if c.M() != 3 {
-		t.Fatalf("m = %d want 3", c.M())
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestContractEdgeKeepsParallel(t *testing.T) {
-	// Triangle: contracting one edge makes a parallel pair.
-	g := completeGraph(3)
-	c, _ := ContractEdge(g, 0)
-	if c.N() != 2 || c.M() != 2 {
-		t.Fatalf("n=%d m=%d want 2,2", c.N(), c.M())
-	}
-}
-
 func TestIsForest(t *testing.T) {
 	if !IsForest(mustPath(t, 6)) {
 		t.Fatal("path is a forest")
@@ -151,14 +124,5 @@ func TestPlanarDensity(t *testing.T) {
 	}
 	if !PlanarDensityOK(New(2)) {
 		t.Fatal("tiny graph should pass")
-	}
-}
-
-func TestMinorFreeDensity(t *testing.T) {
-	if !MinorFreeDensityOK(mustGrid(t, 6, 6), 5) {
-		t.Fatal("grid should pass K5-free density")
-	}
-	if MinorFreeDensityOK(completeGraph(40), 5) {
-		t.Fatal("K40 should fail K5-free density")
 	}
 }

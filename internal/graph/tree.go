@@ -253,9 +253,3 @@ func (l *LCA) Query(u, v int) int {
 	}
 	return t.Parent[u]
 }
-
-// Dist returns the hop distance between u and v along the tree.
-func (l *LCA) Dist(u, v int) int {
-	a := l.Query(u, v)
-	return l.t.Depth[u] + l.t.Depth[v] - 2*l.t.Depth[a]
-}

@@ -5,7 +5,6 @@ package graph
 type UnionFind struct {
 	parent []int
 	rank   []int8
-	count  int // number of disjoint sets
 }
 
 // NewUnionFind returns a union-find structure over n singleton sets.
@@ -13,7 +12,6 @@ func NewUnionFind(n int) *UnionFind {
 	u := &UnionFind{
 		parent: make([]int, n),
 		rank:   make([]int8, n),
-		count:  n,
 	}
 	for i := range u.parent {
 		u.parent[i] = i
@@ -35,7 +33,6 @@ func (u *UnionFind) Reset(n int) {
 		u.parent[i] = i
 		u.rank[i] = 0
 	}
-	u.count = n
 }
 
 // Find returns the canonical representative of x's set.
@@ -61,12 +58,5 @@ func (u *UnionFind) Union(x, y int) bool {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.count--
 	return true
 }
-
-// Same reports whether x and y belong to the same set.
-func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
-
-// Count returns the current number of disjoint sets.
-func (u *UnionFind) Count() int { return u.count }

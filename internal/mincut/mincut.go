@@ -69,7 +69,8 @@ var ErrInvalidOptions = errors.New("mincut: invalid options")
 // maxDerivedTrees caps the tree count derived from Eps.
 const maxDerivedTrees = 48
 
-// Approx finds a light global cut by greedy tree packing.
+// Approx finds a light global cut by greedy tree packing. Edge weights
+// must be non-negative; a negative or NaN weight is an error.
 func Approx(g *graph.Graph, opts Options) (*Result, error) {
 	if math.IsNaN(opts.Eps) || math.IsInf(opts.Eps, 0) || opts.Eps < 0 {
 		return nil, fmt.Errorf("%w: eps %v (want finite eps >= 0)", ErrInvalidOptions, opts.Eps)
@@ -83,6 +84,11 @@ func Approx(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	if !graph.IsConnected(g) {
 		return nil, fmt.Errorf("mincut: %w", graph.ErrDisconnected)
+	}
+	for id := 0; id < g.M(); id++ {
+		if w := g.Edge(id).W; w < 0 || math.IsNaN(w) {
+			return nil, fmt.Errorf("mincut: edge %d has weight %v", id, w)
+		}
 	}
 	if opts.Eps == 0 {
 		opts.Eps = 0.1

@@ -6,6 +6,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -155,11 +156,17 @@ type BoruvkaPhase struct {
 // empty shortcut, and the MST algorithms (package mst) over their
 // shortcuts. A phase in which no fragment has an outgoing edge ends the
 // run early (exactly as BoruvkaFragments stopped), so the trace can be
-// shorter than `phases`. A negative phase count is an error; zero phases
+// shorter than `phases`. A negative phase count is an error, and so is a
+// NaN edge weight, which no lightest-edge order can rank; zero phases
 // leave every vertex its own fragment. RemoveEdge tombstones are skipped.
 func BoruvkaTrace(g *graph.Graph, phases int) ([]BoruvkaPhase, *Parts, error) {
 	if phases < 0 {
 		return nil, nil, fmt.Errorf("partition: negative Borůvka phase count %d", phases)
+	}
+	for id := 0; id < g.M(); id++ {
+		if w := g.Edge(id).W; math.IsNaN(w) {
+			return nil, nil, fmt.Errorf("partition: edge %d has weight %v", id, w)
+		}
 	}
 	uf := graph.NewUnionFind(g.N())
 	best := g.AcquireScratch() // fragment root -> lightest outgoing edge ID
@@ -313,78 +320,4 @@ func RimArcs(g *graph.Graph, numArcs int) (*Parts, error) {
 		sets[a] = append(sets[a], i)
 	}
 	return New(g, sets)
-}
-
-// SingletonParts makes each listed vertex its own part.
-func SingletonParts(g *graph.Graph, vs []int) (*Parts, error) {
-	sets := make([][]int, len(vs))
-	for i, v := range vs {
-		sets[i] = []int{v}
-	}
-	return New(g, sets)
-}
-
-// Restrict returns the sub-family of parts intersecting keep, with parts
-// clipped to keep ∩ part and split into connected components. Used when
-// projecting parts into a cell or bag.
-func Restrict(g *graph.Graph, p *Parts, keep []int) (clipped [][]int, origin []int) {
-	in := g.AcquireScratch()
-	defer g.ReleaseScratch(in)
-	for _, v := range keep {
-		in.Visit(v)
-	}
-	var inter []int
-	for i, s := range p.Sets {
-		inter = inter[:0]
-		for _, v := range s {
-			if in.Has(v) {
-				inter = append(inter, v)
-			}
-		}
-		if len(inter) == 0 {
-			continue
-		}
-		for _, comp := range connectedPieces(g, inter) {
-			clipped = append(clipped, comp)
-			origin = append(origin, i)
-		}
-	}
-	return clipped, origin
-}
-
-// connectedPieces splits a vertex set into connected components of the
-// induced subgraph. Membership and visit state live in one scratch slot per
-// vertex: 0 = in set, unseen; 1 = seen.
-func connectedPieces(g *graph.Graph, s []int) [][]int {
-	in := g.AcquireScratch()
-	defer g.ReleaseScratch(in)
-	for _, v := range s {
-		in.Set(v, 0)
-	}
-	var out [][]int
-	var stack []int
-	store := make([]int, 0, len(s)) // all components share one backing array
-	for _, v := range s {
-		if st, _ := in.Get(v); st == 1 {
-			continue
-		}
-		base := len(store)
-		stack = append(stack[:0], v)
-		in.Set(v, 1)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			store = append(store, x)
-			for _, a := range g.Adj(x) {
-				if st, ok := in.Get(a.To); ok && st == 0 {
-					in.Set(a.To, 1)
-					stack = append(stack, a.To)
-				}
-			}
-		}
-		comp := store[base:len(store):len(store)]
-		sort.Ints(comp)
-		out = append(out, comp)
-	}
-	return out
 }

@@ -131,32 +131,16 @@ func TestGridRowsAndRimArcs(t *testing.T) {
 	}
 }
 
+// TestSingletonParts: single vertices are valid parts — the family the
+// Borůvka decomposition's phase 0 starts from.
 func TestSingletonParts(t *testing.T) {
 	g := gen.Path(5)
-	p, err := partition.SingletonParts(g, []int{1, 3})
+	p, err := partition.New(g, [][]int{{1}, {3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumParts() != 2 || len(p.Sets[0]) != 1 {
+	if p.NumParts() != 2 || len(p.Sets[0]) != 1 || p.Of[3] != 1 || p.Of[0] != -1 {
 		t.Fatal("singletons wrong")
-	}
-}
-
-func TestRestrictSplitsComponents(t *testing.T) {
-	g := gen.Path(7)
-	p, err := partition.New(g, [][]int{{0, 1, 2, 3, 4, 5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep {0,1, 3, 5,6}: part splits into 3 components.
-	clipped, origin := partition.Restrict(g, p, []int{0, 1, 3, 5, 6})
-	if len(clipped) != 3 {
-		t.Fatalf("components %d want 3: %v", len(clipped), clipped)
-	}
-	for _, o := range origin {
-		if o != 0 {
-			t.Fatalf("origin %v", origin)
-		}
 	}
 }
 

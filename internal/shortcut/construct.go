@@ -42,7 +42,7 @@ func TreeBlockCounts(t *graph.Tree, p *partition.Parts) []int {
 // break toward the lower part ID (the deterministic static order the
 // construction used before priorities existed).
 //
-// The distributed realization (congest.BootstrapPriorities) computes the
+// The distributed realization (congest.BootstrapPrioritiesUnder) computes the
 // same ranking in-network: the block counts pipeline up the tree as tagged
 // tokens, the root ranks them with RankBlockCounts, and the ranking
 // streams back down — its fixed point is validated against this function.

@@ -2,6 +2,7 @@ package shortcut
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -121,7 +122,8 @@ type RepairReport struct {
 // Maintain wraps an initial flooding construction for incremental repair.
 // The priority ranking is computed once (TreeBlockPriorities) and frozen;
 // cap values below 1 clamp to 1 as everywhere else. A rebuildFactor at or
-// below 1 selects the default threshold of 2 (quality doubled).
+// below 1 selects the default threshold of 2 (quality doubled); a NaN one
+// is an error, since no quality would ever exceed it.
 func Maintain(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, rebuildFactor float64) (*Maintained, error) {
 	return MaintainPrio(g, t, p, cap, TreeBlockPriorities(t, p), rebuildFactor)
 }
@@ -144,6 +146,9 @@ func MaintainPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, pr
 	}
 	if cap < 1 {
 		cap = 1
+	}
+	if math.IsNaN(rebuildFactor) {
+		return nil, fmt.Errorf("shortcut: rebuild factor %v", rebuildFactor)
 	}
 	if rebuildFactor <= 1 {
 		rebuildFactor = 2

@@ -249,24 +249,13 @@ func RoundWeights(g *graph.Graph, eps float64) ([]float64, error) {
 	return out, nil
 }
 
-// NaiveRounds returns the number of synchronous rounds the naive
+// NaiveRoundsFrom returns the number of synchronous rounds the naive
 // distributed SSSP baseline — plain Bellman–Ford, every node announcing
-// improvements to all neighbors — needs from src: the largest settle
-// round over all vertices (graph.Dijkstra's Hops) plus one final quiet
-// round. On hop-heavy families (rim paths under expensive spokes) this
-// grows linearly with n even when the diameter is constant.
-func NaiveRounds(g *graph.Graph, src int) (int, error) {
-	r, err := graph.Dijkstra(g, src)
-	if err != nil {
-		return 0, err
-	}
-	return NaiveRoundsFrom(r), nil
-}
-
-// NaiveRoundsFrom derives the naive baseline's round count from an
-// already-computed oracle result, for callers that also need the exact
-// distances (e.g. the E9 stretch column) and should not pay a second
-// Dijkstra.
+// improvements to all neighbors — needs from the source of r, an
+// already-computed graph.Dijkstra result: the largest settle round over
+// all vertices (r.Hops) plus one final quiet round. On hop-heavy families
+// (rim paths under expensive spokes) this grows linearly with n even when
+// the diameter is constant.
 func NaiveRoundsFrom(r *graph.SPResult) int {
 	maxHops := 0
 	for _, h := range r.Hops {

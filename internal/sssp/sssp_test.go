@@ -233,12 +233,12 @@ func TestRoundWeightsBounds(t *testing.T) {
 
 func TestNaiveRoundsOnPath(t *testing.T) {
 	g := gen.Path(10)
-	rounds, err := NaiveRounds(g, 0)
+	r, err := graph.Dijkstra(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 10 { // 9 hops to the far end + the final quiet broadcast
-		t.Fatalf("NaiveRounds = %d, want 10", rounds)
+	if rounds := NaiveRoundsFrom(r); rounds != 10 { // 9 hops to the far end + the final quiet broadcast
+		t.Fatalf("NaiveRoundsFrom = %d, want 10", rounds)
 	}
 }
 

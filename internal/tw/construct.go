@@ -109,16 +109,6 @@ func AddAttachedVertices(d *Decomposition, gFull *graph.Graph, baseN int, attach
 	return nd, nil
 }
 
-// TrivialDecomposition puts every vertex in one bag (width n-1): the
-// fallback used when no structural witness is available.
-func TrivialDecomposition(g *graph.Graph) *Decomposition {
-	bag := make([]int, g.N())
-	for i := range bag {
-		bag[i] = i
-	}
-	return &Decomposition{G: g, Bags: [][]int{bag}, Adj: make([][]int, 1)}
-}
-
 // FromBags builds a decomposition from explicit bags and a parent array over
 // bags (parent[root] = -1), validating the result.
 func FromBags(g *graph.Graph, bags [][]int, parent []int) (*Decomposition, error) {

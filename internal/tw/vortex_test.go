@@ -99,11 +99,12 @@ func TestAddAttachedVerticesIsolated(t *testing.T) {
 	}
 }
 
-// TestTrivialDecomposition covers the fallback.
+// TestTrivialDecomposition: one bag holding every vertex is a valid
+// decomposition of width n-1.
 func TestTrivialDecomposition(t *testing.T) {
 	g := gen.Cycle(5)
-	d := tw.TrivialDecomposition(g)
-	if err := d.Validate(); err != nil {
+	d, err := tw.FromBags(g, [][]int{{0, 1, 2, 3, 4}}, []int{-1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Width() != 4 {

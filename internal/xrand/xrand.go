@@ -21,16 +21,3 @@ func (s pcgSource) Seed(seed int64) { s.pcg.Seed(uint64(seed), 0xda3e39cb94b95bd
 func New(seed int64) *rand.Rand {
 	return rand.New(pcgSource{pcg: randv2.NewPCG(uint64(seed), 0xda3e39cb94b95bdb)})
 }
-
-// Perm returns a deterministic permutation of n elements for the given rng.
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }
-
-// Shuffle shuffles xs in place deterministically.
-func Shuffle[T any](rng *rand.Rand, xs []T) {
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// Pick returns a uniformly random element of xs.
-func Pick[T any](rng *rand.Rand, xs []T) T {
-	return xs[rng.Intn(len(xs))]
-}

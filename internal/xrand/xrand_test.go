@@ -25,23 +25,3 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical streams")
 	}
 }
-
-func TestPermAndShuffle(t *testing.T) {
-	rng := xrand.New(1)
-	p := xrand.Perm(rng, 10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-	xs := []string{"a", "b", "c", "d"}
-	xrand.Shuffle(rng, xs)
-	if len(xs) != 4 {
-		t.Fatal("shuffle changed length")
-	}
-	if got := xrand.Pick(rng, xs); got == "" {
-		t.Fatal("pick returned zero value")
-	}
-}

@@ -333,7 +333,7 @@ const (
 // it for incremental repair under churn: feed edge events to Repair on the
 // returned value; it re-floods admissions only along the dirty tree path
 // and recommends a full rebuild when quality degrades past rebuildFactor
-// (values <= 1 select the default threshold of 2).
+// (values <= 1 select the default threshold of 2; NaN is an error).
 func (nw *Network) MaintainShortcut(p *Parts, cap int, rebuildFactor float64) (*MaintainedShortcut, error) {
 	if cap < 1 {
 		sr, err := congest.SearchCap(nw.G, nw.Tree, p, congest.SearchOptions{})

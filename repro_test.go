@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"math"
 	"testing"
 
 	"repro"
@@ -341,5 +342,73 @@ func TestBoruvkaEntryPointsRejectNegativePhases(t *testing.T) {
 				t.Fatalf("phases = 0 returned %d parts, want %d singletons", p.NumParts(), nw.G.N())
 			}
 		})
+	}
+}
+
+// TestMalformedWeightsRejected: on a 4-cycle with one NaN edge every
+// Borůvka-based entry point fails instead of returning Weight NaN, and a
+// NaN or negative edge fails both min-cut approximations and the exact
+// reference instead of returning a cut of value 0.
+func TestMalformedWeightsRejected(t *testing.T) {
+	cycle := func(w float64) *repro.Network {
+		g := graph.New(4)
+		for v := 0; v < 4; v++ {
+			g.AddEdge(v, (v+1)%4, float64(v+1))
+		}
+		g.SetWeight(0, w)
+		nw, err := repro.NewNetwork(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		w    float64
+		run  func(*repro.Network) error
+	}{
+		{"MST NaN", nan, func(nw *repro.Network) error { _, err := nw.MST(); return err }},
+		{"MSTBaseline NaN", nan, func(nw *repro.Network) error { _, err := nw.MSTBaseline(); return err }},
+		{"MSTPipelined NaN", nan, func(nw *repro.Network) error { _, err := nw.MSTPipelined(); return err }},
+		{"MSTConstructed analytic NaN", nan, func(nw *repro.Network) error { _, err := nw.MSTConstructed(false); return err }},
+		{"MSTConstructed simulate NaN", nan, func(nw *repro.Network) error { _, err := nw.MSTConstructed(true); return err }},
+		{"FragmentParts NaN", nan, func(nw *repro.Network) error { _, err := nw.FragmentParts(2); return err }},
+		{"ApproxMinCut NaN", nan, func(nw *repro.Network) error { _, err := nw.ApproxMinCut(0.5); return err }},
+		{"ApproxMinCut negative", -1, func(nw *repro.Network) error { _, err := nw.ApproxMinCut(0.5); return err }},
+		{"MinCutConstructed NaN", nan, func(nw *repro.Network) error { _, err := nw.MinCutConstructed(0.5, false); return err }},
+		{"MinCutConstructed negative", -1, func(nw *repro.Network) error { _, err := nw.MinCutConstructed(0.5, false); return err }},
+		{"ExactMinCut NaN", nan, func(nw *repro.Network) error { _, _, err := nw.ExactMinCut(); return err }},
+		{"ExactMinCut negative", -1, func(nw *repro.Network) error { _, _, err := nw.ExactMinCut(); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(cycle(tc.w)); err == nil {
+				t.Fatal("accepted the malformed weight")
+			}
+		})
+	}
+}
+
+// TestMaintainShortcutRejectsNaNRebuildFactor: a NaN threshold used to be
+// stored as is, and no quality ever exceeds it, so rebuild advice was off
+// for good. Values at or below 1 still select the default of 2.
+func TestMaintainShortcutRejectsNaNRebuildFactor(t *testing.T) {
+	nw, err := repro.GridNetwork(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := nw.VoronoiParts(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := nw.MaintainShortcut(p, 2, math.NaN()); err == nil {
+		t.Fatalf("NaN rebuild factor accepted, stored as %v", m.RebuildFactor)
+	}
+	m, err := nw.MaintainShortcut(p, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RebuildFactor != 2 {
+		t.Fatalf("rebuild factor 1 stored as %v, want the default 2", m.RebuildFactor)
 	}
 }
