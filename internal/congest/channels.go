@@ -35,7 +35,7 @@ func buildEdgeChannels(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut)
 			peOff[id+1]++
 		}
 	}
-	for pi, ids := range s.Edges {
+	for pi, ids := range s.Edges() {
 		for _, id := range ids {
 			if induced(id) != pi {
 				peOff[id+1]++
@@ -53,7 +53,7 @@ func buildEdgeChannels(g *graph.Graph, p *partition.Parts, s *shortcut.Shortcut)
 			peLen[id] = 1
 		}
 	}
-	for pi, ids := range s.Edges {
+	for pi, ids := range s.Edges() {
 		for _, id := range ids {
 			if induced(id) != pi {
 				peStore[peOff[id]+peLen[id]] = int32(pi)

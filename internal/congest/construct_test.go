@@ -73,13 +73,13 @@ func TestConstructShortcutMatchesFixedPoint(t *testing.T) {
 				t.Fatalf("%s cap %d: %v", tc.name, cap, err)
 			}
 			want := shortcut.Construct(tc.g, tc.tr, tc.p, cap)
-			for i := range want.Edges {
-				if len(res.S.Edges[i]) != len(want.Edges[i]) {
-					t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges[i], want.Edges[i])
+			for i := range want.Edges() {
+				if len(res.S.Edges()[i]) != len(want.Edges()[i]) {
+					t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges()[i], want.Edges()[i])
 				}
-				for j := range want.Edges[i] {
-					if res.S.Edges[i][j] != want.Edges[i][j] {
-						t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges[i], want.Edges[i])
+				for j := range want.Edges()[i] {
+					if res.S.Edges()[i][j] != want.Edges()[i][j] {
+						t.Fatalf("%s cap %d part %d: %v != fixed point %v", tc.name, cap, i, res.S.Edges()[i], want.Edges()[i])
 					}
 				}
 			}
@@ -211,13 +211,13 @@ func TestConstructShortcutDeterministic(t *testing.T) {
 	if a.Stats != b.Stats {
 		t.Fatalf("stats differ across GOMAXPROCS: %+v vs %+v", a.Stats, b.Stats)
 	}
-	for i := range a.S.Edges {
-		if len(a.S.Edges[i]) != len(b.S.Edges[i]) {
-			t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges[i], b.S.Edges[i])
+	for i := range a.S.Edges() {
+		if len(a.S.Edges()[i]) != len(b.S.Edges()[i]) {
+			t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges()[i], b.S.Edges()[i])
 		}
-		for j := range a.S.Edges[i] {
-			if a.S.Edges[i][j] != b.S.Edges[i][j] {
-				t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges[i], b.S.Edges[i])
+		for j := range a.S.Edges()[i] {
+			if a.S.Edges()[i][j] != b.S.Edges()[i][j] {
+				t.Fatalf("part %d edges differ: %v vs %v", i, a.S.Edges()[i], b.S.Edges()[i])
 			}
 		}
 	}

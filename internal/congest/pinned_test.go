@@ -121,7 +121,7 @@ func pinRun(in pinInstance, plan *congest.FaultPlan) []pinRow {
 			add(fmt.Sprintf("construct/cap=%d", c), congest.Stats{}, err)
 			continue
 		}
-		add(fmt.Sprintf("construct/cap=%d", c), res.Stats, nil, res.S.Edges, res.EffectiveRounds, res.Budget, advState(adv))
+		add(fmt.Sprintf("construct/cap=%d", c), res.Stats, nil, res.S.Edges(), res.EffectiveRounds, res.Budget, advState(adv))
 	}
 
 	keys := make([]uint64, n)
@@ -175,7 +175,7 @@ func pinRun(in pinInstance, plan *congest.FaultPlan) []pinRow {
 	if sres, err := congest.SearchCap(g, tr, p, congest.SearchOptions{Simulate: true, Adversary: adv}); err != nil {
 		add("searchcap", congest.Stats{}, err)
 	} else {
-		add("searchcap", sres.Stats, nil, sres.Cap, sres.Estimate, sres.Guesses, sres.Priorities, sres.S.Edges,
+		add("searchcap", sres.Stats, nil, sres.Cap, sres.Estimate, sres.Guesses, sres.Priorities, sres.S.Edges(),
 			sres.BootstrapRounds, sres.EffectiveRounds, sres.ChargedEquivalent, advState(adv))
 	}
 	return rows

@@ -298,7 +298,7 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 		// construction converges.
 		counts := make([]uint64, g.N())
 		use := g.AcquireScratch()
-		for _, ids := range s.Edges {
+		for _, ids := range s.Edges() {
 			for _, id := range ids {
 				use.Add(id, 1)
 			}

@@ -30,12 +30,12 @@ func TestSearchCapModesAgree(t *testing.T) {
 			t.Fatalf("%s: modes disagree: simulate (cap %d est %d guesses %d) vs analytic (cap %d est %d guesses %d)",
 				tc.name, sim.Cap, sim.Estimate, sim.Guesses, ana.Cap, ana.Estimate, ana.Guesses)
 		}
-		for i := range sim.S.Edges {
-			if len(sim.S.Edges[i]) != len(ana.S.Edges[i]) {
+		for i := range sim.S.Edges() {
+			if len(sim.S.Edges()[i]) != len(ana.S.Edges()[i]) {
 				t.Fatalf("%s part %d: edge sets differ between modes", tc.name, i)
 			}
-			for j := range sim.S.Edges[i] {
-				if sim.S.Edges[i][j] != ana.S.Edges[i][j] {
+			for j := range sim.S.Edges()[i] {
+				if sim.S.Edges()[i][j] != ana.S.Edges()[i][j] {
 					t.Fatalf("%s part %d: edge sets differ between modes", tc.name, i)
 				}
 			}

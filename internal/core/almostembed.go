@@ -74,9 +74,10 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 			}
 		}
 	}
+	edges := s.Edges()
 	for i := range assigned {
 		for _, ci := range assigned[i] {
-			s.Edges[i] = append(s.Edges[i], cellTreeEdges[ci]...)
+			edges[i] = append(edges[i], cellTreeEdges[ci]...)
 		}
 	}
 
@@ -95,7 +96,7 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 	info["maxLocalWidth"] = maxLocalWidth
 
 	// Re-normalize (dedupe/sort) through the constructor.
-	ns, err := shortcut.NewNormalized(g, t, p, s.Edges)
+	ns, err := shortcut.NewNormalized(g, t, p, edges)
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling almost-embeddable shortcut: %w", err)
 	}
@@ -220,10 +221,11 @@ func localCellShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, a *str
 	if err != nil {
 		return 0, err
 	}
-	for si, ids := range res.S.Edges {
+	edges := s.Edges()
+	for si, ids := range res.S.Edges() {
 		i := origin[si]
 		for _, leid := range ids {
-			s.Edges[i] = append(s.Edges[i], globalOfLocalEdge[leid])
+			edges[i] = append(edges[i], globalOfLocalEdge[leid])
 		}
 	}
 	return res.FoldedWidth, nil

@@ -457,7 +457,7 @@ func localBagShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, w *Cliq
 	}
 	counts := make([]int32, len(partIdx))
 	total := 0
-	for si, ids := range res.S.Edges {
+	for si, ids := range res.S.Edges() {
 		for _, leid := range ids {
 			if _, ok := keep(leid); ok {
 				counts[origin[si]]++
@@ -471,7 +471,7 @@ func localBagShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, w *Cliq
 		grantStore = grantStore[:base+int(counts[k])]
 		perPart[k] = grantStore[base : base : base+int(counts[k])]
 	}
-	for si, ids := range res.S.Edges {
+	for si, ids := range res.S.Edges() {
 		for _, leid := range ids {
 			if gid, ok := keep(leid); ok {
 				perPart[origin[si]] = append(perPart[origin[si]], gid)

@@ -162,15 +162,15 @@ func TestE18FaultedPipelineFixedPoint(t *testing.T) {
 			if fsearch.Cap != search.Cap {
 				t.Fatalf("faulted cap %d, fault-free %d", fsearch.Cap, search.Cap)
 			}
-			for i := range search.S.Edges {
-				if len(fsearch.S.Edges[i]) != len(search.S.Edges[i]) {
+			for i := range search.S.Edges() {
+				if len(fsearch.S.Edges()[i]) != len(search.S.Edges()[i]) {
 					t.Fatalf("part %d: faulted shortcut %v, fault-free %v",
-						i, fsearch.S.Edges[i], search.S.Edges[i])
+						i, fsearch.S.Edges()[i], search.S.Edges()[i])
 				}
-				for j := range search.S.Edges[i] {
-					if fsearch.S.Edges[i][j] != search.S.Edges[i][j] {
+				for j := range search.S.Edges()[i] {
+					if fsearch.S.Edges()[i][j] != search.S.Edges()[i][j] {
 						t.Fatalf("part %d: faulted shortcut %v, fault-free %v",
-							i, fsearch.S.Edges[i], search.S.Edges[i])
+							i, fsearch.S.Edges()[i], search.S.Edges()[i])
 					}
 				}
 			}

@@ -42,33 +42,12 @@ func Star(n int) *graph.Graph {
 	return g
 }
 
-// Complete returns K_n.
-func Complete(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j, 1)
-		}
-	}
-	return g
-}
-
 // RandomTree returns a uniformly random recursive tree: vertex v attaches to
 // a uniform earlier vertex.
 func RandomTree(n int, rng *rand.Rand) *graph.Graph {
 	g := graph.New(n)
 	for v := 1; v < n; v++ {
 		g.AddEdge(v, rng.Intn(v), 1)
-	}
-	return g
-}
-
-// BalancedBinaryTree returns a complete-ish binary tree on n vertices
-// (vertex v has parent (v-1)/2), giving diameter Θ(log n).
-func BalancedBinaryTree(n int) *graph.Graph {
-	g := graph.New(n)
-	for v := 1; v < n; v++ {
-		g.AddEdge(v, (v-1)/2, 1)
 	}
 	return g
 }

@@ -18,8 +18,6 @@ func TestBasicShapes(t *testing.T) {
 		{"path", gen.Path(7), 7, 6, 6},
 		{"cycle", gen.Cycle(8), 8, 8, 4},
 		{"star", gen.Star(9), 9, 8, 2},
-		{"complete", gen.Complete(5), 5, 10, 1},
-		{"binary", gen.BalancedBinaryTree(15), 15, 14, 6},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,6 +24,9 @@ func GlobalMinCut(g *Graph) (weight float64, side []int, err error) {
 		w[i] = make([]float64, n)
 	}
 	for _, e := range g.Edges() {
+		if e.U < 0 {
+			continue // RemoveEdge tombstone
+		}
 		if e.W < 0 || math.IsNaN(e.W) {
 			return 0, nil, fmt.Errorf("graph.GlobalMinCut: weight %v on edge {%d,%d}", e.W, e.U, e.V)
 		}
@@ -108,7 +111,9 @@ func CutWeight(g *Graph, side []int) float64 {
 func EdgeConnectivity(g *Graph) (int, error) {
 	unit := New(g.N())
 	for _, e := range g.Edges() {
-		unit.AddEdge(e.U, e.V, 1)
+		if e.U >= 0 { // not a RemoveEdge tombstone
+			unit.AddEdge(e.U, e.V, 1)
+		}
 	}
 	w, _, err := GlobalMinCut(unit)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 func IsForest(g *Graph) bool {
 	uf := NewUnionFind(g.N())
 	for _, e := range g.Edges() {
-		if !uf.Union(e.U, e.V) {
+		if e.U >= 0 && !uf.Union(e.U, e.V) { // tombstones have U = -1
 			return false
 		}
 	}
@@ -112,7 +112,7 @@ func tryCliqueMinor(g *Graph, h int, rng *rand.Rand) [][]int {
 			break
 		}
 		e := g.Edge(id)
-		if uf.Union(e.U, e.V) {
+		if e.U >= 0 && uf.Union(e.U, e.V) { // tombstones have U = -1
 			groups--
 		}
 	}
@@ -133,6 +133,9 @@ func tryCliqueMinor(g *Graph, h int, rng *rand.Rand) [][]int {
 	}
 	pairs := 0
 	for _, e := range g.Edges() {
+		if e.U < 0 {
+			continue // RemoveEdge tombstone
+		}
 		a, b := repIdx[uf.Find(e.U)], repIdx[uf.Find(e.V)]
 		if a != b && !seen[a][b] {
 			seen[a][b], seen[b][a] = true, true

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -124,5 +125,67 @@ func TestPlanarDensity(t *testing.T) {
 	}
 	if !PlanarDensityOK(New(2)) {
 		t.Fatal("tiny graph should pass")
+	}
+}
+
+// TestOraclesSkipTombstones: each exact oracle answers on a graph whose
+// first edge was deleted with RemoveEdge exactly as on the same graph
+// rebuilt without that edge, rather than indexing with the tombstone's
+// {-1, -1} endpoints.
+func TestOraclesSkipTombstones(t *testing.T) {
+	// A 4-cycle 0-1-2-3 with the chord 0-2 (edge 0 is 0-1), so the deletion
+	// leaves a triangle with a pendant vertex, and the weighted K5.
+	cycleChord := func() *Graph {
+		g := New(4)
+		for i, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}} {
+			g.AddEdge(e[0], e[1], float64(i+1))
+		}
+		return g
+	}
+	k5 := func() *Graph {
+		g := completeGraph(5)
+		for id := 0; id < g.M(); id++ {
+			g.SetWeight(id, float64(id%4+1))
+		}
+		return g
+	}
+	oracles := []struct {
+		name string
+		run  func(g *Graph) string
+	}{
+		{"GlobalMinCut", func(g *Graph) string {
+			w, side, err := GlobalMinCut(g)
+			return fmt.Sprint(w, side, err)
+		}},
+		{"EdgeConnectivity", func(g *Graph) string {
+			k, err := EdgeConnectivity(g)
+			return fmt.Sprint(k, err)
+		}},
+		{"IsForest", func(g *Graph) string { return fmt.Sprint(IsForest(g)) }},
+		{"HasCliqueMinorWitness", func(g *Graph) string {
+			out := ""
+			for h := 3; h <= 5; h++ {
+				found, sets := HasCliqueMinorWitness(g, h, 64, rand.New(rand.NewSource(int64(h))))
+				out += fmt.Sprint(h, found, found && VerifyCliqueMinor(g, sets), " ")
+			}
+			return out
+		}},
+	}
+	for _, gc := range []struct {
+		name  string
+		build func() *Graph
+	}{{"cycle-chord", cycleChord}, {"k5", k5}} {
+		removed := gc.build()
+		removed.RemoveEdge(0)
+		rebuilt := New(removed.N())
+		for id := 1; id < removed.M(); id++ {
+			e := removed.Edge(id)
+			rebuilt.AddEdge(e.U, e.V, e.W)
+		}
+		for _, o := range oracles {
+			if got, want := o.run(removed), o.run(rebuilt); got != want {
+				t.Errorf("%s on %s with edge 0 removed: %q, rebuilt graph %q", o.name, gc.name, got, want)
+			}
+		}
 	}
 }

@@ -122,7 +122,8 @@ func TestShortcutBoruvkaIncompleteSurfaces(t *testing.T) {
 		Children:   [][]int{{1, 2}, {}, {}, {4, 5}, {}, {}},
 	}
 	provider := func(p *partition.Parts) (*shortcut.Shortcut, pipeline.Rounds, error) {
-		return &shortcut.Shortcut{G: g, T: tree, P: p, Edges: make([][]int, p.NumParts())}, pipeline.Rounds{}, nil
+		s, err := shortcut.New(g, tree, p, make([][]int, p.NumParts()))
+		return s, pipeline.Rounds{}, err
 	}
 	_, err := mst.ShortcutBoruvka(g, provider)
 	if err == nil {

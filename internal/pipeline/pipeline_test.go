@@ -148,7 +148,7 @@ func TestAutoFloodProviderLedgers(t *testing.T) {
 		if !simulate && (cost.Charged <= 0 || cost.Simulated != 0) {
 			t.Fatalf("simulate=false: cost %+v", cost)
 		}
-		edges = append(edges, s.Edges)
+		edges = append(edges, s.Edges())
 	}
 	// The elected tree and the cap search are mode-independent, so the
 	// constructed assignment must be too.

@@ -106,15 +106,20 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 // Exposed so the cap search can compute the ranking once per part family
 // and reuse it across all cap guesses. The ranking must be a permutation
 // of 0..NumParts-1 (ValidPriorities).
+//
+// One children-first pass computes the fixed point, runs FromFloodState's
+// checks on it and measures it. The shortcut keeps the admitted lists and
+// assembles its per-part edge lists from them only on the first Edges
+// call, so a caller that reads nothing but Measure never builds them.
 func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) *Shortcut {
-	if err := ValidPriorities(prio, p.NumParts()); err != nil {
+	if err := checkFloodInput(g, t, p, prio); err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: %v", err))
 	}
-	s, err := FromFloodState(g, t, p, FloodFixedPoint(g, t, p, cap, prio), prio)
+	f, m, err := measureFloodState(t, p, nil, prio, max(cap, 1))
 	if err != nil {
-		panic(fmt.Sprintf("shortcut.Construct: internal error: %v", err))
+		panic(fmt.Sprintf("shortcut.ConstructPrio: internal error: %v", err))
 	}
-	return s
+	return &Shortcut{G: g, T: t, P: p, flood: f, measured: &m}
 }
 
 // ValidPriorities checks that prio is a permutation of 0..numParts-1 (nil
@@ -148,9 +153,12 @@ var ErrMalformedFloodState = errors.New("shortcut: malformed flood state")
 // FromFloodState assembles and measures the Shortcut described by a
 // flooding-construction state: admitted[v] lists, in rank space (see
 // FloodFixedPoint), the parts admitted over v's parent edge; prio maps part
-// to rank (nil = identity) and must be a permutation of 0..NumParts-1. Both
-// the sequential constructor and the distributed protocol's converged state
-// assemble through here, so the two paths cannot diverge.
+// to rank (nil = identity) and must be a permutation of 0..NumParts-1. The
+// distributed protocol's converged state and a maintained shortcut's
+// repaired state assemble through here. The state stays the caller's, so
+// the edge lists are built before it returns; ConstructPrio, which owns
+// its state, builds them only when they are read. Both run the same pass,
+// so the two paths cannot diverge.
 //
 // The state already holds everything Measure would recompute, so the
 // returned shortcut carries its Measurement, derived in one children-first
@@ -170,41 +178,63 @@ var ErrMalformedFloodState = errors.New("shortcut: malformed flood state")
 // [0, NumParts), a list not strictly ascending, or ranks at the root, which
 // has no parent edge to admit them over.
 func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32) (*Shortcut, error) {
-	if err := ValidPriorities(prio, p.NumParts()); err != nil {
+	if err := checkFloodInput(g, t, p, prio); err != nil {
 		return nil, err
-	}
-	if t.G != g {
-		return nil, fmt.Errorf("shortcut: tree belongs to a different graph")
-	}
-	if p.G != g {
-		return nil, fmt.Errorf("shortcut: parts belong to a different graph")
-	}
-	for i, set := range p.Sets {
-		if len(set) == 0 {
-			return nil, fmt.Errorf("shortcut: part %d is empty", i)
-		}
 	}
 	if len(admitted) != g.N() {
 		return nil, fmt.Errorf("%w: %d admitted lists for %d vertices", ErrMalformedFloodState, len(admitted), g.N())
 	}
-	np := p.NumParts()
-	inv := invertPriorities(np, prio)
-	m, size, err := measureFloodState(t, p, admitted, prio, inv)
+	f, m, err := measureFloodState(t, p, admitted, prio, 0)
 	if err != nil {
 		return nil, err
 	}
-	// The total assignment size Σᵥ|admitted(v)| reaches Θ(n·cap) at scale, so
-	// the per-part lists are carved out of one counted slab instead of grown
-	// with append: the measurement pass counted, a prefix sum places each
-	// part's region, and a fill pass writes it. The fill visits tree edges in
-	// ascending ID order, so every region comes out sorted. The lists are
-	// duplicate-free (admitted ranks are strictly ascending per vertex, and
-	// distinct vertices have distinct parent edges) and every ID is a tree
-	// edge by definition, so New's sortedDedup copy and tree-membership sweep
-	// are redundant here and the Shortcut is built directly.
+	return &Shortcut{G: g, T: t, P: p, edges: fillEdges(g, t, f), measured: &m}, nil
+}
+
+// checkFloodInput is the validation every flood-built shortcut shares: a
+// valid ranking, a tree and a part family of g, and no empty part.
+func checkFloodInput(g *graph.Graph, t *graph.Tree, p *partition.Parts, prio []int32) error {
+	if err := ValidPriorities(prio, p.NumParts()); err != nil {
+		return err
+	}
+	if t.G != g {
+		return fmt.Errorf("shortcut: tree belongs to a different graph")
+	}
+	if p.G != g {
+		return fmt.Errorf("shortcut: parts belong to a different graph")
+	}
+	for i, set := range p.Sets {
+		if len(set) == 0 {
+			return fmt.Errorf("shortcut: part %d is empty", i)
+		}
+	}
+	return nil
+}
+
+// floodLists is a flooding state together with what fillEdges needs to turn
+// it into per-part edge lists: admitted[v] holds the ranks admitted over
+// v's parent edge, size[r] the edge count of rank r's part, and inv maps
+// rank to part.
+type floodLists struct {
+	admitted [][]int32
+	size     []int
+	inv      []int32
+}
+
+// fillEdges assembles the per-part edge lists of a flooding state. The
+// total assignment size Σᵥ|admitted(v)| reaches Θ(n·cap) at scale, so the
+// lists are carved out of one counted slab instead of grown with append:
+// measureFloodState counted, a prefix sum places each part's region, and a
+// fill pass writes it. The fill visits tree edges in ascending ID order, so
+// every region comes out sorted. The lists are duplicate-free (admitted
+// ranks are strictly ascending per vertex, and distinct vertices have
+// distinct parent edges) and every ID is a tree edge by definition, so
+// New's sortedDedup copy and tree-membership sweep are not needed.
+func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
+	np := len(f.inv)
 	off := make([]int, np+1)
-	for r, c := range size {
-		off[inv[r]+1] = c
+	for r, c := range f.size {
+		off[f.inv[r]+1] = c
 	}
 	for i := 0; i < np; i++ {
 		off[i+1] += off[i]
@@ -212,7 +242,7 @@ func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted 
 	slab := make([]int, off[np])
 	cur := make([]int, np) // by rank: the next free slot of the rank's part
 	for r := range cur {
-		cur[r] = off[inv[r]]
+		cur[r] = off[f.inv[r]]
 	}
 	child := g.AcquireScratch() // tree edge ID -> the vertex it is the parent edge of
 	defer g.ReleaseScratch(child)
@@ -226,83 +256,97 @@ func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted 
 		if !ok {
 			continue
 		}
-		for _, r := range admitted[v] {
+		for _, r := range f.admitted[v] {
 			slab[cur[r]] = id
 			cur[r]++
 		}
 	}
-	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, np), measured: &m}
-	for i := 0; i < np; i++ {
-		s.Edges[i] = slab[off[i]:off[i+1]:off[i+1]]
+	edges := make([][]int, np)
+	for i := range edges {
+		edges[i] = slab[off[i]:off[i+1]:off[i+1]]
 	}
-	return s, nil
+	return edges
 }
 
-// measureFloodState validates a flood state and measures the shortcut it
-// describes (see FromFloodState). It also returns the edge count of each
-// rank's part: size[r] = |H_inv[r]|. Vertices are visited children first
-// (reverse BFS order), so every child's list is validated before its
-// parent reads it, and all counting is in rank space, mapped to parts once
-// at the end.
+// measureFloodState is the one children-first walk over a flooding state.
+// With cap 0 it checks and measures admitted, a state of one list per
+// vertex (see FromFloodState). With cap ≥ 1 admitted must be nil: the pass
+// generates the fixed point at that cap as it goes, applying admit to the
+// ranks present at each vertex, and checks and measures what it generated.
+// Either way the result holds the state with each rank's edge count.
+// Vertices are visited in reverse BFS order, so every child's list is final
+// and checked before its parent reads it, and all counting is in rank
+// space, mapped to parts once at the end.
 //
 // In a grounded state the admitted ranks at v are a subset of the present
 // ones, so part i's block count — #{v : i present, i not admitted} — is
 // #{v : i present} − |Hᵢ|. The pass therefore counts presence alone, with
 // one rank-indexed stamp array in place of a per-part union-find, and
 // subtracts the edge counts at the end.
-func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio, inv []int32) (Measurement, []int, error) {
+func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32, cap int) (*floodLists, Measurement, error) {
 	np := p.NumParts()
+	generate := cap > 0
+	if generate {
+		admitted = make([][]int32, len(t.Parent))
+	}
+	f := &floodLists{admitted: admitted, size: make([]int, np), inv: invertPriorities(np, prio)}
 	m := Measurement{TreeDiameter: treeDiameter(t), Blocks: make([]int, np)}
-	size := make([]int, np)
 	seen := make([]int, np) // by rank: #{v : rank present at v}
 	// present[r] == v+1 iff rank r is present at v. Each vertex is visited
 	// once, so v+1 is a fresh stamp and the array is never cleared.
 	present := make([]int32, np)
+	var buf []int32 // the ranks present at v
+	// Generated lists are carved from chunked arenas rather than allocated
+	// one per vertex: at scale the fixed point holds Θ(n·cap) ranks, and n
+	// separate allocations (plus their zeroing) dominate the pass. Headroom
+	// is tracked by hand because the cap parameter shadows the builtin.
+	var arena []int32
+	arenaFree := 0
 	for oi := len(t.Order) - 1; oi >= 0; oi-- {
 		v := t.Order[oi]
 		stamp := int32(v + 1)
-		if pi := p.Of[v]; pi != -1 {
-			r := int32(pi)
-			if prio != nil {
-				r = prio[pi]
-			}
-			present[r] = stamp
+		buf = gather(t, p, prio, admitted, v, present, stamp, buf)
+		for _, r := range buf {
 			seen[r]++
 		}
-		for _, c := range t.Children[v] {
-			for _, r := range admitted[c] {
-				if present[r] != stamp {
-					present[r] = stamp
-					seen[r]++
+		if generate {
+			if k := len(admit(t, v, cap, buf)); k > 0 {
+				if k > arenaFree {
+					arenaFree = max(1<<15, k)
+					arena = make([]int32, 0, arenaFree)
 				}
+				start := len(arena)
+				arena = append(arena, buf[:k]...)
+				arenaFree -= k
+				admitted[v] = arena[start:len(arena):len(arena)]
 			}
 		}
 		list := admitted[v]
 		if len(list) > 0 && t.ParentEdge[v] == -1 {
-			return Measurement{}, nil, fmt.Errorf("%w: vertex %d has no parent edge but admits %d ranks",
+			return nil, Measurement{}, fmt.Errorf("%w: vertex %d has no parent edge but admits %d ranks",
 				ErrMalformedFloodState, v, len(list))
 		}
 		for k, r := range list {
 			switch {
 			case r < 0 || int(r) >= np:
-				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits rank %d outside [0, %d)",
+				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits rank %d outside [0, %d)",
 					ErrMalformedFloodState, v, r, np)
 			case k > 0 && r <= list[k-1]:
-				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
+				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
 					ErrMalformedFloodState, v, list)
 			case present[r] != stamp:
-				return Measurement{}, nil, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
+				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
 					ErrMalformedFloodState, v, r)
 			}
-			size[r]++
+			f.size[r]++
 		}
 		m.Congestion = max(m.Congestion, len(list))
 	}
-	for r, part := range inv {
-		m.Blocks[part] = seen[r] - size[r]
+	for r, part := range f.inv {
+		m.Blocks[part] = seen[r] - f.size[r]
 	}
 	m.finish()
-	return m, size, nil
+	return f, m, nil
 }
 
 // invertPriorities returns the rank -> part mapping (identity for nil prio).
@@ -325,77 +369,55 @@ func invertPriorities(numParts int, prio []int32) []int32 {
 // (nil at the root and at vertices no flood reaches). The state lives in
 // rank space — ascending rank = descending priority — so "keep the cap
 // best" is a prefix truncation; map ranks back to parts with the inverse of
-// prio (nil prio = identity, i.e. the static by-ID order). Exposed so the
-// distributed construction can validate its converged state against the
-// ground truth.
+// prio (nil prio = identity, i.e. the static by-ID order), which must be a
+// permutation of 0..NumParts-1. Exposed so the distributed construction can
+// validate its converged state against the ground truth and a maintained
+// shortcut can start from it. It runs ConstructPrio's pass and keeps only
+// the state.
 func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) [][]int32 {
-	if cap < 1 {
-		cap = 1
+	f, _, err := measureFloodState(t, p, nil, prio, max(cap, 1))
+	if err != nil {
+		panic(fmt.Sprintf("shortcut.FloodFixedPoint: internal error: %v", err))
 	}
-	n := g.N()
-	admitted := make([][]int32, n)
-	seen := g.AcquireScratch()
-	defer g.ReleaseScratch(seen)
-	var present []int32
-	// Per-vertex lists are carved from chunked arenas rather than allocated
-	// individually: at scale the fixed point holds Θ(n·cap) ranks, and n
-	// separate allocations (plus their zeroing) dominate the flood's cost.
-	// Headroom is tracked by hand because the cap parameter shadows the
-	// builtin.
-	var arena []int32
-	arenaFree := 0
-	// Children precede parents in reverse BFS order, so admitted(c) is final
-	// when v merges it.
-	for oi := n - 1; oi >= 0; oi-- {
-		v := t.Order[oi]
-		present = admit(t, p, prio, cap, admitted, v, seen, present)
-		if len(present) == 0 {
-			continue
-		}
-		if len(present) > arenaFree {
-			size := 1 << 15
-			if len(present) > size {
-				size = len(present)
-			}
-			arena = make([]int32, 0, size)
-			arenaFree = size
-		}
-		start := len(arena)
-		arena = append(arena, present...)
-		arenaFree -= len(present)
-		admitted[v] = arena[start:len(arena):len(arena)]
-	}
-	return admitted
+	return f.admitted
 }
 
-// admit is the flooding rule at v, shared by FloodFixedPoint and the
-// dirty-closure recompute of Repair: the (up to) cap best ranks of v's own
-// part and of everything v's children admit, ascending, and none at the
-// root, which has no parent edge. It overwrites buf and returns it; seen is
-// deduplication scratch over ranks.
-func admit(t *graph.Tree, p *partition.Parts, prio []int32, cap int, admitted [][]int32, v int, seen *graph.Scratch, buf []int32) []int32 {
+// gather collects in buf, and returns, the ranks present at v: v's own
+// part's and every rank a child of v admits, each once. mark is
+// rank-indexed scratch: gather sets mark[r] = stamp for every rank it
+// collects, so stamp must differ from every value mark already holds.
+func gather(t *graph.Tree, p *partition.Parts, prio []int32, admitted [][]int32, v int, mark []int32, stamp int32, buf []int32) []int32 {
 	buf = buf[:0]
-	if t.ParentEdge[v] == -1 {
-		return buf
-	}
-	seen.Reset()
 	if pi := p.Of[v]; pi != -1 {
 		r := int32(pi)
 		if prio != nil {
 			r = prio[pi]
 		}
-		seen.Visit(int(r))
+		mark[r] = stamp
 		buf = append(buf, r)
 	}
 	for _, c := range t.Children[v] {
 		for _, r := range admitted[c] {
-			if seen.Visit(int(r)) {
+			if mark[r] != stamp {
+				mark[r] = stamp
 				buf = append(buf, r)
 			}
 		}
 	}
-	slices.Sort(buf)
-	return buf[:min(len(buf), cap)]
+	return buf
+}
+
+// admit is the flooding rule at v, shared by measureFloodState's
+// generation step and the dirty-closure recompute of Repair: of the ranks
+// present at v (gather), the (up to) cap best, ascending, and none at the
+// root, which has no parent edge. It sorts present in place and returns a
+// prefix of it.
+func admit(t *graph.Tree, v, cap int, present []int32) []int32 {
+	if t.ParentEdge[v] == -1 {
+		return nil
+	}
+	slices.Sort(present)
+	return present[:min(len(present), cap)]
 }
 
 // AutoResult reports a congestion-cap auto-search.

@@ -57,16 +57,16 @@ func TestConstructFixedPointSemantics(t *testing.T) {
 	s3 := shortcut.Construct(g, tr, p, 3)
 	wantAll := [][]int{{e01, e14}, {e02, e25}, {e03, e36}}
 	for i, want := range wantAll {
-		if len(s3.Edges[i]) != len(want) {
-			t.Fatalf("cap 3 part %d: edges %v want %v", i, s3.Edges[i], want)
+		if len(s3.Edges()[i]) != len(want) {
+			t.Fatalf("cap 3 part %d: edges %v want %v", i, s3.Edges()[i], want)
 		}
 	}
 	// cap 1: arms are private (one part each), so each part still claims
 	// both its arm edges — the cap binds per edge, not per node.
 	s1 := shortcut.Construct(g, tr, p, 1)
 	for i, want := range wantAll {
-		if len(s1.Edges[i]) != len(want) {
-			t.Fatalf("cap 1 part %d: edges %v want %v", i, s1.Edges[i], want)
+		if len(s1.Edges()[i]) != len(want) {
+			t.Fatalf("cap 1 part %d: edges %v want %v", i, s1.Edges()[i], want)
 		}
 	}
 	// Now merge the arms: a path 0-1-2 with parts at 3,4,5 all hanging off 2.
@@ -87,13 +87,13 @@ func TestConstructFixedPointSemantics(t *testing.T) {
 	hs := shortcut.Construct(h, htr, hp, 1)
 	// All three reach vertex 2 over their private leaf edges; above 2 only
 	// part 0 (lowest ID) is admitted, the rest are evicted.
-	if got := hs.Edges[0]; len(got) != 3 || got[0] != h01 || got[1] != h12 || got[2] != h23 {
+	if got := hs.Edges()[0]; len(got) != 3 || got[0] != h01 || got[1] != h12 || got[2] != h23 {
 		t.Fatalf("cap 1 priority part: edges %v want [%d %d %d]", got, h01, h12, h23)
 	}
-	if got := hs.Edges[1]; len(got) != 1 || got[0] != h24 {
+	if got := hs.Edges()[1]; len(got) != 1 || got[0] != h24 {
 		t.Fatalf("evicted part 1: edges %v want [%d]", got, h24)
 	}
-	if got := hs.Edges[2]; len(got) != 1 || got[0] != h25 {
+	if got := hs.Edges()[2]; len(got) != 1 || got[0] != h25 {
 		t.Fatalf("evicted part 2: edges %v want [%d]", got, h25)
 	}
 }

@@ -19,7 +19,7 @@ func referenceMeasure(s *shortcut.Shortcut) shortcut.Measurement {
 		m.TreeDiameter = 1
 	}
 	use := make(map[int]int)
-	for _, ids := range s.Edges {
+	for _, ids := range s.Edges() {
 		for _, id := range ids {
 			use[id]++
 		}
@@ -30,7 +30,7 @@ func referenceMeasure(s *shortcut.Shortcut) shortcut.Measurement {
 		}
 	}
 	m.Blocks = make([]int, s.P.NumParts())
-	for i, ids := range s.Edges {
+	for i, ids := range s.Edges() {
 		uf := graph.NewUnionFind(s.G.N())
 		for _, id := range ids {
 			e := s.G.Edge(id)
@@ -146,7 +146,7 @@ func referenceAugmentedDiameter(s *shortcut.Shortcut, i int) int {
 	for _, v := range s.P.Sets[i] {
 		in[v] = true
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range s.Edges()[i] {
 		e := s.G.Edge(id)
 		in[e.U] = true
 		in[e.V] = true
@@ -171,7 +171,7 @@ func referenceAugmentedDiameter(s *shortcut.Shortcut, i int) int {
 			aug.AddEdge(idx[e.U], idx[e.V], 1)
 		}
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range s.Edges()[i] {
 		e := s.G.Edge(id)
 		aug.AddEdge(idx[e.U], idx[e.V], 1)
 	}

@@ -20,7 +20,7 @@ import (
 // its Measure runs the congestion count and the per-part union-find.
 func unionFindMeasure(t testing.TB, s *shortcut.Shortcut) shortcut.Measurement {
 	t.Helper()
-	ref, err := shortcut.New(s.G, s.T, s.P, cloneEdges(s.Edges))
+	ref, err := shortcut.New(s.G, s.T, s.P, cloneEdges(s.Edges()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func referenceAugmentedEcc(s *shortcut.Shortcut, i int) int {
 			edges = append(edges, pair{local(e.U), local(e.V)})
 		}
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range s.Edges()[i] {
 		e := s.G.Edge(id)
 		edges = append(edges, pair{local(e.U), local(e.V)})
 	}
@@ -360,7 +360,7 @@ func BenchmarkMeasure(b *testing.B) {
 		b.Fatal(err)
 	}
 	flood := shortcut.Construct(g, tr, p, p.NumParts())
-	hand, err := shortcut.New(g, tr, p, cloneEdges(flood.Edges))
+	hand, err := shortcut.New(g, tr, p, cloneEdges(flood.Edges()))
 	if err != nil {
 		b.Fatal(err)
 	}

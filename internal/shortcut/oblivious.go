@@ -112,9 +112,9 @@ func ObliviousAuto(g *graph.Graph, t *graph.Tree, p *partition.Parts) (*Shortcut
 // paper's treatment of parts containing an apex: they get all of T). It
 // drops any measurement s carried, so Measure recounts the new edge sets.
 func WholeTree(s *Shortcut, parts []int) {
-	all := s.T.TreeEdgeIDs()
+	all, edges := s.T.TreeEdgeIDs(), s.Edges()
 	for _, i := range parts {
-		s.Edges[i] = append([]int(nil), all...)
+		edges[i] = append([]int(nil), all...)
 	}
 	s.measured = nil
 }

@@ -50,7 +50,7 @@ func TestQuickMeasurementLaws(t *testing.T) {
 		m := s.Measure()
 		// Naive congestion.
 		count := make(map[int]int)
-		for _, ids := range s.Edges {
+		for _, ids := range s.Edges() {
 			for _, id := range ids {
 				count[id]++
 			}
@@ -91,12 +91,12 @@ func TestQuickUnionIdempotent(t *testing.T) {
 		if err := s1.Union(s2); err != nil {
 			return false
 		}
-		for i := range s1.Edges {
-			if len(s1.Edges[i]) != len(s2.Edges[i]) {
+		for i := range s1.Edges() {
+			if len(s1.Edges()[i]) != len(s2.Edges()[i]) {
 				return false
 			}
-			for j := range s1.Edges[i] {
-				if s1.Edges[i][j] != s2.Edges[i][j] {
+			for j := range s1.Edges()[i] {
+				if s1.Edges()[i][j] != s2.Edges()[i][j] {
 					return false
 				}
 			}

@@ -70,8 +70,8 @@ func TestNewRejectsDuplicateEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewNormalized rejected mergeable duplicates: %v", err)
 	}
-	if len(s.Edges[0]) != 1 {
-		t.Fatalf("normalized edges %v, want one copy", s.Edges[0])
+	if len(s.Edges()[0]) != 1 {
+		t.Fatalf("normalized edges %v, want one copy", s.Edges()[0])
 	}
 }
 
@@ -103,14 +103,17 @@ func TestAugmentedDiameterEmptyPartErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &partition.Parts{G: g, Sets: [][]int{{0, 1}, {}}, Of: make([]int, g.N())}
-	for i := range p.Of {
-		p.Of[i] = -1
+	p, err := partition.New(g, [][]int{{0, 1}, {2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Of[0], p.Of[1] = 0, 0
-	// Bypass New (which now rejects the empty part) the way a hand-rolled
-	// caller would.
-	s := &shortcut.Shortcut{G: g, T: tr, P: p, Edges: make([][]int, 2)}
+	s, err := shortcut.New(g, tr, p, make([][]int, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New rejects an empty part, so empty part 1 afterwards, the way a
+	// caller editing its family in place would.
+	p.Sets[1], p.Of[2] = nil, -1
 	if _, err := s.AugmentedDiameter(1); err == nil {
 		t.Fatal("empty part reported a diameter instead of an error")
 	}

@@ -354,8 +354,7 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 	// parents.
 	changed := false
 	count := 0
-	seen := g.AcquireScratch()
-	defer g.ReleaseScratch(seen)
+	mark := make([]int32, m.P.NumParts())
 	var present []int32
 	for oi := g.N() - 1; oi >= 0; oi-- {
 		v := newT.Order[oi]
@@ -363,10 +362,10 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 			continue
 		}
 		count++
-		present = admit(newT, m.P, m.Prio, m.Cap, m.admitted, v, seen, present)
+		present = gather(newT, m.P, m.Prio, m.admitted, v, mark, int32(v+1), present)
 		var next []int32
-		if len(present) > 0 {
-			next = slices.Clone(present)
+		if list := admit(newT, v, m.Cap, present); len(list) > 0 {
+			next = slices.Clone(list)
 		}
 		if !slices.Equal(m.admitted[v], next) {
 			changed = true

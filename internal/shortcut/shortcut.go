@@ -5,35 +5,65 @@
 // [HIZ16a] (uses no structural knowledge) and the treewidth-witness
 // construction realizing Theorem 5 ([HIZ16b]).
 //
-// The measurement paths are dense. A shortcut assembled from a flooding
-// state (FromFloodState) is measured during assembly, from the admitted
-// lists themselves, with no union-find at all. Every other shortcut is
-// measured over epoch-stamped scratch slices (graph.Scratch) and a single
-// reused union-find forest, so measuring it allocates O(parts) memory
-// rather than O(parts · n) map churn.
+// The measurement paths are dense. A flood-built shortcut (ConstructPrio,
+// FromFloodState) is measured from its admitted lists in the one
+// children-first pass that builds or checks them, with no union-find at
+// all; ConstructPrio's shortcuts go further and assemble their per-part
+// edge lists only when Edges is first called, so a caller that reads only
+// the quality never pays for them. Every other shortcut is measured over
+// epoch-stamped scratch slices (graph.Scratch) and a single reused
+// union-find forest, so measuring it allocates O(parts) memory rather than
+// O(parts · n) map churn.
 package shortcut
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// Shortcut assigns each part a set of tree edges (its Hᵢ). All edges must
-// belong to the spanning tree T (Definition 10: T-restricted).
+// Shortcut assigns each part a set of tree edges (its Hᵢ), read through
+// Edges. All edges must belong to the spanning tree T (Definition 10:
+// T-restricted).
 type Shortcut struct {
-	G     *graph.Graph
-	T     *graph.Tree
-	P     *partition.Parts
-	Edges [][]int // per part: sorted tree edge IDs
+	G *graph.Graph
+	T *graph.Tree
+	P *partition.Parts
 
-	// measured is the Measurement FromFloodState derived from the flooding
-	// state the shortcut was assembled from. It is nil for hand-built
-	// shortcuts, and Union and WholeTree clear it.
+	edges [][]int // per part: sorted tree edge IDs
+
+	// flood is the flooding state a ConstructPrio shortcut owns until the
+	// first Edges call fills edges from it, under once, and drops it. It is
+	// nil for every other shortcut, whose edges are built eagerly.
+	once  sync.Once
+	flood *floodLists
+
+	// measured is the Measurement the flood pass derived from the state the
+	// shortcut was built from (ConstructPrio, FromFloodState). It is nil
+	// for hand-built shortcuts, and Union and WholeTree clear it.
 	measured *Measurement
+}
+
+// Edges returns the per-part edge lists: Edges()[i] is part i's Hᵢ, sorted
+// tree edge IDs. The lists are the shortcut's own, not copies. A shortcut
+// from ConstructPrio assembles them on the first call, which any number of
+// goroutines may make at once, and then drops the flooding state it kept
+// for that; every other shortcut built them when it was made.
+func (s *Shortcut) Edges() [][]int {
+	s.once.Do(s.fill)
+	return s.edges
+}
+
+// fill assembles a lazily built shortcut's edge lists; see Edges.
+func (s *Shortcut) fill() {
+	if s.flood != nil {
+		s.edges = fillEdges(s.G, s.T, s.flood)
+		s.flood = nil
+	}
 }
 
 // New wraps and validates a shortcut assignment: t and p must belong to g
@@ -69,7 +99,7 @@ func build(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]int, ded
 			return nil, fmt.Errorf("shortcut: part %d is empty", i)
 		}
 	}
-	s := &Shortcut{G: g, T: t, P: p, Edges: make([][]int, len(edges))}
+	s := &Shortcut{G: g, T: t, P: p, edges: make([][]int, len(edges))}
 	for i, ids := range edges {
 		for _, id := range ids {
 			if id < 0 || id >= g.M() {
@@ -83,7 +113,7 @@ func build(g *graph.Graph, t *graph.Tree, p *partition.Parts, edges [][]int, ded
 		if !dedup && len(out) != len(ids) {
 			return nil, fmt.Errorf("shortcut: part %d has %d duplicate edge IDs", i, len(ids)-len(out))
 		}
-		s.Edges[i] = out
+		s.edges[i] = out
 	}
 	return s, nil
 }
@@ -122,14 +152,15 @@ type Measurement struct {
 }
 
 // Measure computes congestion, block parameters, and quality exactly. A
-// shortcut assembled by FromFloodState already carries its measurement,
-// derived from the flooding state while its edge lists were assembled, and
-// Measure returns a copy of it with a fresh Blocks slice.
+// flood-built shortcut (ConstructPrio, FromFloodState) already carries its
+// measurement, derived in the pass that built or checked its flooding
+// state, and Measure returns a copy of it with a fresh Blocks slice without
+// assembling the edge lists of a ConstructPrio shortcut.
 // Every other shortcut, and a flood-built one after Union or WholeTree,
 // is measured here: a usage count over the edge lists for the congestion
 // and a union-find per part for the block counts (BlockCounts). A caller
-// that rewrites a flood-built shortcut's Edges in place must rebuild it
-// with New, or the carried measurement goes stale.
+// that rewrites the lists Edges returns of a flood-built shortcut in place
+// must rebuild it with New, or the carried measurement goes stale.
 func (s *Shortcut) Measure() Measurement {
 	if s.measured != nil {
 		m := *s.measured
@@ -138,7 +169,7 @@ func (s *Shortcut) Measure() Measurement {
 	}
 	m := Measurement{TreeDiameter: treeDiameter(s.T)}
 	use := s.G.AcquireScratch() // edge ID -> #parts using it
-	for _, ids := range s.Edges {
+	for _, ids := range s.Edges() {
 		for _, id := range ids {
 			if c := int(use.Add(id, 1)); c > m.Congestion {
 				m.Congestion = c
@@ -189,7 +220,7 @@ func (s *Shortcut) BlockCounts() []int {
 	defer s.G.ReleaseScratch(reps)
 	var touched []int
 	uf := graph.NewUnionFind(0)
-	for i, ids := range s.Edges {
+	for i, ids := range s.Edges() {
 		loc.Reset()
 		touched = touched[:0]
 		for _, id := range ids {
@@ -234,10 +265,11 @@ func (s *Shortcut) BlockCounts() []int {
 // has exactly one top, so for assignments whose H-components all touch
 // their part — true for the flooding and claiming constructions, whose
 // admitted chains grow upward from part vertices — the per-part sums of
-// these indicators equal BlockCounts. FromFloodState measures a flood-built
-// shortcut by summing these indicators as it assembles the edge lists, and
-// the cap search's pipelined block-count convergecast checks the sums it
-// streams to the root against that measurement.
+// these indicators equal BlockCounts. The flood pass behind ConstructPrio
+// and FromFloodState measures a flood-built shortcut by summing these
+// indicators over its admitted lists, and the cap search's pipelined
+// block-count convergecast checks the sums it streams to the root against
+// that measurement.
 //
 // Each indicator depends only on state the construction protocol already
 // holds at v (its own forwarded set and its children's admitted sets), so
@@ -250,7 +282,7 @@ func (s *Shortcut) BlockTops() [][]int32 {
 	// parts in ascending order keeps both lists sorted.
 	admitted := make([][]int32, n)
 	fromChild := make([][]int32, n)
-	for i, ids := range s.Edges {
+	for i, ids := range s.Edges() {
 		for _, id := range ids {
 			e := s.G.Edge(id)
 			child, parent := e.U, e.V
@@ -338,6 +370,7 @@ func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
 // handful of slices whatever the part count.
 func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 	g := s.G
+	edges := s.Edges()
 	maxVerts, maxArcs := 0, 0
 	for i, set := range s.P.Sets {
 		if len(set) == 0 {
@@ -345,11 +378,11 @@ func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 		}
 		// Bounds: the part plus both endpoints of every shortcut edge, and
 		// every arc at a part member plus both directions of every edge.
-		arcs := 2 * len(s.Edges[i])
+		arcs := 2 * len(edges[i])
 		for _, v := range set {
 			arcs += len(g.Adj(v))
 		}
-		maxVerts = max(maxVerts, len(set)+2*len(s.Edges[i]))
+		maxVerts = max(maxVerts, len(set)+2*len(edges[i]))
 		maxArcs = max(maxArcs, arcs)
 	}
 	in := g.AcquireScratch() // vertex -> local index
@@ -374,7 +407,7 @@ func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 			partIn.Visit(v)
 		}
 		numPart := len(verts)
-		for _, id := range s.Edges[i] {
+		for _, id := range edges[i] {
 			e := g.Edge(id)
 			if in.Visit(e.U) {
 				verts = append(verts, e.U)
@@ -399,7 +432,7 @@ func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 				}
 			}
 		}
-		for _, id := range s.Edges[i] {
+		for _, id := range edges[i] {
 			e := g.Edge(id)
 			off[in.GetOr(e.U, -1)+1]++
 			off[in.GetOr(e.V, -1)+1]++
@@ -419,7 +452,7 @@ func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 				}
 			}
 		}
-		for _, id := range s.Edges[i] {
+		for _, id := range edges[i] {
 			e := g.Edge(id)
 			lu, lv := in.GetOr(e.U, -1), in.GetOr(e.V, -1)
 			dst[cur[lu]] = lv
@@ -464,17 +497,18 @@ func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
 		return nil, 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
 	}
 	g := s.G
+	h := s.Edges()[i]
 	in := g.AcquireScratch() // vertex -> local index (assigned after sort)
 	defer g.ReleaseScratch(in)
 	// Collect the augmented vertex set: the part plus shortcut endpoints.
-	verts := make([]int, 0, len(s.P.Sets[i])+2*len(s.Edges[i]))
+	verts := make([]int, 0, len(s.P.Sets[i])+2*len(h))
 	for _, v := range s.P.Sets[i] {
 		if in.Visit(v) {
 			verts = append(verts, v)
 		}
 	}
 	numPart := len(verts)
-	for _, id := range s.Edges[i] {
+	for _, id := range h {
 		e := g.Edge(id)
 		if in.Visit(e.U) {
 			verts = append(verts, e.U)
@@ -494,7 +528,7 @@ func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
 	for _, v := range s.P.Sets[i] {
 		partIn.Visit(v)
 	}
-	aug := graph.NewWithEdgeCapacity(len(verts), numPart+len(s.Edges[i]))
+	aug := graph.NewWithEdgeCapacity(len(verts), numPart+len(h))
 	// Induced part edges, discovered by scanning part adjacency (each edge
 	// once, from its canonical U endpoint).
 	for _, v := range s.P.Sets[i] {
@@ -509,7 +543,7 @@ func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
 			aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
 		}
 	}
-	for _, id := range s.Edges[i] {
+	for _, id := range h {
 		e := g.Edge(id)
 		aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
 	}
@@ -530,8 +564,9 @@ func (s *Shortcut) Union(other *Shortcut) error {
 	if other.P != s.P {
 		return fmt.Errorf("shortcut: union over different part families")
 	}
-	for i := range s.Edges {
-		s.Edges[i] = mergeSorted(s.Edges[i], other.Edges[i])
+	edges, add := s.Edges(), other.Edges()
+	for i := range edges {
+		edges[i] = mergeSorted(edges[i], add[i])
 	}
 	s.measured = nil
 	return nil

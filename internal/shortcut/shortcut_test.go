@@ -116,14 +116,14 @@ func TestUnionMergesAssignments(t *testing.T) {
 	s1 := shortcut.Empty(g, tr, p)
 	s2 := shortcut.Empty(g, tr, p)
 	ids := tr.TreeEdgeIDs()
-	s1.Edges[0] = []int{ids[0]}
-	s2.Edges[0] = []int{ids[0], ids[1]}
-	s2.Edges[1] = []int{ids[2]}
+	s1.Edges()[0] = []int{ids[0]}
+	s2.Edges()[0] = []int{ids[0], ids[1]}
+	s2.Edges()[1] = []int{ids[2]}
 	if err := s1.Union(s2); err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Edges[0]) != 2 || len(s1.Edges[1]) != 1 {
-		t.Fatalf("union wrong: %v", s1.Edges[:2])
+	if len(s1.Edges()[0]) != 2 || len(s1.Edges()[1]) != 1 {
+		t.Fatalf("union wrong: %v", s1.Edges()[:2])
 	}
 }
 

@@ -107,12 +107,12 @@ func TestUnionWithEmptyOtherClones(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := Empty(g, tr, p)
-	before := append([]int(nil), s1.Edges[0]...)
-	shared := s1.Edges[0]
+	before := append([]int(nil), s1.Edges()[0]...)
+	shared := s1.Edges()[0]
 	if err := s1.Union(s2); err != nil {
 		t.Fatal(err)
 	}
-	s1.Edges[0][0] = 4 // in-place mutation of the merged result
+	s1.Edges()[0][0] = 4 // in-place mutation of the merged result
 	if shared[0] != before[0] {
 		t.Fatal("union result aliased the pre-union edge list")
 	}

@@ -25,8 +25,6 @@ var reachKeep = map[string]string{
 	"internal/graph.PlanarDensityOK":                       "oracle: embed and structure tests certify planar pieces",
 	"internal/shortcut.Construct":                          "oracle: the fixed-cap sequential construction congest's ConstructShortcut and the flood measurement are checked against",
 	"internal/tw.FoldRooted":                               "oracle: the materialized fold FoldSummary is checked against",
-	"internal/gen.BalancedBinaryTree":                      "fixture: a small family TestBasicShapes pins, kept with the other gen families",
-	"internal/gen.Complete":                                "fixture: a small family TestBasicShapes pins, kept with the other gen families",
 	"internal/gen.ErdosRenyiConnected":                     "fixture: the random connected graph of most congest, shortcut, mst, mincut and partition tests",
 	"internal/gen.KTreePiece":                              "fixture: clique-sum pieces for structure and core tests",
 	"internal/gen.PartialKTree":                            "fixture: bounded-treewidth inputs for tw and shortcut tests",

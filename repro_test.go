@@ -412,3 +412,51 @@ func TestMaintainShortcutRejectsNaNRebuildFactor(t *testing.T) {
 		t.Fatalf("rebuild factor 1 stored as %v, want the default 2", m.RebuildFactor)
 	}
 }
+
+// TestExactMinCutAfterChurnDelete: deleting a non-tree edge through a
+// maintained shortcut removes it from the network's graph, and the exact
+// min-cut oracle then reads that graph's tombstone. It must give the cut
+// of the graph without the edge, not panic.
+func TestExactMinCutAfterChurnDelete(t *testing.T) {
+	nw, err := repro.GridNetwork(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := nw.FragmentParts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nw.MaintainShortcut(p, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for m.T.IsTreeEdge(id) {
+		id++
+	}
+	rep, err := m.Repair(repro.ChurnEvent{Kind: repro.EdgeDelete, Edge: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TreePatched {
+		t.Fatalf("edge %d is a non-tree edge, yet its delete patched the tree: %+v", id, rep)
+	}
+	w, side, err := nw.ExactMinCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := graph.New(nw.G.N())
+	for e := 0; e < nw.G.M(); e++ {
+		if !nw.G.EdgeRemoved(e) {
+			f := nw.G.Edge(e)
+			rebuilt.AddEdge(f.U, f.V, f.W)
+		}
+	}
+	want, _, err := graph.GlobalMinCut(rebuilt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := graph.CutWeight(nw.G, side); w != want || got != w {
+		t.Fatalf("min cut %v (side %v weighs %v) after deleting edge %d; the rebuilt graph's is %v", w, side, got, id, want)
+	}
+}
