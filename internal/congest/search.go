@@ -194,6 +194,12 @@ func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 // the pipelined tree layer (BootstrapPrioritiesUnder) and its measured rounds
 // are booked — no modeled charge remains anywhere in the simulated
 // ledger. Analytic mode charges PriorityBudget as before.
+//
+// The sequential side of the eccentricity probe is computed once too: the
+// cap-independent per-part bounds and probe order of shortcut.EccProbe,
+// which let every guess skip the parts that cannot raise its maximum. An
+// analytic search reads each guess's measurement and flooding state only,
+// so no guess's shortcut, the winner's included, builds its edge lists.
 func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOptions) (*SearchResult, error) {
 	if t.G != g {
 		return nil, fmt.Errorf("congest: cap search tree belongs to a different graph")
@@ -228,6 +234,7 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 	} else {
 		res.BootstrapRounds = boot.ChargedRounds
 	}
+	probe := shortcut.NewEccProbe(g, t, p)
 	bestEst := -1
 	for cap := 1; ; cap *= 2 {
 		c := cap
@@ -242,7 +249,7 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 		}
 		res.Guesses++
 		res.Stats.Add(cres.Stats)
-		est, err := estimateQuality(g, t, p, cres.S, opts.Simulate, opts.Adversary, res)
+		est, err := estimateQuality(g, t, p, cres.S, probe, opts.Simulate, opts.Adversary, res)
 		if err != nil {
 			return nil, fmt.Errorf("congest: cap search guess %d: %w", c, err)
 		}
@@ -284,10 +291,14 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // block-count sums (a pipelined multi-token convergecast of the locally
 // decidable BlockTops indicators — formerly a modeled charge). The
 // estimate's value is always derived from the converged fixed point, so
-// both modes agree on it.
-func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
+// both modes agree on it. Its terms come from the stored measurement and
+// from probe, the search's shared EccProbe: it walks the parts by
+// descending bound and stops at the first whose bound is no more than the
+// maximum found, reading the flooding state of an analytic guess rather
+// than filling its edge lists. Only simulate mode reads the lists.
+func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, probe *shortcut.EccProbe, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
-	maxEcc, err := s.MaxAugmentedEcc()
+	maxEcc, err := probe.MaxAugmentedEcc(s)
 	if err != nil {
 		return 0, err
 	}

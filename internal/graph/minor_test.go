@@ -162,6 +162,15 @@ func TestOraclesSkipTombstones(t *testing.T) {
 			return fmt.Sprint(k, err)
 		}},
 		{"IsForest", func(g *Graph) string { return fmt.Sprint(IsForest(g)) }},
+		{"Kruskal", func(g *Graph) string {
+			ids, w := Kruskal(g)
+			out := fmt.Sprint(w, " ")
+			for _, id := range ids {
+				e := g.Edge(id)
+				out += fmt.Sprintf("%d-%d ", e.U, e.V)
+			}
+			return out
+		}},
 		{"HasCliqueMinorWitness", func(g *Graph) string {
 			out := ""
 			for h := 3; h <= 5; h++ {

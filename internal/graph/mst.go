@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EdgeLess is the canonical total order on edges used across the repository:
 // by weight, ties broken by edge ID. Using a total order makes the minimum
@@ -14,15 +17,30 @@ func EdgeLess(g *Graph, a, b int) bool {
 	return a < b
 }
 
-// Kruskal computes the minimum spanning tree (forest, if disconnected) of g
-// under the canonical edge order and returns the chosen edge IDs sorted
-// ascending, together with the total weight. It runs CSR.MST on a snapshot
-// of g, so like NewCSR it panics on RemoveEdge tombstones.
+// Kruskal computes the minimum spanning tree (forest, if disconnected) of
+// g's live edges under the canonical edge order and returns the chosen edge
+// IDs sorted ascending, together with the total weight. It runs CSR.MST on
+// a snapshot of g. NewCSR refuses RemoveEdge tombstones, so a graph holding
+// them is snapshotted as its subgraph induced by every vertex, which drops
+// them and keeps the live edges in ascending ID order: the renumbering
+// keeps the canonical order, and with it the tree.
 func Kruskal(g *Graph) (ids []int, weight float64) {
-	ids32, weight := NewCSR(g).MST()
+	snap := g
+	var live []int // snapshot edge ID -> g's edge ID, when g holds tombstones
+	if slices.ContainsFunc(g.edges, func(e Edge) bool { return e.U < 0 }) {
+		all := make([]int, g.N())
+		for v := range all {
+			all[v] = v
+		}
+		snap, _, live = g.InducedSubgraph(all)
+	}
+	ids32, weight := NewCSR(snap).MST()
 	ids = make([]int, len(ids32))
 	for i, id := range ids32 {
 		ids[i] = int(id)
+		if live != nil {
+			ids[i] = live[id]
+		}
 	}
 	return ids, weight
 }

@@ -70,7 +70,9 @@ var ErrInvalidOptions = errors.New("mincut: invalid options")
 const maxDerivedTrees = 48
 
 // Approx finds a light global cut by greedy tree packing. Edge weights
-// must be non-negative; a negative or NaN weight is an error.
+// must be non-negative; a negative or NaN weight is an error. Every edge
+// loop skips RemoveEdge tombstones, so g may carry the deletes of a
+// maintained shortcut's churn repairs.
 func Approx(g *graph.Graph, opts Options) (*Result, error) {
 	if math.IsNaN(opts.Eps) || math.IsInf(opts.Eps, 0) || opts.Eps < 0 {
 		return nil, fmt.Errorf("%w: eps %v (want finite eps >= 0)", ErrInvalidOptions, opts.Eps)
@@ -86,7 +88,7 @@ func Approx(g *graph.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("mincut: %w", graph.ErrDisconnected)
 	}
 	for id := 0; id < g.M(); id++ {
-		if w := g.Edge(id).W; w < 0 || math.IsNaN(w) {
+		if w := g.Edge(id).W; !g.EdgeRemoved(id) && (w < 0 || math.IsNaN(w)) {
 			return nil, fmt.Errorf("mincut: edge %d has weight %v", id, w)
 		}
 	}
@@ -148,14 +150,17 @@ func (r *Result) consider(w float64, side []int) {
 }
 
 // packOneTree computes the minimum spanning tree with respect to current
-// loads (ties by original weight, then ID).
+// loads (ties by original weight, then ID). The reweighted copy keeps g's
+// tombstones, and with them g's edge IDs.
 func packOneTree(g *graph.Graph, loads []float64, opts Options) (ids []int, stats *mst.RunStats, err error) {
 	// Reweighted copy: key = load, tie-broken by (weight, id) via tiny
 	// epsilons that preserve the lexicographic order.
 	h := g.Clone()
 	maxW := g.MaxWeight() + 1
 	for id := 0; id < g.M(); id++ {
-		h.SetWeight(id, loads[id]*maxW*float64(g.M()+1)+g.Edge(id).W)
+		if !g.EdgeRemoved(id) {
+			h.SetWeight(id, loads[id]*maxW*float64(g.M()+1)+g.Edge(id).W)
+		}
 	}
 	if opts.SimulateMST || opts.ProviderFor != nil {
 		var prov pipeline.Provider
@@ -226,7 +231,7 @@ func evalTreeCuts(g *graph.Graph, t *graph.Tree, opts Options, res *Result) {
 	diff := make([]float64, n)
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
-		if t.IsTreeEdge(id) {
+		if g.EdgeRemoved(id) || t.IsTreeEdge(id) {
 			continue
 		}
 		a := l.Query(e.U, e.V)
@@ -319,6 +324,9 @@ func evalTreeCuts(g *graph.Graph, t *graph.Tree, opts Options, res *Result) {
 func crossWeight(g *graph.Graph, u, v int, inSub func(int, int) bool) float64 {
 	var w float64
 	for id := 0; id < g.M(); id++ {
+		if g.EdgeRemoved(id) {
+			continue
+		}
 		e := g.Edge(id)
 		au, bu := inSub(u, e.U), inSub(u, e.V)
 		av, bv := inSub(v, e.U), inSub(v, e.V)
@@ -334,6 +342,9 @@ func crossWeight(g *graph.Graph, u, v int, inSub func(int, int) bool) float64 {
 func nestedCut(g *graph.Graph, cut1 []float64, u, v int, inSub func(int, int) bool) float64 {
 	var wBA float64
 	for id := 0; id < g.M(); id++ {
+		if g.EdgeRemoved(id) {
+			continue
+		}
 		e := g.Edge(id)
 		inVU := inSub(v, e.U)
 		inVV := inSub(v, e.V)

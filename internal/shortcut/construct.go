@@ -110,7 +110,8 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 // One children-first pass computes the fixed point, runs FromFloodState's
 // checks on it and measures it. The shortcut keeps the admitted lists and
 // assembles its per-part edge lists from them only on the first Edges
-// call, so a caller that reads nothing but Measure never builds them.
+// call, so a caller that reads nothing but Measure and MaxAugmentedEcc,
+// which probes the admitted lists, never builds them.
 func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) *Shortcut {
 	if err := checkFloodInput(g, t, p, prio); err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: %v", err))
@@ -119,7 +120,9 @@ func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, p
 	if err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: internal error: %v", err))
 	}
-	return &Shortcut{G: g, T: t, P: p, flood: f, measured: &m}
+	s := &Shortcut{G: g, T: t, P: p, measured: &m}
+	s.flood.Store(f)
+	return s
 }
 
 // ValidPriorities checks that prio is a permutation of 0..numParts-1 (nil

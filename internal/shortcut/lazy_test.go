@@ -110,8 +110,11 @@ func TestConstructPrioLazyMatchesEager(t *testing.T) {
 
 // TestEdgesConcurrentFirstRead: the first Edges call of a ConstructPrio
 // shortcut fills its lists; goroutines that make it at once must all get
-// the same, complete lists. Under -race this is the check that the fill
-// is synchronized, so it runs under -short too.
+// the same, complete lists. Other goroutines probe the shortcut meanwhile,
+// reading the flooding state the fill drops or, once it is gone, the
+// lists; they must all get the probe's value. Under -race this is the
+// check that the fill is synchronized with both, so it runs under -short
+// too.
 func TestEdgesConcurrentFirstRead(t *testing.T) {
 	g := gen.Grid(12, 12).G
 	tr, err := graph.BFSTree(g, 0)
@@ -123,10 +126,18 @@ func TestEdgesConcurrentFirstRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	prio := shortcut.TreeBlockPriorities(tr, p)
-	want := cloneEdges(shortcut.ConstructPrio(g, tr, p, 3, prio).Edges())
+	ref := shortcut.ConstructPrio(g, tr, p, 3, prio)
+	wantEcc, err := shortcut.MaxAugmentedEccUnpruned(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneEdges(ref.Edges())
 	s := shortcut.ConstructPrio(g, tr, p, 3, prio)
-	readers := max(2, runtime.GOMAXPROCS(0))
+	probe := shortcut.NewEccProbe(g, tr, p)
+	readers := max(4, 2*runtime.GOMAXPROCS(0))
 	got := make([][][]int, readers)
+	eccs := make([]int, readers)
+	errs := make([]error, readers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range got {
@@ -134,16 +145,47 @@ func TestEdgesConcurrentFirstRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[i] = s.Edges()
+			switch i % 4 {
+			case 0, 2:
+				got[i] = s.Edges()
+			case 1:
+				eccs[i], errs[i] = probe.MaxAugmentedEcc(s)
+			default:
+				eccs[i], errs[i] = s.MaxAugmentedEcc()
+			}
 		}()
 	}
 	close(start)
 	wg.Wait()
-	for i, edges := range got {
-		if !slices.EqualFunc(edges, want, slices.Equal[[]int]) {
-			t.Fatalf("reader %d of %d got %v, want %v", i, readers, edges, want)
+	for i := range got {
+		if i%2 == 0 {
+			if !slices.EqualFunc(got[i], want, slices.Equal[[]int]) {
+				t.Fatalf("reader %d of %d got %v, want %v", i, readers, got[i], want)
+			}
+		} else if errs[i] != nil || eccs[i] != wantEcc {
+			t.Fatalf("prober %d of %d got %d, %v; want %d", i, readers, eccs[i], errs[i], wantEcc)
 		}
 	}
+}
+
+// sqrtFragmentPhase returns g's Borůvka trace and the index of its last
+// phase that leaves at least √n fragments: the decomposition's part
+// family, trace[frag].Parts(g).
+func sqrtFragmentPhase(tb testing.TB, g *graph.Graph) ([]partition.BoruvkaPhase, int) {
+	tb.Helper()
+	trace, _, err := partition.BoruvkaTrace(g, 64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	root := 1
+	for root*root < g.N() {
+		root++
+	}
+	frag := 0
+	for frag+1 < len(trace) && trace[frag+1].NumFrags >= root {
+		frag++
+	}
+	return trace, frag
 }
 
 // BenchmarkFloodConstruct prices one flooding construction on the 160×160
@@ -163,18 +205,7 @@ func BenchmarkFloodConstruct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace, _, err := partition.BoruvkaTrace(g, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := 1
-	for root*root < g.N() {
-		root++
-	}
-	frag := 0
-	for frag+1 < len(trace) && trace[frag+1].NumFrags >= root {
-		frag++
-	}
+	trace, frag := sqrtFragmentPhase(b, g)
 	const cap = 512
 	for _, fam := range []struct {
 		name string

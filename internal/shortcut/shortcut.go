@@ -10,10 +10,10 @@
 // children-first pass that builds or checks them, with no union-find at
 // all; ConstructPrio's shortcuts go further and assemble their per-part
 // edge lists only when Edges is first called, so a caller that reads only
-// the quality never pays for them. Every other shortcut is measured over
-// epoch-stamped scratch slices (graph.Scratch) and a single reused
-// union-find forest, so measuring it allocates O(parts) memory rather than
-// O(parts · n) map churn.
+// the quality and the augmented-eccentricity probe never pays for them.
+// Every other shortcut is measured over epoch-stamped scratch slices
+// (graph.Scratch) and a single reused union-find forest, so measuring it
+// allocates O(parts) memory rather than O(parts · n) map churn.
 package shortcut
 
 import (
@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -37,16 +38,24 @@ type Shortcut struct {
 	edges [][]int // per part: sorted tree edge IDs
 
 	// flood is the flooding state a ConstructPrio shortcut owns until the
-	// first Edges call fills edges from it, under once, and drops it. It is
-	// nil for every other shortcut, whose edges are built eagerly.
+	// first Edges call fills edges from it, under once, and clears it. It is
+	// nil for every other shortcut, whose edges are built eagerly. It is
+	// atomic because MaxAugmentedEcc reads the state, not the edge lists,
+	// and may run while another goroutine makes the first Edges call.
 	once  sync.Once
-	flood *floodLists
+	flood atomic.Pointer[floodLists]
 
 	// measured is the Measurement the flood pass derived from the state the
 	// shortcut was built from (ConstructPrio, FromFloodState). It is nil
-	// for hand-built shortcuts, and Union and WholeTree clear it.
+	// for hand-built shortcuts, and Union and WholeTree clear it, so it
+	// also marks the shortcuts whose edge sets are a checked, grounded
+	// flooding state: the ones MaxAugmentedEcc may prune.
 	measured *Measurement
 }
+
+// fills counts the edge-list fills of lazily built shortcuts; the package's
+// tests read it to check that a read path leaves them unfilled.
+var fills atomic.Int64
 
 // Edges returns the per-part edge lists: Edges()[i] is part i's Hᵢ, sorted
 // tree edge IDs. The lists are the shortcut's own, not copies. A shortcut
@@ -60,9 +69,10 @@ func (s *Shortcut) Edges() [][]int {
 
 // fill assembles a lazily built shortcut's edge lists; see Edges.
 func (s *Shortcut) fill() {
-	if s.flood != nil {
-		s.edges = fillEdges(s.G, s.T, s.flood)
-		s.flood = nil
+	if f := s.flood.Load(); f != nil {
+		s.edges = fillEdges(s.G, s.T, f)
+		s.flood.Store(nil)
+		fills.Add(1)
 	}
 }
 
@@ -352,138 +362,6 @@ func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
 		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
 	}
 	return d, nil
-}
-
-// MaxAugmentedEcc returns the maximum over parts of the hop eccentricity of
-// the part's first member (P.Sets[i][0]) in its augmented subgraph
-// G[Pᵢ] + Hᵢ. This is the cap search's quality probe: one BFS per part
-// instead of AugmentedDiameter's all-pairs sweep, and ecc ≤ diameter ≤
-// 2·ecc, so it tracks the quantity the framework bounds while staying cheap
-// enough to evaluate per doubling guess. An empty part, or a part whose
-// augmented subgraph is disconnected (an error wrapping
-// graph.ErrDisconnected), is an explicit error, as in AugmentedDiameter.
-//
-// The probe never materializes a *graph.Graph: it runs each BFS over a
-// flat local CSR assembled with one counting pass. One set of buffers,
-// sized once for the largest part, and one pair of scratch arenas serve
-// every part and are reset between parts, so a call allocates the same
-// handful of slices whatever the part count.
-func (s *Shortcut) MaxAugmentedEcc() (int, error) {
-	g := s.G
-	edges := s.Edges()
-	maxVerts, maxArcs := 0, 0
-	for i, set := range s.P.Sets {
-		if len(set) == 0 {
-			return 0, fmt.Errorf("shortcut: part %d is empty, augmented eccentricity undefined", i)
-		}
-		// Bounds: the part plus both endpoints of every shortcut edge, and
-		// every arc at a part member plus both directions of every edge.
-		arcs := 2 * len(edges[i])
-		for _, v := range set {
-			arcs += len(g.Adj(v))
-		}
-		maxVerts = max(maxVerts, len(set)+2*len(edges[i]))
-		maxArcs = max(maxArcs, arcs)
-	}
-	in := g.AcquireScratch() // vertex -> local index
-	defer g.ReleaseScratch(in)
-	partIn := g.AcquireScratch()
-	defer g.ReleaseScratch(partIn)
-	verts := make([]int, 0, maxVerts)
-	offBuf := make([]int32, maxVerts+1)
-	curBuf := make([]int32, maxVerts)
-	distBuf := make([]int32, maxVerts)
-	queue := make([]int32, 0, maxVerts)
-	dstBuf := make([]int32, maxArcs)
-	maxEcc := int32(0)
-	for i, set := range s.P.Sets {
-		in.Reset()
-		partIn.Reset()
-		verts = verts[:0]
-		for _, v := range set {
-			if in.Visit(v) {
-				verts = append(verts, v)
-			}
-			partIn.Visit(v)
-		}
-		numPart := len(verts)
-		for _, id := range edges[i] {
-			e := g.Edge(id)
-			if in.Visit(e.U) {
-				verts = append(verts, e.U)
-			}
-			if in.Visit(e.V) {
-				verts = append(verts, e.V)
-			}
-		}
-		for li, v := range verts {
-			in.Set(v, int32(li))
-		}
-		// Local CSR: count arc slots (induced part arcs at both endpoints
-		// plus both directions of each shortcut edge), prefix-sum, fill.
-		nl := len(verts)
-		off := offBuf[:nl+1]
-		clear(off)
-		for _, v := range verts[:numPart] {
-			li := in.GetOr(v, -1)
-			for _, a := range g.Adj(v) {
-				if partIn.Has(a.To) {
-					off[li+1]++
-				}
-			}
-		}
-		for _, id := range edges[i] {
-			e := g.Edge(id)
-			off[in.GetOr(e.U, -1)+1]++
-			off[in.GetOr(e.V, -1)+1]++
-		}
-		for li := 0; li < nl; li++ {
-			off[li+1] += off[li]
-		}
-		dst := dstBuf[:off[nl]]
-		cur := curBuf[:nl]
-		copy(cur, off[:nl])
-		for _, v := range verts[:numPart] {
-			li := in.GetOr(v, -1)
-			for _, a := range g.Adj(v) {
-				if partIn.Has(a.To) {
-					dst[cur[li]] = in.GetOr(a.To, -1)
-					cur[li]++
-				}
-			}
-		}
-		for _, id := range edges[i] {
-			e := g.Edge(id)
-			lu, lv := in.GetOr(e.U, -1), in.GetOr(e.V, -1)
-			dst[cur[lu]] = lv
-			cur[lu]++
-			dst[cur[lv]] = lu
-			cur[lv]++
-		}
-		dist := distBuf[:nl]
-		for li := range dist {
-			dist[li] = -1
-		}
-		queue = queue[:0]
-		src := in.GetOr(set[0], -1)
-		dist[src] = 0
-		queue = append(queue, src)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			du := dist[u]
-			maxEcc = max(maxEcc, du)
-			for _, w := range dst[off[u]:off[u+1]] {
-				if dist[w] == -1 {
-					dist[w] = du + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		if len(queue) != nl {
-			return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
-		}
-	}
-	return int(maxEcc), nil
 }
 
 // augmentedSubgraph builds G[Pᵢ] + Hᵢ — the subgraph induced by part i plus

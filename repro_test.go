@@ -460,3 +460,57 @@ func TestExactMinCutAfterChurnDelete(t *testing.T) {
 		t.Fatalf("min cut %v (side %v weighs %v) after deleting edge %d; the rebuilt graph's is %v", w, side, got, id, want)
 	}
 }
+
+// TestApproxMinCutAfterChurnDelete: after a maintained shortcut's Repair
+// deletes a non-tree edge, the network's graph holds the edge's tombstone.
+// Both tree-packing min cuts must skip it: each returns a cut within 1+ε of
+// the exact minimum, whose side weighs what the cut reports over the live
+// edges, rather than panicking.
+func TestApproxMinCutAfterChurnDelete(t *testing.T) {
+	nw, err := repro.GridNetwork(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := nw.FragmentParts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nw.MaintainShortcut(p, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for m.T.IsTreeEdge(id) {
+		id++
+	}
+	if _, err := m.Repair(repro.ChurnEvent{Kind: repro.EdgeDelete, Edge: id}); err != nil {
+		t.Fatal(err)
+	}
+	if !nw.G.EdgeRemoved(id) {
+		t.Fatalf("edge %d is still in the network's graph after its delete", id)
+	}
+	exact, _, err := nw.ExactMinCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.5
+	for _, run := range []struct {
+		name string
+		cut  func() (*repro.CutResult, error)
+	}{
+		{"ApproxMinCut", func() (*repro.CutResult, error) { return nw.ApproxMinCut(eps) }},
+		{"MinCutConstructed", func() (*repro.CutResult, error) { return nw.MinCutConstructed(eps, false) }},
+		{"MinCutConstructed simulated", func() (*repro.CutResult, error) { return nw.MinCutConstructed(eps, true) }},
+	} {
+		cut, err := run.cut()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if cut.Value < exact-1e-9 || cut.Value > (1+eps)*exact+1e-9 {
+			t.Fatalf("%s: cut %v, exact minimum %v; want within a factor %v", run.name, cut.Value, exact, 1+eps)
+		}
+		if w := graph.CutWeight(nw.G, cut.Side); math.Abs(w-cut.Value) > 1e-9 {
+			t.Fatalf("%s: reported %v but side %v cuts %v", run.name, cut.Value, cut.Side, w)
+		}
+	}
+}
