@@ -46,11 +46,14 @@ bench-test:
 # scale-smoke runs the full zero-witness pipeline at 10⁵ nodes (grid +
 # wheel, hybrid mode) with a bounded wall-clock — the CI guard that the
 # million-node path stays subquadratic. The 10⁶ run itself lives in
-# BenchmarkScaleMillionPipeline (make bench-baseline).
+# BenchmarkScaleMillionPipeline.
 scale-smoke:
 	$(GO) test -run 'TestScaleSmoke100k' -count=1 -v ./internal/experiments
 
-# bench-baseline records the full benchmark suite as JSON for perf
-# trajectory tracking across PRs (compare with benchstat or jq).
+# bench-baseline records the layer benchmarks (CI's layer-smoke set: cap
+# search, eccentricity probe, flood construction, measurement, relaxation,
+# decomposition, MST), five samples each with allocations, as JSON for perf
+# tracking across changes (compare with benchstat or jq). Record it on one
+# host and compare only records from the same host.
 bench-baseline:
-	$(GO) test -bench=. -benchtime=1x -run=NONE -json . > BENCH_baseline.json
+	$(GO) test -run '^$$' -bench 'SearchCap|MaxAugmentedEcc|FloodConstruct|Measure|BatchRelax|BoruvkaDecompose|ShortcutBoruvka' -count=5 -benchmem -json ./internal/congest ./internal/shortcut ./internal/mst > BENCH_baseline.json

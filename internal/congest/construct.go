@@ -71,11 +71,13 @@ func ConstructBudget(t *graph.Tree, cap int) int {
 // each vertex forwarding over its parent edge the (up to) cap best ranks it
 // currently knows — one ADMIT or EVICT message per edge per round — and
 // retracting previously forwarded ranks when a higher-priority flood
-// arrives (the eviction cascades up). The fixed point is exactly
-// shortcut.FloodFixedPoint under the same priorities; the run's budget
+// arrives (the eviction cascades up). Both modes return the flood-built
+// shortcut.ConstructPrio under the same priorities, whose flooding state is
+// the fixed point: simulate mode runs the protocol, with a budget that
 // starts at ConstructBudget and doubles until the converged state matches
-// that ground truth (the same environment-checked convergence loop
-// AggregateMin uses).
+// that state (the same environment-checked convergence loop AggregateMin
+// uses), and returns the same shortcut, so one flood pass serves as both
+// the convergence target and the result.
 func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts ConstructOptions) (*ConstructResult, error) {
 	if t.G != g {
 		return nil, fmt.Errorf("congest: construction tree belongs to a different graph")
@@ -97,15 +99,14 @@ func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts C
 	if adv != nil && !opts.Simulate {
 		return nil, fmt.Errorf("congest: construction adversary requires simulate mode")
 	}
-	res := &ConstructResult{Cap: cap}
+	res := &ConstructResult{Cap: cap, S: shortcut.ConstructPrio(g, t, p, cap, prio)}
 	if !opts.Simulate {
-		res.S = shortcut.ConstructPrio(g, t, p, cap, prio)
 		res.ChargedRounds = ConstructBudget(t, cap)
 		return res, nil
 	}
-	want := shortcut.FloodFixedPoint(g, t, p, cap, prio)
-	var final [][]int32
+	want := res.S.FloodState()
 	err := adv.converge("ConstructShortcut", ConstructBudget(t, cap), func(budget int) (err error) {
+		var final [][]int32
 		final, res.Stats, err = runConstruct(g, t, p, cap, budget, prio, adv.attemptOptions(budget))
 		if err == nil && !slices.EqualFunc(final, want, slices.Equal[[]int32]) {
 			err = &IncompleteError{Protocol: "ConstructShortcut", Rounds: res.Stats.Rounds, Budget: budget,
@@ -116,9 +117,6 @@ func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts C
 	})
 	if err != nil {
 		return nil, err
-	}
-	if res.S, err = shortcut.FromFloodState(g, t, p, final, prio); err != nil {
-		return nil, fmt.Errorf("congest: assembling constructed shortcut: %w", err)
 	}
 	res.EffectiveRounds = res.Stats.LastActiveRound
 	return res, nil

@@ -289,13 +289,15 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 // congestion maximum (a single-token max convergecast), the
 // augmented-eccentricity probe (AggregateMin), and the per-part
 // block-count sums (a pipelined multi-token convergecast of the locally
-// decidable BlockTops indicators — formerly a modeled charge). The
-// estimate's value is always derived from the converged fixed point, so
-// both modes agree on it. Its terms come from the stored measurement and
-// from probe, the search's shared EccProbe: it walks the parts by
-// descending bound and stops at the first whose bound is no more than the
-// maximum found, reading the flooding state of an analytic guess rather
-// than filling its edge lists. Only simulate mode reads the lists.
+// decidable BlockTops indicators — formerly a modeled charge). s is the
+// guess's flood-built shortcut, whose flooding state is the converged fixed
+// point, so both modes derive the same estimate from it. Its terms come
+// from the stored measurement and from probe, the search's shared
+// EccProbe: it walks the parts by descending bound and stops at the first
+// whose bound is no more than the maximum found, reading the flooding state
+// rather than filling the edge lists. The congestion convergecast's inputs
+// are the state's per-vertex list lengths; only simulate mode's probe
+// protocol and block-count indicators read the lists.
 func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, probe *shortcut.EccProbe, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
 	maxEcc, err := probe.MaxAugmentedEcc(s)
@@ -308,18 +310,9 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 		// exactly the |sent| each node's protocol state holds when the
 		// construction converges.
 		counts := make([]uint64, g.N())
-		use := g.AcquireScratch()
-		for _, ids := range s.Edges() {
-			for _, id := range ids {
-				use.Add(id, 1)
-			}
+		for v, list := range s.FloodState() {
+			counts[v] = uint64(len(list))
 		}
-		for v := 0; v < g.N(); v++ {
-			if id := t.ParentEdge[v]; id != -1 {
-				counts[v] = uint64(use.GetOr(id, 0))
-			}
-		}
-		g.ReleaseScratch(use)
 		rootMax, mstats, err := treeCombineUnder(t, counts, CombineMax, adv)
 		if err != nil {
 			return 0, err

@@ -41,7 +41,10 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 			apexParts = append(apexParts, i)
 		}
 	}
-	shortcut.WholeTree(s, apexParts)
+	edges := s.Edges()
+	for _, i := range apexParts {
+		edges[i] = t.TreeEdgeIDs()
+	}
 	info["apexParts"] = len(apexParts)
 
 	cells := BuildCells(g, t, a.Apices, a.VortexOf)
@@ -74,7 +77,6 @@ func AlmostEmbeddableShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts,
 			}
 		}
 	}
-	edges := s.Edges()
 	for i := range assigned {
 		for _, ci := range assigned[i] {
 			edges[i] = append(edges[i], cellTreeEdges[ci]...)

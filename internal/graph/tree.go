@@ -170,26 +170,6 @@ func (t *Tree) TreeEdgeIDs() []int {
 	return out
 }
 
-// PathToRoot returns the vertices from v up to the root, inclusive.
-func (t *Tree) PathToRoot(v int) []int {
-	var path []int
-	for v != -1 {
-		path = append(path, v)
-		v = t.Parent[v]
-	}
-	return path
-}
-
-// EdgePathToRoot returns the edge IDs on the path from v up to the root.
-func (t *Tree) EdgePathToRoot(v int) []int {
-	var ids []int
-	for t.Parent[v] != -1 {
-		ids = append(ids, t.ParentEdge[v])
-		v = t.Parent[v]
-	}
-	return ids
-}
-
 // LCA answers lowest-common-ancestor queries on a Tree in O(log n) time after
 // O(n log n) preprocessing (binary lifting).
 type LCA struct {

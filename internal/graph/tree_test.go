@@ -87,25 +87,6 @@ func TestTreeFromParentsValidation(t *testing.T) {
 	}
 }
 
-func TestPathToRoot(t *testing.T) {
-	g := mustPath(t, 5)
-	tr, _ := BFSTree(g, 0)
-	p := tr.PathToRoot(4)
-	want := []int{4, 3, 2, 1, 0}
-	if len(p) != len(want) {
-		t.Fatalf("path %v", p)
-	}
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatalf("path %v want %v", p, want)
-		}
-	}
-	ids := tr.EdgePathToRoot(4)
-	if len(ids) != 4 {
-		t.Fatalf("edge path %v", ids)
-	}
-}
-
 func TestLCAOnRandomTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -120,15 +101,12 @@ func TestLCAOnRandomTrees(t *testing.T) {
 		for q := 0; q < 30; q++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			anc := map[int]bool{}
-			for _, x := range tr.PathToRoot(u) {
+			for x := u; x != -1; x = tr.Parent[x] {
 				anc[x] = true
 			}
-			naive := -1
-			for _, x := range tr.PathToRoot(v) {
-				if anc[x] {
-					naive = x
-					break
-				}
+			naive := v
+			for !anc[naive] {
+				naive = tr.Parent[naive]
 			}
 			if got := l.Query(u, v); got != naive {
 				t.Fatalf("LCA(%d,%d) = %d want %d (n=%d)", u, v, got, naive, n)

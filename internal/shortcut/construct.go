@@ -108,27 +108,26 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 // of 0..NumParts-1 (ValidPriorities).
 //
 // One children-first pass computes the fixed point, runs FromFloodState's
-// checks on it and measures it. The shortcut keeps the admitted lists and
-// assembles its per-part edge lists from them only on the first Edges
-// call, so a caller that reads nothing but Measure and MaxAugmentedEcc,
-// which probes the admitted lists, never builds them.
+// checks on it and measures it. The shortcut is flood-built: it keeps the
+// admitted lists (FloodState) and assembles its per-part edge lists from
+// them only on the first Edges call, so a caller that reads nothing but
+// Measure and MaxAugmentedEcc, which probes the admitted lists, never
+// builds them.
 func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) *Shortcut {
 	if err := checkFloodInput(g, t, p, prio); err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: %v", err))
 	}
-	f, m, err := measureFloodState(t, p, nil, prio, max(cap, 1))
+	f, err := measureFloodState(t, p, nil, prio, max(cap, 1))
 	if err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: internal error: %v", err))
 	}
-	s := &Shortcut{G: g, T: t, P: p, measured: &m}
-	s.flood.Store(f)
-	return s
+	return &Shortcut{G: g, T: t, P: p, flood: f}
 }
 
 // ValidPriorities checks that prio is a permutation of 0..numParts-1 (nil
 // is the identity and always valid): a rank out of range would index past
-// the inverse mapping when the shortcut is assembled, and a duplicate rank
-// would silently merge two parts' floods — one part losing every edge.
+// the rank-indexed counts of the flood pass, and a duplicate rank would
+// silently merge two parts' floods — one part losing every edge.
 func ValidPriorities(prio []int32, numParts int) error {
 	if prio == nil {
 		return nil
@@ -153,15 +152,14 @@ func ValidPriorities(prio []int32, numParts int) error {
 // refuses to assemble.
 var ErrMalformedFloodState = errors.New("shortcut: malformed flood state")
 
-// FromFloodState assembles and measures the Shortcut described by a
+// FromFloodState returns the flood-built Shortcut described by a
 // flooding-construction state: admitted[v] lists, in rank space (see
-// FloodFixedPoint), the parts admitted over v's parent edge; prio maps part
-// to rank (nil = identity) and must be a permutation of 0..NumParts-1. The
-// distributed protocol's converged state and a maintained shortcut's
-// repaired state assemble through here. The state stays the caller's, so
-// the edge lists are built before it returns; ConstructPrio, which owns
-// its state, builds them only when they are read. Both run the same pass,
-// so the two paths cannot diverge.
+// FloodState), the parts admitted over v's parent edge; prio maps part to
+// rank (nil = identity) and must be a permutation of 0..NumParts-1. A
+// maintained shortcut's repaired state becomes a shortcut through here. The
+// shortcut keeps admitted as its flooding state and builds no edge lists,
+// exactly as ConstructPrio's does, so the caller hands the state over and
+// must not modify it afterwards.
 //
 // The state already holds everything Measure would recompute, so the
 // returned shortcut carries its Measurement, derived in one children-first
@@ -187,11 +185,11 @@ func FromFloodState(g *graph.Graph, t *graph.Tree, p *partition.Parts, admitted 
 	if len(admitted) != g.N() {
 		return nil, fmt.Errorf("%w: %d admitted lists for %d vertices", ErrMalformedFloodState, len(admitted), g.N())
 	}
-	f, m, err := measureFloodState(t, p, admitted, prio, 0)
+	f, err := measureFloodState(t, p, admitted, prio, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &Shortcut{G: g, T: t, P: p, edges: fillEdges(g, t, f), measured: &m}, nil
+	return &Shortcut{G: g, T: t, P: p, flood: f}, nil
 }
 
 // checkFloodInput is the validation every flood-built shortcut shares: a
@@ -214,14 +212,15 @@ func checkFloodInput(g *graph.Graph, t *graph.Tree, p *partition.Parts, prio []i
 	return nil
 }
 
-// floodLists is a flooding state together with what fillEdges needs to turn
-// it into per-part edge lists: admitted[v] holds the ranks admitted over
-// v's parent edge, size[r] the edge count of rank r's part, and inv maps
-// rank to part.
+// floodLists is a flood-built shortcut's flooding state with what its
+// readers need: admitted[v] holds the ranks admitted over v's parent edge,
+// size[r] the edge count of rank r's part, rank maps part to rank, and m is
+// the state's measurement.
 type floodLists struct {
 	admitted [][]int32
 	size     []int
-	inv      []int32
+	rank     []int32
+	m        Measurement
 }
 
 // fillEdges assembles the per-part edge lists of a flooding state. The
@@ -234,18 +233,18 @@ type floodLists struct {
 // distinct parent edges) and every ID is a tree edge by definition, so
 // New's sortedDedup copy and tree-membership sweep are not needed.
 func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
-	np := len(f.inv)
+	np := len(f.rank)
 	off := make([]int, np+1)
-	for r, c := range f.size {
-		off[f.inv[r]+1] = c
+	for part, r := range f.rank {
+		off[part+1] = f.size[r]
 	}
 	for i := 0; i < np; i++ {
 		off[i+1] += off[i]
 	}
 	slab := make([]int, off[np])
 	cur := make([]int, np) // by rank: the next free slot of the rank's part
-	for r := range cur {
-		cur[r] = off[f.inv[r]]
+	for part, r := range f.rank {
+		cur[r] = off[part]
 	}
 	child := g.AcquireScratch() // tree edge ID -> the vertex it is the parent edge of
 	defer g.ReleaseScratch(child)
@@ -276,23 +275,23 @@ func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
 // vertex (see FromFloodState). With cap ≥ 1 admitted must be nil: the pass
 // generates the fixed point at that cap as it goes, applying admit to the
 // ranks present at each vertex, and checks and measures what it generated.
-// Either way the result holds the state with each rank's edge count.
-// Vertices are visited in reverse BFS order, so every child's list is final
-// and checked before its parent reads it, and all counting is in rank
-// space, mapped to parts once at the end.
+// Either way the result holds the state with each rank's edge count and
+// the measurement. Vertices are visited in reverse BFS order, so every
+// child's list is final and checked before its parent reads it, and all
+// counting is in rank space, mapped to parts once at the end.
 //
 // In a grounded state the admitted ranks at v are a subset of the present
 // ones, so part i's block count — #{v : i present, i not admitted} — is
 // #{v : i present} − |Hᵢ|. The pass therefore counts presence alone, with
 // one rank-indexed stamp array in place of a per-part union-find, and
 // subtracts the edge counts at the end.
-func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32, cap int) (*floodLists, Measurement, error) {
+func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32, cap int) (*floodLists, error) {
 	np := p.NumParts()
 	generate := cap > 0
 	if generate {
 		admitted = make([][]int32, len(t.Parent))
 	}
-	f := &floodLists{admitted: admitted, size: make([]int, np), inv: invertPriorities(np, prio)}
+	f := &floodLists{admitted: admitted, size: make([]int, np)}
 	m := Measurement{TreeDiameter: treeDiameter(t), Blocks: make([]int, np)}
 	seen := make([]int, np) // by rank: #{v : rank present at v}
 	// present[r] == v+1 iff rank r is present at v. Each vertex is visited
@@ -315,7 +314,10 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 		if generate {
 			if k := len(admit(t, v, cap, buf)); k > 0 {
 				if k > arenaFree {
-					arenaFree = max(1<<15, k)
+					// The shortcut keeps its state for life, so a chunk is
+					// no larger than the unvisited vertices, oi+1 of them,
+					// can fill: a small instance keeps no unused tail.
+					arenaFree = max(k, min(1<<15, (oi+1)*min(cap, np)))
 					arena = make([]int32, 0, arenaFree)
 				}
 				start := len(arena)
@@ -326,63 +328,38 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 		}
 		list := admitted[v]
 		if len(list) > 0 && t.ParentEdge[v] == -1 {
-			return nil, Measurement{}, fmt.Errorf("%w: vertex %d has no parent edge but admits %d ranks",
+			return nil, fmt.Errorf("%w: vertex %d has no parent edge but admits %d ranks",
 				ErrMalformedFloodState, v, len(list))
 		}
 		for k, r := range list {
 			switch {
 			case r < 0 || int(r) >= np:
-				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits rank %d outside [0, %d)",
+				return nil, fmt.Errorf("%w: vertex %d admits rank %d outside [0, %d)",
 					ErrMalformedFloodState, v, r, np)
 			case k > 0 && r <= list[k-1]:
-				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
+				return nil, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
 					ErrMalformedFloodState, v, list)
 			case present[r] != stamp:
-				return nil, Measurement{}, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
+				return nil, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
 					ErrMalformedFloodState, v, r)
 			}
 			f.size[r]++
 		}
 		m.Congestion = max(m.Congestion, len(list))
 	}
-	for r, part := range f.inv {
+	// present is spent, so it becomes the part -> rank mapping.
+	f.rank = present
+	for part := range f.rank {
+		r := int32(part)
+		if prio != nil {
+			r = prio[part]
+		}
+		f.rank[part] = r
 		m.Blocks[part] = seen[r] - f.size[r]
 	}
 	m.finish()
-	return f, m, nil
-}
-
-// invertPriorities returns the rank -> part mapping (identity for nil prio).
-func invertPriorities(numParts int, prio []int32) []int32 {
-	inv := make([]int32, numParts)
-	if prio == nil {
-		for i := range inv {
-			inv[i] = int32(i)
-		}
-		return inv
-	}
-	for part, rank := range prio {
-		inv[rank] = int32(part)
-	}
-	return inv
-}
-
-// FloodFixedPoint returns, per vertex, the sorted priority ranks admitted
-// over the vertex's parent edge at the flooding construction's fixed point
-// (nil at the root and at vertices no flood reaches). The state lives in
-// rank space — ascending rank = descending priority — so "keep the cap
-// best" is a prefix truncation; map ranks back to parts with the inverse of
-// prio (nil prio = identity, i.e. the static by-ID order), which must be a
-// permutation of 0..NumParts-1. Exposed so the distributed construction can
-// validate its converged state against the ground truth and a maintained
-// shortcut can start from it. It runs ConstructPrio's pass and keeps only
-// the state.
-func FloodFixedPoint(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) [][]int32 {
-	f, _, err := measureFloodState(t, p, nil, prio, max(cap, 1))
-	if err != nil {
-		panic(fmt.Sprintf("shortcut.FloodFixedPoint: internal error: %v", err))
-	}
-	return f.admitted
+	f.m = m
+	return f, nil
 }
 
 // gather collects in buf, and returns, the ranks present at v: v's own

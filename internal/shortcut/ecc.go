@@ -20,16 +20,15 @@ import (
 // graph.ErrDisconnected, naming the lowest such part), is an explicit
 // error, as in AugmentedDiameter.
 //
-// A flood-built shortcut (ConstructPrio, FromFloodState, neither edited by
-// Union or WholeTree) is probed through an EccProbe built for the call,
-// which skips the parts that cannot raise the maximum; every other
-// shortcut has each of its parts probed. A caller probing many shortcuts
-// over one part family builds the EccProbe once and calls its
-// MaxAugmentedEcc instead. Either way the result is the one a BFS over
-// every part would give.
+// A flood-built shortcut (ConstructPrio, FromFloodState) is probed through
+// an EccProbe built for the call, which skips the parts that cannot raise
+// the maximum; an edge-built shortcut has each of its parts probed. A
+// caller probing many shortcuts over one part family builds the EccProbe
+// once and calls its MaxAugmentedEcc instead. Either way the result is the
+// one a BFS over every part would give.
 func (s *Shortcut) MaxAugmentedEcc() (int, error) {
 	var e *EccProbe
-	if s.measured != nil {
+	if s.flood != nil {
 		e = NewEccProbe(s.G, s.T, s.P)
 	}
 	ecc, _, err := s.maxAugmentedEcc(e)
@@ -127,24 +126,26 @@ func (e *EccProbe) MaxAugmentedEcc(s *Shortcut) (int, error) {
 }
 
 // maxAugmentedEcc runs the probe's BFSs and also returns how many parts it
-// walked. It prunes with e's bounds when e is non-nil and s is flood-built,
-// and walks every part in index order otherwise.
+// walked. Each kind of shortcut has one path.
 //
-// One BFS routine serves every shortcut, walking G and T directly: from u
-// it follows u's G-edges inside Pᵢ when u is a member, u's parent edge when
-// that edge is in Hᵢ, and the parent edge of each child that has it in Hᵢ.
-// Before the BFS, the part's Hᵢ edges are threaded into per-parent child
-// lists, so a part costs O(|Pᵢ|·deg + |Hᵢ|) whatever the tree degree of the
-// vertices it reaches. The edges come from the sorted Hᵢ or, for a
-// ConstructPrio shortcut whose edge lists are not filled yet (the probe
-// never fills them), from its admitted lists: that state is grounded, so
-// walking up from each member while the parent edge admits the part's rank
-// (a binary search) meets every Hᵢ edge once. A part is connected when the
-// BFS reaches all of V(G[Pᵢ] + Hᵢ): for a flood-built shortcut that vertex
-// set has Blocks[i] + |Hᵢ| vertices (every vertex where the part is present
-// tops a block or admits it over its parent edge), and for any other every
-// member and every endpoint of Hᵢ must be reached. Three pooled scratch
-// arenas and one queue serve every part.
+// One BFS routine serves both, walking G and T directly: from u it follows
+// u's G-edges inside Pᵢ when u is a member, u's parent edge when that edge
+// is in Hᵢ, and the parent edge of each child that has it in Hᵢ. Before the
+// BFS, the part's Hᵢ edges are threaded into per-parent child lists, so a
+// part costs O(|Pᵢ|·deg + |Hᵢ|) whatever the tree degree of the vertices it
+// reaches. Three pooled scratch arenas and one queue serve every part.
+//
+//   - A flood-built shortcut's parts are visited in e's order, pruned by
+//     e's bounds, when e is non-nil, and in index order otherwise. Hᵢ comes
+//     from the flooding state, which the probe never turns into edge lists:
+//     the state is grounded, so walking up from each member while the
+//     parent edge admits the part's rank (a binary search) meets every Hᵢ
+//     edge once. The part is connected when the BFS reaches all
+//     Blocks[i] + |Hᵢ| vertices of G[Pᵢ] + Hᵢ: every vertex where the part
+//     is present tops a block or admits it over its parent edge.
+//   - An edge-built shortcut's parts are visited in index order, Hᵢ is
+//     threaded from its sorted list, and the part is connected when the
+//     BFS reaches every member and every endpoint of Hᵢ.
 func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) {
 	g, t, p := s.G, s.T, s.P
 	for i, set := range p.Sets {
@@ -152,36 +153,17 @@ func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) 
 			return 0, 0, fmt.Errorf("shortcut: part %d is empty, augmented eccentricity undefined", i)
 		}
 	}
-	var order, bound []int32
-	if e != nil && s.measured != nil {
-		order, bound = e.order, e.bound
-	}
-	// Exactly one of admitted (with rank) and edges is set.
-	var admitted [][]int32
-	var size []int
-	var rank []int32
+	f := s.flood
 	var edges [][]int
-	if f := s.flood.Load(); f != nil {
-		admitted, size = f.admitted, f.size
-		rank = make([]int32, len(f.inv))
-		for r, part := range f.inv {
-			rank[part] = int32(r)
+	largest := 0 // |V(G[Pᵢ] + Hᵢ)|, or a bound on it
+	if f != nil {
+		for i := range p.Sets {
+			largest = max(largest, f.m.Blocks[i]+f.size[f.rank[i]])
 		}
 	} else {
 		edges = s.Edges()
-	}
-	hSize := func(i int) int {
-		if edges == nil {
-			return size[rank[i]]
-		}
-		return len(edges[i])
-	}
-	largest := 0 // |V(G[Pᵢ] + Hᵢ)|, or a bound on it
-	for i, set := range p.Sets {
-		if s.measured != nil {
-			largest = max(largest, s.measured.Blocks[i]+hSize(i))
-		} else {
-			largest = max(largest, len(set)+2*hSize(i))
+		for i, set := range p.Sets {
+			largest = max(largest, len(set)+2*len(edges[i]))
 		}
 	}
 	seen := g.AcquireScratch()
@@ -200,19 +182,19 @@ func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) 
 	queue := make([]int32, 0, largest)
 	for k := range p.Sets {
 		i := k
-		if order != nil {
-			if i = int(order[k]); bound[i] >= 0 && int(bound[i]) <= maxEcc {
+		if f != nil && e != nil {
+			if i = int(e.order[k]); e.bound[i] >= 0 && int(e.bound[i]) <= maxEcc {
 				break
 			}
 		}
 		probed++
 		head.Reset()
 		next.Reset()
-		if edges == nil {
-			r := rank[i]
+		if f != nil {
+			r := f.rank[i]
 			for _, x := range p.Sets[i] {
 				for v := x; t.Parent[v] >= 0 && !next.Has(v); v = t.Parent[v] {
-					if _, ok := slices.BinarySearch(admitted[v], r); !ok {
+					if _, ok := slices.BinarySearch(f.admitted[v], r); !ok {
 						break
 					}
 					thread(v)
@@ -258,8 +240,8 @@ func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) 
 		}
 		maxEcc = max(maxEcc, level)
 		connected := true
-		if s.measured != nil {
-			connected = len(queue) == s.measured.Blocks[i]+hSize(i)
+		if f != nil {
+			connected = len(queue) == f.m.Blocks[i]+f.size[f.rank[i]]
 		} else {
 			for _, v := range p.Sets[i] {
 				connected = connected && seen.Has(v)

@@ -94,10 +94,11 @@ func wantAugmentedEcc(s *shortcut.Shortcut) (int, string) {
 // random graphs, BFS and DFS trees, Voronoi, Borůvka and merged part
 // families (pairs of Voronoi cells, often disconnected), nil, block-count
 // and random rankings and every cap from 1 to the part count, it probes the
-// lazy ConstructPrio shortcut, the eager FromFloodState one and a New copy
-// of the same lists, through a shared EccProbe, through MaxAugmentedEcc
-// and without pruning. Every result must equal the reference's, value or
-// error, and the lazy shortcut must stay unfilled.
+// lazy ConstructPrio shortcut, a FromFloodState one over its state whose
+// lists are filled, and an edge-built New copy of those lists, through a
+// shared EccProbe, through MaxAugmentedEcc and without pruning. Every
+// result must equal the reference's, value or error, and the lazy
+// shortcut must stay unfilled.
 func TestMaxAugmentedEccBoundedMatchesFull(t *testing.T) {
 	rng := xrand.New(1801)
 	trials := 60
@@ -154,11 +155,11 @@ func TestMaxAugmentedEccBoundedMatchesFull(t *testing.T) {
 					for c := 1; c <= np; c++ {
 						at := fmt.Sprintf("%s, %s tree, %s parts=%d, %s ranking, cap %d", name, tc.tree, fam.name, np, pr.name, c)
 						lazy := shortcut.ConstructPrio(g, tr, p, c, pr.prio)
-						eager, err := shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, c, pr.prio), pr.prio)
+						filled, err := shortcut.FromFloodState(g, tr, p, lazy.FloodState(), pr.prio)
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)
 						}
-						hand, err := shortcut.New(g, tr, p, cloneEdges(eager.Edges()))
+						hand, err := shortcut.New(g, tr, p, cloneEdges(filled.Edges()))
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)
 						}
@@ -169,7 +170,7 @@ func TestMaxAugmentedEccBoundedMatchesFull(t *testing.T) {
 						for _, sc := range []struct {
 							name string
 							s    *shortcut.Shortcut
-						}{{"lazy", lazy}, {"eager", eager}, {"hand-built", hand}} {
+						}{{"lazy", lazy}, {"filled", filled}, {"hand-built", hand}} {
 							ecc, k, err := shortcut.ProbeParts(probe, sc.s)
 							check := func(how string, ecc int, err error) {
 								t.Helper()
@@ -230,20 +231,20 @@ func TestMaxAugmentedEccTwoDisconnectedParts(t *testing.T) {
 	}
 	prio := []int32{2, 3, 0, 1}
 	lazy := shortcut.ConstructPrio(g, tr, p, 1, prio)
-	eager, err := shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, 1, prio), prio)
+	filled, err := shortcut.FromFloodState(g, tr, p, lazy.FloodState(), prio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eager.Edges(); len(got[0]) != 0 || len(got[1]) != 1 {
+	if got := filled.Edges(); len(got[0]) != 0 || len(got[1]) != 1 {
 		t.Fatalf("shortcut edges %v; want none for part 0 and one for part 1", got)
 	}
-	hand, err := shortcut.New(g, tr, p, cloneEdges(eager.Edges()))
+	hand, err := shortcut.New(g, tr, p, cloneEdges(filled.Edges()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "shortcut: augmented subgraph of part 0 is disconnected: graph: not connected"
 	probe := shortcut.NewEccProbe(g, tr, p)
-	for _, s := range []*shortcut.Shortcut{lazy, eager, hand} {
+	for _, s := range []*shortcut.Shortcut{lazy, filled, hand} {
 		for _, run := range []func() (int, error){
 			s.MaxAugmentedEcc,
 			func() (int, error) { return probe.MaxAugmentedEcc(s) },
@@ -303,7 +304,7 @@ func TestSearchCapLeavesGuessesUnfilled(t *testing.T) {
 // part's BFS costs O(|Pᵢ|·deg + |Hᵢ|) however many tree children the
 // vertices it reaches have. On a wheel, whose hub is the tree parent of
 // nearly every rim vertex and which every rim part's shortcut reaches, the
-// lazy, eager and hand-built shortcut of every doubling cap still return
+// lazy, filled and hand-built shortcut of every doubling cap still return
 // the reference maximum while the tree's child lists are emptied.
 func TestMaxAugmentedEccSkipsTreeChildLists(t *testing.T) {
 	g := gen.DistinctWeights(gen.UniformWeights(gen.WheelCSR(400).Graph(), xrand.New(5)))
@@ -328,11 +329,11 @@ func TestMaxAugmentedEccSkipsTreeChildLists(t *testing.T) {
 	var guesses []guess
 	for c := 1; ; c = min(2*c, np) {
 		lazy := shortcut.ConstructPrio(g, tr, p, c, prio)
-		eager, err := shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, c, prio), prio)
+		filled, err := shortcut.FromFloodState(g, tr, p, lazy.FloodState(), prio)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hand, err := shortcut.New(g, tr, p, cloneEdges(eager.Edges()))
+		hand, err := shortcut.New(g, tr, p, cloneEdges(filled.Edges()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +344,7 @@ func TestMaxAugmentedEccSkipsTreeChildLists(t *testing.T) {
 		for _, sc := range []struct {
 			name string
 			s    *shortcut.Shortcut
-		}{{"lazy", lazy}, {"eager", eager}, {"hand-built", hand}} {
+		}{{"lazy", lazy}, {"filled", filled}, {"hand-built", hand}} {
 			guesses = append(guesses, guess{fmt.Sprintf("cap %d, %s", c, sc.name), sc.s, want})
 		}
 		if c == np {
@@ -380,9 +381,9 @@ func TestMaxAugmentedEccSkipsTreeChildLists(t *testing.T) {
 // op is one search's worth of probing: it builds the EccProbe and probes
 // the shortcut of every doubling guess, caps 1, 2, 4, … up to the part
 // count, all built before the timer starts. lazy probes ConstructPrio's
-// shortcuts, which the probe never fills; eager probes FromFloodState's,
-// which hold their lists. Each reports ns/guess and the parts probed per
-// op.
+// shortcuts, which the probe walks pruned and never fills; edges probes
+// edge-built New copies of the same lists, which it walks unpruned. Each
+// reports ns/guess and the parts probed per op.
 func BenchmarkMaxAugmentedEcc(b *testing.B) {
 	for _, inst := range []struct {
 		name string
@@ -404,14 +405,13 @@ func BenchmarkMaxAugmentedEcc(b *testing.B) {
 				break
 			}
 		}
-		for _, kind := range []string{"lazy", "eager"} {
+		for _, kind := range []string{"lazy", "edges"} {
 			guesses := make([]*shortcut.Shortcut, len(caps))
 			for k, c := range caps {
-				if kind == "lazy" {
-					guesses[k] = shortcut.ConstructPrio(g, tr, p, c, prio)
+				if guesses[k] = shortcut.ConstructPrio(g, tr, p, c, prio); kind == "lazy" {
 					continue
 				}
-				if guesses[k], err = shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, c, prio), prio); err != nil {
+				if guesses[k], err = shortcut.New(g, tr, p, guesses[k].Edges()); err != nil {
 					b.Fatal(err)
 				}
 			}

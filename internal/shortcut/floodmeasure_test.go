@@ -15,7 +15,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// unionFindMeasure measures s's edge sets the hand-built way: a shortcut
+// unionFindMeasure measures s's edge sets the edge-built way: a shortcut
 // made with New over a copy of the edges carries no stored measurement, so
 // its Measure runs the congestion count and the per-part union-find.
 func unionFindMeasure(t testing.TB, s *shortcut.Shortcut) shortcut.Measurement {
@@ -80,7 +80,7 @@ func TestFloodMeasureMatchesUnionFind(t *testing.T) {
 					for cap := 1; ; cap *= 2 {
 						c := min(cap, np)
 						name := fmt.Sprintf("%s seed %d %s parts=%d prio=%t cap=%d", fam.name, seed, pf.name, np, prio != nil, c)
-						s, err := shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, c, prio), prio)
+						s, err := shortcut.FromFloodState(g, tr, p, shortcut.ConstructPrio(g, tr, p, c, prio).FloodState(), prio)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -116,41 +116,6 @@ func TestMeasureReturnsFreshBlocks(t *testing.T) {
 	}
 }
 
-// TestEditsDropStoredMeasurement: Union and WholeTree change the edge sets
-// of a flood-built shortcut, so Measure must recount them rather than
-// return the measurement of the fixed point.
-func TestEditsDropStoredMeasurement(t *testing.T) {
-	g, tr, p := gridParts(t, 6, 6)
-	edits := []struct {
-		name string
-		edit func(s *shortcut.Shortcut) error
-	}{
-		{"union", func(s *shortcut.Shortcut) error {
-			other := shortcut.Empty(g, tr, p)
-			shortcut.WholeTree(other, []int{0})
-			return s.Union(other)
-		}},
-		{"whole-tree", func(s *shortcut.Shortcut) error {
-			shortcut.WholeTree(s, []int{0})
-			return nil
-		}},
-	}
-	for _, e := range edits {
-		s := shortcut.Construct(g, tr, p, 1)
-		before := s.Measure()
-		if err := e.edit(s); err != nil {
-			t.Fatal(err)
-		}
-		got, want := s.Measure(), unionFindMeasure(t, s)
-		if !sameMeasurement(got, want) {
-			t.Fatalf("%s: measurement %+v after the edit, union-find %+v", e.name, got, want)
-		}
-		if sameMeasurement(got, before) {
-			t.Fatalf("%s: the edit left the measurement unchanged, so the check is vacuous", e.name)
-		}
-	}
-}
-
 // TestFromFloodStateRejectsMalformed: a state of the wrong shape, or one
 // admitting a rank that no part member supports, is an error wrapping
 // ErrMalformedFloodState rather than a panic or a shortcut with duplicate
@@ -168,7 +133,7 @@ func TestFromFloodStateRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := shortcut.FloodFixedPoint(g, tr, p, 2, nil)
+	valid := shortcut.ConstructPrio(g, tr, p, 2, nil).FloodState()
 	if want := [][]int32{nil, {0, 1}, {0, 1}, {0}}; !slices.EqualFunc(valid, want, slices.Equal[[]int32]) {
 		t.Fatalf("fixed point %v, want %v", valid, want)
 	}

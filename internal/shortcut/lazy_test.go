@@ -67,10 +67,10 @@ func lazyInstance(t *testing.T, rng *rand.Rand) (string, *graph.Graph, *graph.Tr
 // TestConstructPrioLazyMatchesEager: ConstructPrio builds, checks and
 // measures its fixed point in one pass and fills its edge lists only when
 // they are read. Its measurement must equal both the check-only pass of
-// FromFloodState over FloodFixedPoint's state and the union-find recount
-// of its own lists, and the lists it fills must equal the ones
-// FromFloodState builds eagerly — on random graphs, part families, every
-// cap from 1 to the part count, and random rankings.
+// FromFloodState over its state and the union-find recount of its own
+// lists, and the lists it fills must equal the ones the FromFloodState
+// shortcut fills — on random graphs, part families, every cap from 1 to
+// the part count, and random rankings.
 func TestConstructPrioLazyMatchesEager(t *testing.T) {
 	rng := xrand.New(2024)
 	constructions := 0
@@ -85,19 +85,19 @@ func TestConstructPrioLazyMatchesEager(t *testing.T) {
 			for c := 1; c <= np; c++ {
 				at := fmt.Sprintf("%s, %d parts, cap %d, ranked %t", name, np, c, prio != nil)
 				lazy := shortcut.ConstructPrio(g, tr, p, c, prio)
-				eager, err := shortcut.FromFloodState(g, tr, p, shortcut.FloodFixedPoint(g, tr, p, c, prio), prio)
+				checked, err := shortcut.FromFloodState(g, tr, p, lazy.FloodState(), prio)
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
 				got := lazy.Measure() // before the lists exist
-				if want := eager.Measure(); !sameMeasurement(got, want) {
+				if want := checked.Measure(); !sameMeasurement(got, want) {
 					t.Fatalf("%s: one-pass measurement %+v, check-only pass %+v", at, got, want)
 				}
 				if want := unionFindMeasure(t, lazy); !sameMeasurement(got, want) {
 					t.Fatalf("%s: one-pass measurement %+v, union-find recount %+v", at, got, want)
 				}
-				if !slices.EqualFunc(lazy.Edges(), eager.Edges(), slices.Equal[[]int]) {
-					t.Fatalf("%s: lazy lists %v, eager lists %v", at, lazy.Edges(), eager.Edges())
+				if !slices.EqualFunc(lazy.Edges(), checked.Edges(), slices.Equal[[]int]) {
+					t.Fatalf("%s: ConstructPrio lists %v, FromFloodState lists %v", at, lazy.Edges(), checked.Edges())
 				}
 				constructions++
 			}
@@ -111,10 +111,9 @@ func TestConstructPrioLazyMatchesEager(t *testing.T) {
 // TestEdgesConcurrentFirstRead: the first Edges call of a ConstructPrio
 // shortcut fills its lists; goroutines that make it at once must all get
 // the same, complete lists. Other goroutines probe the shortcut meanwhile,
-// reading the flooding state the fill drops or, once it is gone, the
-// lists; they must all get the probe's value. Under -race this is the
-// check that the fill is synchronized with both, so it runs under -short
-// too.
+// reading the flooding state, which the fill reads and keeps; they must
+// all get the probe's value. Under -race this is the check that the fill
+// is synchronized with the readers of both, so it runs under -short too.
 func TestEdgesConcurrentFirstRead(t *testing.T) {
 	g := gen.Grid(12, 12).G
 	tr, err := graph.BFSTree(g, 0)

@@ -107,14 +107,3 @@ func ObliviousAuto(g *graph.Graph, t *graph.Tree, p *partition.Parts) (*Shortcut
 	}
 	return best, bestM
 }
-
-// WholeTree assigns the entire spanning tree to the listed parts (the
-// paper's treatment of parts containing an apex: they get all of T). It
-// drops any measurement s carried, so Measure recounts the new edge sets.
-func WholeTree(s *Shortcut, parts []int) {
-	all, edges := s.T.TreeEdgeIDs(), s.Edges()
-	for _, i := range parts {
-		edges[i] = append([]int(nil), all...)
-	}
-	s.measured = nil
-}

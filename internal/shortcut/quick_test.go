@@ -79,41 +79,6 @@ func TestQuickMeasurementLaws(t *testing.T) {
 	}
 }
 
-// TestQuickUnionIdempotent: s ∪ s == s, and s ∪ empty == s.
-func TestQuickUnionIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		g, tr, p, edges := randomInstance(seed)
-		s1, err := shortcut.New(g, tr, p, edges)
-		if err != nil {
-			return false
-		}
-		s2, _ := shortcut.New(g, tr, p, edges)
-		if err := s1.Union(s2); err != nil {
-			return false
-		}
-		for i := range s1.Edges() {
-			if len(s1.Edges()[i]) != len(s2.Edges()[i]) {
-				return false
-			}
-			for j := range s1.Edges()[i] {
-				if s1.Edges()[i][j] != s2.Edges()[i][j] {
-					return false
-				}
-			}
-		}
-		empty := shortcut.Empty(g, tr, p)
-		before := s1.Measure()
-		if err := s1.Union(empty); err != nil {
-			return false
-		}
-		after := s1.Measure()
-		return before.Quality == after.Quality && before.Congestion == after.Congestion
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickMoreEdgesNeverMoreBlocks: adding shortcut edges to a part can
 // only reduce (or keep) its block count.
 func TestQuickMoreEdgesNeverMoreBlocks(t *testing.T) {

@@ -53,16 +53,17 @@ type Event struct {
 // Maintained is a shortcut kept alive under churn: the graph, tree, part
 // family and congestion cap it was built for, the frozen priority ranking
 // (re-ranking parts mid-stream would force a global rebuild on every event,
-// defeating local repair), and the current flooding fixed-point state. All
-// mutation goes through Repair, which updates the graph, the tree, and the
-// admissions together.
+// defeating local repair), and the current shortcut, a flood-built one
+// whose flooding state is the current fixed point. All mutation goes
+// through Repair, which updates the graph, the tree, and the admissions
+// together.
 type Maintained struct {
 	G   *graph.Graph
 	T   *graph.Tree
 	P   *partition.Parts
 	Cap int
 	// Prio is the eviction ranking frozen at Maintain time. The repair
-	// fixed point is always FloodFixedPoint under this ranking, even after
+	// fixed point is always ConstructPrio's under this ranking, even after
 	// tree patches shift the parts' true block counts — that drift is
 	// exactly what the quality threshold watches.
 	Prio []int32
@@ -71,7 +72,6 @@ type Maintained struct {
 	// a full rebuild (cap re-search) to the caller.
 	RebuildFactor float64
 
-	admitted    [][]int32
 	s           *Shortcut
 	baseQuality int
 	onRepair    []func(*RepairReport)
@@ -132,13 +132,7 @@ func Maintain(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, rebuil
 // point for callers that already ran the cap search (congest.SearchCap
 // computes and disseminates the ranking in-network).
 func MaintainPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32, rebuildFactor float64) (*Maintained, error) {
-	if t.G != g {
-		return nil, fmt.Errorf("shortcut: maintained tree belongs to a different graph")
-	}
-	if p.G != g {
-		return nil, fmt.Errorf("shortcut: maintained parts belong to a different graph")
-	}
-	if err := ValidPriorities(prio, p.NumParts()); err != nil {
+	if err := checkFloodInput(g, t, p, prio); err != nil {
 		return nil, err
 	}
 	if prio == nil {
@@ -154,28 +148,16 @@ func MaintainPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, pr
 		rebuildFactor = 2
 	}
 	m := &Maintained{G: g, T: t, P: p, Cap: cap, Prio: prio, RebuildFactor: rebuildFactor}
-	m.admitted = FloodFixedPoint(g, t, p, cap, prio)
-	if err := m.reassemble(); err != nil {
-		return nil, err
-	}
-	m.baseQuality = m.s.Measure().Quality
+	m.rebuild()
 	return m, nil
 }
 
-// Shortcut returns the current shortcut (valid for the current tree).
+// Shortcut returns the current shortcut (valid for the current tree). A
+// repair replaces it and leaves the returned one as it was.
 func (m *Maintained) Shortcut() *Shortcut { return m.s }
 
 // Quality returns the current measured quality.
 func (m *Maintained) Quality() int { return m.s.Measure().Quality }
-
-// BaseQuality returns the baseline quality the rebuild threshold compares
-// against.
-func (m *Maintained) BaseQuality() int { return m.baseQuality }
-
-// Admitted returns the current fixed-point state (aliased, not copied):
-// admitted[v] lists, in rank space, the parts admitted over v's parent
-// edge. Exposed so tests can compare against a fresh FloodFixedPoint.
-func (m *Maintained) Admitted() [][]int32 { return m.admitted }
 
 // Reseat replaces the maintained state after a caller-driven full rebuild
 // (e.g. a fresh cap search chose a new cap and ranking) and resets the
@@ -191,36 +173,33 @@ func (m *Maintained) Reseat(cap int, prio []int32) error {
 		cap = 1
 	}
 	m.Cap, m.Prio = cap, prio
-	m.admitted = FloodFixedPoint(m.G, m.T, m.P, cap, prio)
-	if err := m.reassemble(); err != nil {
-		return err
-	}
-	m.baseQuality = m.s.Measure().Quality
+	m.rebuild()
 	m.notifyRepair(nil)
 	return nil
 }
 
-func (m *Maintained) reassemble() error {
-	s, err := FromFloodState(m.G, m.T, m.P, m.admitted, m.Prio)
-	if err != nil {
-		return fmt.Errorf("shortcut: reassembling maintained shortcut: %w", err)
-	}
-	m.s = s
-	return nil
+// rebuild constructs the shortcut from scratch at m's cap and ranking and
+// makes its quality the baseline.
+func (m *Maintained) rebuild() {
+	m.s = ConstructPrio(m.G, m.T, m.P, m.Cap, m.Prio)
+	m.baseQuality = m.s.Measure().Quality
 }
 
 // Repair applies one churn event and restores the invariant that the
-// maintained admissions equal FloodFixedPoint over the (possibly patched)
-// tree under the frozen ranking. Fixed-point-preserving events (weight
-// updates, inserts, non-tree deletes) mutate the graph and return in O(1);
-// a tree-edge delete finds the lowest-ID replacement edge crossing the
-// severed subtree's cut, re-roots the subtree at the replacement's inner
-// endpoint, and recomputes admissions only over the dirty upward closure —
-// the vertices whose child lists changed, plus their ancestors.
+// maintained shortcut's flooding state is ConstructPrio's fixed point over
+// the (possibly patched) tree under the frozen ranking.
+// Fixed-point-preserving events (weight updates, inserts, non-tree
+// deletes) mutate the graph and return in O(1); a tree-edge delete finds
+// the lowest-ID replacement edge crossing the severed subtree's cut,
+// re-roots the subtree at the replacement's inner endpoint, and recomputes
+// admissions only over the dirty upward closure — the vertices whose child
+// lists changed, plus their ancestors. The repaired state becomes a new
+// shortcut; the previous one keeps its own state.
 //
-// A tree-edge delete with no replacement edge would disconnect the graph;
-// Repair returns an error before mutating anything, so the caller can skip
-// the event and the maintained state stays consistent.
+// A tree-edge delete with no replacement edge would disconnect the graph,
+// and a NaN weight would reach the graph's MST; Repair returns an error for
+// either before mutating anything, so the caller can skip the event and
+// the maintained state stays consistent.
 func (m *Maintained) Repair(ev Event) (*RepairReport, error) {
 	rep := &RepairReport{Event: ev, ReplacementEdge: -1}
 	switch ev.Kind {
@@ -228,12 +207,18 @@ func (m *Maintained) Repair(ev Event) (*RepairReport, error) {
 		if err := m.checkEdge(ev.Edge); err != nil {
 			return nil, err
 		}
+		if math.IsNaN(ev.W) {
+			return nil, fmt.Errorf("shortcut: repair weight update of edge %d to NaN", ev.Edge)
+		}
 		m.G.SetWeight(ev.Edge, ev.W)
 		rep.RepairRounds = 1
 	case EdgeInsert:
 		n := m.G.N()
 		if ev.U < 0 || ev.U >= n || ev.V < 0 || ev.V >= n || ev.U == ev.V {
 			return nil, fmt.Errorf("shortcut: repair insert (%d,%d) outside vertex range [0,%d)", ev.U, ev.V, n)
+		}
+		if math.IsNaN(ev.W) {
+			return nil, fmt.Errorf("shortcut: repair insert (%d,%d) with NaN weight", ev.U, ev.V)
 		}
 		m.G.AddEdge(ev.U, ev.V, ev.W)
 		rep.RepairRounds = 1
@@ -350,8 +335,11 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 	seed(y)
 
 	// Recompute admissions children-first over the dirty closure with
-	// FloodFixedPoint's rule. Reverse new BFS order visits children before
-	// parents.
+	// ConstructPrio's rule. Reverse new BFS order visits children before
+	// parents. The next state shares the current one's lists: a dirty
+	// vertex gets a fresh list and no list is edited in place, so cloning
+	// the outer slice leaves the current shortcut's state intact.
+	admitted := slices.Clone(m.s.FloodState())
 	changed := false
 	count := 0
 	mark := make([]int32, m.P.NumParts())
@@ -362,21 +350,22 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 			continue
 		}
 		count++
-		present = gather(newT, m.P, m.Prio, m.admitted, v, mark, int32(v+1), present)
+		present = gather(newT, m.P, m.Prio, admitted, v, mark, int32(v+1), present)
 		var next []int32
 		if list := admit(newT, v, m.Cap, present); len(list) > 0 {
 			next = slices.Clone(list)
 		}
-		if !slices.Equal(m.admitted[v], next) {
+		if !slices.Equal(admitted[v], next) {
 			changed = true
 		}
-		m.admitted[v] = next
+		admitted[v] = next
 	}
 
-	m.T = newT
-	if err := m.reassemble(); err != nil {
-		return err
+	s, err := FromFloodState(g, newT, m.P, admitted, m.Prio)
+	if err != nil {
+		return fmt.Errorf("shortcut: reassembling maintained shortcut: %w", err)
 	}
+	m.T, m.s = newT, s
 	rep.TreePatched = true
 	rep.ReplacementEdge = repl
 	rep.DirtyVertices = count

@@ -1,7 +1,9 @@
 package shortcut_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -11,34 +13,23 @@ import (
 )
 
 // checkOracle verifies the maintained state against a full rebuild: the
-// incremental admissions must equal a fresh FloodFixedPoint over the
-// current (possibly patched) tree under the frozen ranking, the assembled
-// shortcut must equal the from-scratch construction, and the measurement
-// it carries must equal the union-find measurement of its edges.
+// maintained shortcut's flooding state must equal ConstructPrio's over the
+// current (possibly patched) tree under the frozen ranking, its edge lists
+// must equal that construction's, and the measurement it carries must
+// equal the union-find measurement of its edges.
 func checkOracle(t *testing.T, m *shortcut.Maintained) {
 	t.Helper()
-	want := shortcut.FloodFixedPoint(m.G, m.T, m.P, m.Cap, m.Prio)
-	got := m.Admitted()
-	for v := range want {
-		if len(want[v]) != len(got[v]) {
-			t.Fatalf("vertex %d: admitted %v, oracle %v", v, got[v], want[v])
-		}
-		for i := range want[v] {
-			if want[v][i] != got[v][i] {
-				t.Fatalf("vertex %d: admitted %v, oracle %v", v, got[v], want[v])
-			}
-		}
-	}
 	ws := shortcut.ConstructPrio(m.G, m.T, m.P, m.Cap, m.Prio)
 	gs := m.Shortcut()
-	for i := range ws.Edges() {
-		if len(ws.Edges()[i]) != len(gs.Edges()[i]) {
-			t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges()[i], ws.Edges()[i])
+	want, got := ws.FloodState(), gs.FloodState()
+	for v := range want {
+		if !slices.Equal(got[v], want[v]) {
+			t.Fatalf("vertex %d: admitted %v, oracle %v", v, got[v], want[v])
 		}
-		for j := range ws.Edges()[i] {
-			if ws.Edges()[i][j] != gs.Edges()[i][j] {
-				t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges()[i], ws.Edges()[i])
-			}
+	}
+	for i := range ws.Edges() {
+		if !slices.Equal(gs.Edges()[i], ws.Edges()[i]) {
+			t.Fatalf("part %d: shortcut edges %v, oracle %v", i, gs.Edges()[i], ws.Edges()[i])
 		}
 	}
 	if got, want := gs.Measure(), unionFindMeasure(t, gs); !sameMeasurement(got, want) {
@@ -189,13 +180,14 @@ func TestRepairRebuildThreshold(t *testing.T) {
 	}
 	// Quality is unchanged by a weight update, so the recommendation is a
 	// pure function of the threshold.
+	base := m.Quality()
 	m.RebuildFactor = 0.5
 	rep, err := m.Repair(shortcut.Event{Kind: shortcut.WeightUpdate, Edge: 0, W: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.RebuildRecommended {
-		t.Fatalf("quality %d vs base %d under factor 0.5: rebuild not recommended", rep.Quality, m.BaseQuality())
+		t.Fatalf("quality %d vs base %d under factor 0.5: rebuild not recommended", rep.Quality, base)
 	}
 	m.RebuildFactor = 10
 	rep, err = m.Repair(shortcut.Event{Kind: shortcut.WeightUpdate, Edge: 0, W: 1})
@@ -203,14 +195,23 @@ func TestRepairRebuildThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.RebuildRecommended {
-		t.Fatalf("quality %d vs base %d under factor 10: spurious rebuild recommendation", rep.Quality, m.BaseQuality())
+		t.Fatalf("quality %d vs base %d under factor 10: spurious rebuild recommendation", rep.Quality, base)
 	}
-	// Reseat resets the baseline.
-	if err := m.Reseat(2, nil); err != nil {
+	// Reseat resets the baseline: after a reseat at cap 3, whose quality is
+	// above the cap-2 baseline, factor 1 recommends nothing.
+	if err := m.Reseat(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if m.BaseQuality() != m.Quality() {
-		t.Fatalf("reseat left baseline %d != quality %d", m.BaseQuality(), m.Quality())
+	if m.Quality() <= base {
+		t.Fatalf("cap-3 quality %d not above the cap-2 baseline %d, so the check below is vacuous", m.Quality(), base)
+	}
+	m.RebuildFactor = 1
+	rep, err = m.Repair(shortcut.Event{Kind: shortcut.WeightUpdate, Edge: 0, W: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RebuildRecommended {
+		t.Fatalf("quality %d at factor 1 right after a reseat: rebuild recommended against a stale baseline", rep.Quality)
 	}
 	checkOracle(t, m)
 }
@@ -290,5 +291,68 @@ func TestOnRepairListeners(t *testing.T) {
 	}
 	if len(reports) != 2 || reports[1] != nil {
 		t.Fatalf("Reseat notification missing or non-nil: %d reports", len(reports))
+	}
+}
+
+// TestRepairRejectsNaNWeights: a weight update or an insert carrying a NaN
+// weight is refused before it mutates anything, rather than written into
+// the graph for a later MST to trip over.
+func TestRepairRejectsNaNWeights(t *testing.T) {
+	g, tr, p := gridParts(t, 3, 3)
+	m, err := shortcut.Maintain(g, tr, p, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, w, quality := g.M(), g.Edge(0).W, m.Quality()
+	for _, ev := range []shortcut.Event{
+		{Kind: shortcut.WeightUpdate, Edge: 0, W: math.NaN()},
+		{Kind: shortcut.EdgeInsert, U: 0, V: 8, W: math.NaN()},
+	} {
+		if _, err := m.Repair(ev); err == nil {
+			t.Errorf("%v event with a NaN weight accepted", ev.Kind)
+		}
+	}
+	if g.M() != edges || g.Edge(0).W != w || m.Quality() != quality {
+		t.Fatalf("refused events left %d edges, edge 0 weight %v, quality %d; want %d, %v, %d",
+			g.M(), g.Edge(0).W, m.Quality(), edges, w, quality)
+	}
+	checkOracle(t, m)
+}
+
+// TestRepairLeavesEarlierShortcutIntact: a shortcut owns the flooding state
+// it was built from. A repair that moves the maintained state builds a new
+// shortcut and leaves the one Shortcut returned before it as it was: its
+// first Edges call, made after the repair, and its Measure equal those of a
+// ConstructPrio over the tree, cap and ranking it was built for.
+func TestRepairLeavesEarlierShortcutIntact(t *testing.T) {
+	g, tr, p := gridParts(t, 8, 8)
+	m, err := shortcut.Maintain(g, tr, p, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := m.Shortcut()
+	ref := shortcut.ConstructPrio(g, tr, p, m.Cap, m.Prio)
+	wantEdges, wantM := cloneEdges(ref.Edges()), ref.Measure()
+	changed := false
+	for id := 0; id < g.M() && !changed; id++ {
+		if g.EdgeRemoved(id) || !m.T.IsTreeEdge(id) {
+			continue
+		}
+		if rep, err := m.Repair(shortcut.Event{Kind: shortcut.EdgeDelete, Edge: id}); err == nil {
+			changed = rep.Changed
+		}
+	}
+	if !changed {
+		t.Fatal("no tree-edge delete changed the maintained state")
+	}
+	checkOracle(t, m)
+	if shortcut.Filled(s0) {
+		t.Fatal("the earlier shortcut's lists were filled before its first Edges call")
+	}
+	if got := s0.Edges(); !slices.EqualFunc(got, wantEdges, slices.Equal[[]int]) {
+		t.Fatalf("earlier shortcut's lists after the repair %v, want %v", got, wantEdges)
+	}
+	if got := s0.Measure(); !sameMeasurement(got, wantM) {
+		t.Fatalf("earlier shortcut's measurement after the repair %+v, want %+v", got, wantM)
 	}
 }

@@ -5,15 +5,17 @@
 // [HIZ16a] (uses no structural knowledge) and the treewidth-witness
 // construction realizing Theorem 5 ([HIZ16b]).
 //
-// The measurement paths are dense. A flood-built shortcut (ConstructPrio,
-// FromFloodState) is measured from its admitted lists in the one
-// children-first pass that builds or checks them, with no union-find at
-// all; ConstructPrio's shortcuts go further and assemble their per-part
-// edge lists only when Edges is first called, so a caller that reads only
-// the quality and the augmented-eccentricity probe never pays for them.
-// Every other shortcut is measured over epoch-stamped scratch slices
-// (graph.Scratch) and a single reused union-find forest, so measuring it
-// allocates O(parts) memory rather than O(parts · n) map churn.
+// A shortcut is one of two kinds, fixed when it is built. A flood-built
+// shortcut (ConstructPrio, FromFloodState) is the state a part-wise flood
+// leaves, each vertex's admitted parts over its parent edge, and keeps that
+// state for life: it is measured in the one children-first pass that
+// builds or checks the state, with no union-find at all, the cap search's
+// probe walks the state, and the per-part edge lists are assembled from it
+// only when Edges is first called. An edge-built shortcut (New,
+// NewNormalized, Empty) is its edge lists, measured over epoch-stamped
+// scratch slices (graph.Scratch) and a single reused union-find forest, so
+// measuring it allocates O(parts) memory rather than O(parts · n) map
+// churn.
 package shortcut
 
 import (
@@ -35,45 +37,50 @@ type Shortcut struct {
 	T *graph.Tree
 	P *partition.Parts
 
-	edges [][]int // per part: sorted tree edge IDs
-
-	// flood is the flooding state a ConstructPrio shortcut owns until the
-	// first Edges call fills edges from it, under once, and clears it. It is
-	// nil for every other shortcut, whose edges are built eagerly. It is
-	// atomic because MaxAugmentedEcc reads the state, not the edge lists,
-	// and may run while another goroutine makes the first Edges call.
+	// flood is the flooding state and measurement of a flood-built
+	// shortcut, never modified after construction; nil for an edge-built
+	// one.
+	flood *floodLists
+	// edges holds the per-part sorted tree edge IDs: an edge-built
+	// shortcut's from construction, a flood-built one's filled from flood
+	// under once by the first Edges call.
 	once  sync.Once
-	flood atomic.Pointer[floodLists]
-
-	// measured is the Measurement the flood pass derived from the state the
-	// shortcut was built from (ConstructPrio, FromFloodState). It is nil
-	// for hand-built shortcuts, and Union and WholeTree clear it, so it
-	// also marks the shortcuts whose edge sets are a checked, grounded
-	// flooding state: the ones MaxAugmentedEcc may prune.
-	measured *Measurement
+	edges [][]int
 }
 
-// fills counts the edge-list fills of lazily built shortcuts; the package's
+// fills counts the edge-list fills of flood-built shortcuts; the package's
 // tests read it to check that a read path leaves them unfilled.
 var fills atomic.Int64
 
 // Edges returns the per-part edge lists: Edges()[i] is part i's Hᵢ, sorted
-// tree edge IDs. The lists are the shortcut's own, not copies. A shortcut
-// from ConstructPrio assembles them on the first call, which any number of
-// goroutines may make at once, and then drops the flooding state it kept
-// for that; every other shortcut built them when it was made.
+// tree edge IDs. The lists are the shortcut's own, not copies. A flood-built
+// shortcut assembles them from its flooding state on the first call, which
+// any number of goroutines may make at once, and keeps the state. Only an
+// edge-built shortcut's lists may be rewritten in place; a flood-built
+// shortcut's measurement and probe read the state, not the lists.
 func (s *Shortcut) Edges() [][]int {
 	s.once.Do(s.fill)
 	return s.edges
 }
 
-// fill assembles a lazily built shortcut's edge lists; see Edges.
+// fill assembles a flood-built shortcut's edge lists; see Edges.
 func (s *Shortcut) fill() {
-	if f := s.flood.Load(); f != nil {
-		s.edges = fillEdges(s.G, s.T, f)
-		s.flood.Store(nil)
+	if s.flood != nil {
+		s.edges = fillEdges(s.G, s.T, s.flood)
 		fills.Add(1)
 	}
+}
+
+// FloodState returns a flood-built shortcut's flooding state: FloodState()[v]
+// lists, ascending in rank space, the ranks admitted over v's parent edge
+// (nil at the root and at vertices no flood reaches). The lists are the
+// shortcut's own and must not be modified. It returns nil for an edge-built
+// shortcut.
+func (s *Shortcut) FloodState() [][]int32 {
+	if s.flood == nil {
+		return nil
+	}
+	return s.flood.admitted
 }
 
 // New wraps and validates a shortcut assignment: t and p must belong to g
@@ -162,18 +169,15 @@ type Measurement struct {
 }
 
 // Measure computes congestion, block parameters, and quality exactly. A
-// flood-built shortcut (ConstructPrio, FromFloodState) already carries its
-// measurement, derived in the pass that built or checked its flooding
-// state, and Measure returns a copy of it with a fresh Blocks slice without
-// assembling the edge lists of a ConstructPrio shortcut.
-// Every other shortcut, and a flood-built one after Union or WholeTree,
-// is measured here: a usage count over the edge lists for the congestion
-// and a union-find per part for the block counts (BlockCounts). A caller
-// that rewrites the lists Edges returns of a flood-built shortcut in place
-// must rebuild it with New, or the carried measurement goes stale.
+// flood-built shortcut carries its measurement, derived in the pass that
+// built or checked its flooding state, and Measure returns a copy of it
+// with a fresh Blocks slice without assembling the edge lists. An
+// edge-built shortcut is measured here: a usage count over the edge lists
+// for the congestion and a union-find per part for the block counts
+// (BlockCounts).
 func (s *Shortcut) Measure() Measurement {
-	if s.measured != nil {
-		m := *s.measured
+	if s.flood != nil {
+		m := s.flood.m
 		m.Blocks = slices.Clone(m.Blocks)
 		return m
 	}
@@ -426,54 +430,4 @@ func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
 		aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
 	}
 	return aug, int(in.GetOr(s.P.Sets[i][0], -1)), nil
-}
-
-// Union merges another shortcut assignment (same G, T, P) into s,
-// part-by-part. Used to combine local and global shortcuts. The "same G, T,
-// P" contract is enforced by identity: a union across different graphs or
-// trees would silently mix unrelated edge ID spaces.
-func (s *Shortcut) Union(other *Shortcut) error {
-	if other.G != s.G {
-		return fmt.Errorf("shortcut: union over different graphs")
-	}
-	if other.T != s.T {
-		return fmt.Errorf("shortcut: union over different trees")
-	}
-	if other.P != s.P {
-		return fmt.Errorf("shortcut: union over different part families")
-	}
-	edges, add := s.Edges(), other.Edges()
-	for i := range edges {
-		edges[i] = mergeSorted(edges[i], add[i])
-	}
-	s.measured = nil
-	return nil
-}
-
-// mergeSorted merges two sorted deduplicated slices into a fresh sorted
-// deduplicated slice. The result never aliases a or b, so an in-place
-// mutation of the merge result cannot corrupt either input's owner.
-func mergeSorted(a, b []int) []int {
-	if len(b) == 0 {
-		return append(make([]int, 0, len(a)), a...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

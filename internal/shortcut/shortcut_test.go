@@ -67,12 +67,14 @@ func TestEmptyShortcutMeasurement(t *testing.T) {
 
 func TestWholeTreeShortcut(t *testing.T) {
 	g, tr, p := gridParts(t, 4, 4)
-	s := shortcut.Empty(g, tr, p)
-	all := make([]int, p.NumParts())
-	for i := range all {
-		all[i] = i
+	edges := make([][]int, p.NumParts())
+	for i := range edges {
+		edges[i] = tr.TreeEdgeIDs()
 	}
-	shortcut.WholeTree(s, all)
+	s, err := shortcut.New(g, tr, p, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := s.Measure()
 	if m.MaxBlocks != 1 {
 		t.Fatalf("whole-tree blocks %d want 1", m.MaxBlocks)
@@ -108,22 +110,6 @@ func TestBlockCountsDefinition(t *testing.T) {
 	}
 	if b := s.BlockCounts()[0]; b != 2 {
 		t.Fatalf("blocks %d want 2", b)
-	}
-}
-
-func TestUnionMergesAssignments(t *testing.T) {
-	g, tr, p := gridParts(t, 3, 4)
-	s1 := shortcut.Empty(g, tr, p)
-	s2 := shortcut.Empty(g, tr, p)
-	ids := tr.TreeEdgeIDs()
-	s1.Edges()[0] = []int{ids[0]}
-	s2.Edges()[0] = []int{ids[0], ids[1]}
-	s2.Edges()[1] = []int{ids[2]}
-	if err := s1.Union(s2); err != nil {
-		t.Fatal(err)
-	}
-	if len(s1.Edges()[0]) != 2 || len(s1.Edges()[1]) != 1 {
-		t.Fatalf("union wrong: %v", s1.Edges()[:2])
 	}
 }
 

@@ -32,17 +32,6 @@ func (v *Vortex) CoversPosition(i, p int) bool {
 	return diff < length
 }
 
-// ArcVertices returns the boundary vertices of internal node i's arc.
-func (v *Vortex) ArcVertices(i int) []int {
-	n := len(v.Boundary)
-	start, length := v.Arc[i][0], v.Arc[i][1]
-	out := make([]int, 0, length)
-	for j := 0; j < length; j++ {
-		out = append(out, v.Boundary[(start+j)%n])
-	}
-	return out
-}
-
 // AlmostEmbeddable is a (Q, Genus, K, L)-almost-embeddable structure
 // (Definition 5): the full graph G consists of a base graph embedded on a
 // surface of genus at most Genus (vertices 0..BaseN-1), at most L vortices

@@ -222,64 +222,3 @@ func (c *CliqueSumTree) Separator(i, j int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// CompletedBag returns bag i's subgraph with every partial clique toward a
-// neighbor completed to a full clique (the paper's B⁰ₕ, guaranteed to be in
-// the original family F). Returned: the bag-local graph, a local->global
-// vertex map, and for each local edge its global edge ID (-1 for added
-// clique-completion edges).
-func (c *CliqueSumTree) CompletedBag(i int) (local *graph.Graph, toGlobal []int, edgeGlobal []int) {
-	toGlobal = append([]int(nil), c.Bags[i].Vertices...)
-	sort.Ints(toGlobal)
-	toLocal := make(map[int]int, len(toGlobal))
-	for li, v := range toGlobal {
-		toLocal[v] = li
-	}
-	local = graph.New(len(toGlobal))
-	type pair struct{ a, b int }
-	have := make(map[pair]bool)
-	addEdge := func(u, v int, w float64, gid int) {
-		a, b := toLocal[u], toLocal[v]
-		if a > b {
-			a, b = b, a
-		}
-		if a == b || have[pair{a, b}] {
-			return
-		}
-		have[pair{a, b}] = true
-		local.AddEdge(a, b, w)
-		edgeGlobal = append(edgeGlobal, gid)
-	}
-	for _, id := range c.Bags[i].Edges {
-		e := c.G.Edge(id)
-		addEdge(e.U, e.V, e.W, id)
-	}
-	for _, j := range c.Adj[i] {
-		sep := c.Separator(i, j)
-		for x := 0; x < len(sep); x++ {
-			for y := x + 1; y < len(sep); y++ {
-				addEdge(sep[x], sep[y], 1, -1)
-			}
-		}
-	}
-	return local, toGlobal, edgeGlobal
-}
-
-// BagsMeeting returns the bag indices whose vertex set intersects the given
-// part.
-func (c *CliqueSumTree) BagsMeeting(part []int) []int {
-	in := make(map[int]bool, len(part))
-	for _, v := range part {
-		in[v] = true
-	}
-	var out []int
-	for bi, b := range c.Bags {
-		for _, v := range b.Vertices {
-			if in[v] {
-				out = append(out, bi)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -104,47 +104,6 @@ func TestCliqueSumValidatorRejects(t *testing.T) {
 	}
 }
 
-func TestCompletedBag(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pieces := []*gen.Piece{gen.GridPiece(3, 3), gen.GridPiece(3, 3)}
-	cs := gen.CliqueSum(pieces, 2, rng)
-	for bi := range cs.CST.Bags {
-		local, toGlobal, edgeGlobal := cs.CST.CompletedBag(bi)
-		if local.N() != len(cs.CST.Bags[bi].Vertices) {
-			t.Fatalf("bag %d: local n mismatch", bi)
-		}
-		if err := local.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if len(toGlobal) != local.N() || len(edgeGlobal) != local.M() {
-			t.Fatal("mapping lengths wrong")
-		}
-		// Every real edge maps back correctly.
-		for lid, gid := range edgeGlobal {
-			if gid == -1 {
-				continue
-			}
-			le, ge := local.Edge(lid), cs.G.Edge(gid)
-			lu, lv := toGlobal[le.U], toGlobal[le.V]
-			if !((lu == ge.U && lv == ge.V) || (lu == ge.V && lv == ge.U)) {
-				t.Fatalf("bag %d local edge %d maps wrong", bi, lid)
-			}
-		}
-	}
-}
-
-func TestBagsMeeting(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cs := gen.CliqueSum([]*gen.Piece{gen.GridPiece(3, 3), gen.GridPiece(3, 3)}, 1, rng)
-	all := cs.CST.BagsMeeting(cs.CST.Bags[0].Vertices)
-	if len(all) < 1 {
-		t.Fatal("bag 0's own vertices meet no bags")
-	}
-	if got := cs.CST.BagsMeeting(nil); got != nil {
-		t.Fatalf("empty part meets %v", got)
-	}
-}
-
 func TestAlmostEmbeddablePlanarVortexApex(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := gen.AlmostEmbeddableGraph(gen.AlmostEmbedOpts{

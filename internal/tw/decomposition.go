@@ -290,7 +290,7 @@ func (r *Rooted) Height() int {
 
 // MinDepthBagOfVertex returns, for every vertex, the minimum-depth bag
 // containing it (-1 for a vertex in no bag). Computed in one sweep over the
-// bags; the per-part HighestBag reduces to a min over this array.
+// bags.
 func (r *Rooted) MinDepthBagOfVertex() []int32 {
 	out := make([]int32, r.D.G.N())
 	for i := range out {
@@ -302,60 +302,6 @@ func (r *Rooted) MinDepthBagOfVertex() []int32 {
 				out[v] = int32(bi)
 			}
 		}
-	}
-	return out
-}
-
-// HighestBag returns, for each part (vertex set), the bag of minimum depth
-// intersecting it, or -1 for an empty part. By coherence, the bags meeting a
-// connected part form a subtree, so the highest bag is unique.
-func (r *Rooted) HighestBag(part []int) int {
-	minBag := r.MinDepthBagOfVertex()
-	best := -1
-	for _, v := range part {
-		if b := int(minBag[v]); b != -1 && (best == -1 || r.Depth[b] < r.Depth[best]) {
-			best = b
-		}
-	}
-	return best
-}
-
-// TopBagOfEdge returns, for every graph edge, the minimum-depth bag
-// containing both endpoints (-1 if none, which Validate would reject).
-func (r *Rooted) TopBagOfEdge() []int {
-	inBag, off, err := r.D.inBagCSR()
-	if err != nil {
-		// Malformed bags: report every edge as uncontained, as the map-based
-		// implementation did.
-		out := make([]int, r.D.G.M())
-		for i := range out {
-			out[i] = -1
-		}
-		return out
-	}
-	out := make([]int, r.D.G.M())
-	for id := 0; id < r.D.G.M(); id++ {
-		e := r.D.G.Edge(id)
-		// The CSR lists are ascending; walk the merge-intersection keeping
-		// the minimum-depth common bag.
-		a, b := inBag[off[e.U]:off[e.U+1]], inBag[off[e.V]:off[e.V+1]]
-		best := -1
-		x, y := 0, 0
-		for x < len(a) && y < len(b) {
-			switch {
-			case a[x] < b[y]:
-				x++
-			case a[x] > b[y]:
-				y++
-			default:
-				if bi := int(a[x]); best == -1 || r.Depth[bi] < r.Depth[best] {
-					best = bi
-				}
-				x++
-				y++
-			}
-		}
-		out[id] = best
 	}
 	return out
 }

@@ -100,45 +100,6 @@ func TestCotreeRejectsNonPlanar(t *testing.T) {
 	}
 }
 
-func TestRootedHighestBagAndTopEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	kt := gen.KTree(60, 3, rng)
-	r := kt.Decomp.Root(0)
-	if r.Height() < 1 {
-		t.Fatal("degenerate rooted decomposition")
-	}
-	// HighestBag of a whole-graph part is the root.
-	all := make([]int, kt.G.N())
-	for i := range all {
-		all[i] = i
-	}
-	if hb := r.HighestBag(all); hb != 0 {
-		t.Fatalf("highest bag of V = %d want root 0", hb)
-	}
-	if hb := r.HighestBag(nil); hb != -1 {
-		t.Fatalf("highest bag of empty part = %d want -1", hb)
-	}
-	tops := r.TopBagOfEdge()
-	for id, b := range tops {
-		if b == -1 {
-			t.Fatalf("edge %d has no containing bag", id)
-		}
-		e := kt.G.Edge(id)
-		inU, inV := false, false
-		for _, v := range kt.Decomp.Bags[b] {
-			if v == e.U {
-				inU = true
-			}
-			if v == e.V {
-				inV = true
-			}
-		}
-		if !inU || !inV {
-			t.Fatalf("top bag %d of edge %d does not contain it", b, id)
-		}
-	}
-}
-
 func TestPartialKTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pk := gen.PartialKTree(80, 3, 0.4, rng)
