@@ -52,8 +52,8 @@ scale-smoke:
 
 # bench-baseline records the layer benchmarks (CI's layer-smoke set: cap
 # search, eccentricity probe, flood construction, measurement, relaxation,
-# decomposition, MST), five samples each with allocations, as JSON for perf
-# tracking across changes (compare with benchstat or jq). Record it on one
-# host and compare only records from the same host.
+# convergecast, decomposition, MST), five samples each with allocations, as
+# JSON for perf tracking across changes (compare with benchstat or jq).
+# Record it on one host and compare only records from the same host.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'SearchCap|MaxAugmentedEcc|FloodConstruct|Measure|BatchRelax|BoruvkaDecompose|ShortcutBoruvka' -count=5 -benchmem -json ./internal/congest ./internal/shortcut ./internal/mst > BENCH_baseline.json
+	$(GO) test -run '^$$' -bench 'SearchCap|MaxAugmentedEcc|FloodConstruct|Measure|BatchRelax|Pipecast|BoruvkaDecompose|ShortcutBoruvka' -count=5 -benchmem -json ./internal/congest ./internal/shortcut ./internal/mst > BENCH_baseline.json

@@ -22,8 +22,8 @@ type ConstructOptions struct {
 	// Priorities is the part priority ranking the eviction rule uses
 	// (prio[i] = rank of part i, rank 0 highest). Nil computes the
 	// block-count-driven ranking (shortcut.TreeBlockPriorities) — callers
-	// that run several constructions over one part family (the cap search)
-	// pass it in so the ranking, and its dissemination cost, are paid once.
+	// that already hold the ranking (the cap search, which bootstraps it
+	// in-network) pass it in so it and its dissemination are paid once.
 	Priorities []int32
 	// Adversary, when non-nil, injects its fault plan into every simulated
 	// run and widens the convergence loop to its retry policy. Requires

@@ -196,7 +196,7 @@ var pinnedStats = []pinRow{
 	{"grid/bellmanford", 17, "11bbe10059233cc0"},
 	{"grid/pipecast", 25, "5dc7572edab4be45"},
 	{"grid/pipebroadcast", 30, "62b70fd8e855a76b"},
-	{"grid/searchcap", 970, "7676c6ceac3ef238"},
+	{"grid/searchcap", 810, "a9a4f15479fd15bd"},
 	{"grid/elect/faulted", 44, "48bf42415528f658"},
 	{"grid/bfs/faulted", 44, "07ee7fd46baaf4b4"},
 	{"grid/construct/cap=1/faulted", 225, "c7af65c809227eec"},
@@ -206,7 +206,7 @@ var pinnedStats = []pinRow{
 	{"grid/aggregate/faulted", 413, "168c56fa6899cfba"},
 	{"grid/pipecast/faulted", 25, "360a0e4dd6626891"},
 	{"grid/pipebroadcast/faulted", 30, "12d0dc5fd5b34f2a"},
-	{"grid/searchcap/faulted", 970, "dc5ad959736ffb02"},
+	{"grid/searchcap/faulted", 810, "f551812582cd94a8"},
 	{"wheel/elect", 8, "055f69a84a949c56"},
 	{"wheel/bfs", 4, "00485933646c8cc9"},
 	{"wheel/construct/cap=1", 21, "1c14440c6cdb12b9"},
@@ -240,7 +240,7 @@ var pinnedStats = []pinRow{
 	{"chain/bellmanford", 17, "73034741496787ec"},
 	{"chain/pipecast", 21, "8a92c986f5706832"},
 	{"chain/pipebroadcast", 23, "cc095ba80a52d30a"},
-	{"chain/searchcap", 518, "f12349c11e2ad2ec"},
+	{"chain/searchcap", 350, "248474d39530f832"},
 	{"chain/elect/faulted", 30, "64658482f50c115b"},
 	{"chain/bfs/faulted", 30, "70b0a553563e4f30"},
 	{"chain/construct/cap=1/faulted", 71, "1a3dd1848eff6c1c"},
@@ -250,7 +250,7 @@ var pinnedStats = []pinRow{
 	{"chain/aggregate/faulted", 209, "cbf9036ebc5c6463"},
 	{"chain/pipecast/faulted", 21, "5a45539706cd1a90"},
 	{"chain/pipebroadcast/faulted", 23, "c2487999751a2052"},
-	{"chain/searchcap/faulted", 518, "9dcabd73b71ef6e2"},
+	{"chain/searchcap/faulted", 350, "1c11e887a79bba8f"},
 }
 
 // TestProtocolStatsPinned runs every protocol on three instances fault

@@ -10,6 +10,9 @@ import (
 	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/shortcut"
+	"repro/internal/xrand"
 )
 
 // randomContrib builds a random contribution set: each vertex holds 0-3
@@ -342,5 +345,74 @@ func TestCombinerIdentities(t *testing.T) {
 				t.Fatalf("%s: Fold(%d, identity) = %d", comb.Name, x, got)
 			}
 		}
+	}
+}
+
+// BenchmarkPipecast times the cap search's per-guess block-count
+// convergecasts, now the largest per-guess cost of a simulated search, on
+// two search stages cut into about √n Borůvka fragments over the canonical
+// BFS tree from vertex 0: chain-simulate's 20×31 wheel chain at seed 7
+// (130 parts) and the 100×100 grid at seed 2018 that the 10⁴-node scale
+// pipeline searches. One op streams the BlockTops tokens of every doubling
+// guess, built outside the timer from the cap views of one cap-P
+// construction; it reports ns per token, tokens and rounds per op.
+func BenchmarkPipecast(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"chain", gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.WheelChainCSR(20, 31), xrand.New(7))).Graph()},
+		{"grid", gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(100, 100), xrand.New(2018))).Graph()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.g
+			parent, parentEdge, err := congest.CanonicalBFSParents(g, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := graph.TreeFromParents(g, 0, parent, parentEdge)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := partition.BoruvkaFragments(g, decomposePhases(b, g))
+			if err != nil {
+				b.Fatal(err)
+			}
+			np := p.NumParts()
+			var caps []int
+			for c := 1; ; c *= 2 {
+				caps = append(caps, min(c, np))
+				if c >= np {
+					break
+				}
+			}
+			views, err := shortcut.ConstructPrio(g, tr, p, np, shortcut.TreeBlockPriorities(tr, p)).CapViews(caps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			streams := make([][][]congest.Token, len(views))
+			tokens := 0
+			for k, s := range views {
+				streams[k] = congest.BlockCountTokens(s)
+				for _, ts := range streams[k] {
+					tokens += len(ts)
+				}
+			}
+			b.ReportAllocs()
+			rounds := 0
+			for b.Loop() {
+				for _, contrib := range streams {
+					res, err := congest.Pipecast(tr, np, contrib, congest.CombineCount)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rounds += res.Stats.Rounds
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tokens*b.N), "ns/token")
+			b.ReportMetric(float64(tokens), "tokens/op")
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(np), "parts")
+		})
 	}
 }

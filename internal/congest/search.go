@@ -10,13 +10,13 @@ import (
 
 // SearchOptions configures the in-network congestion-cap search.
 type SearchOptions struct {
-	// Simulate runs every construction and quality probe as an actual
+	// Simulate runs the construction and every quality probe as an actual
 	// CONGEST protocol and reports measured rounds; false computes the same
 	// fixed points and estimates sequentially and charges the framework
 	// budgets (the two-ledger convention).
 	Simulate bool
 	// Adversary, when non-nil, injects its fault plan into every simulated
-	// protocol of the search (bootstrap, constructions, probes, winner
+	// protocol of the search (bootstrap, construction, probes, winner
 	// broadcast), with per-protocol retry under doubled budgets. Requires
 	// Simulate. Because every sub-protocol validates against the sequential
 	// fixed points both modes share, a successful faulted search returns
@@ -46,9 +46,10 @@ type SearchResult struct {
 	// Stats accumulates every simulated protocol of the search.
 	Stats Stats
 	// EffectiveRounds: total measured rounds of the search in simulate mode
-	// (constructions, congestion and block-count convergecasts, flood
-	// probes, the priority bootstrap, and the winner broadcast — every term
-	// measured on the engine, none modeled).
+	// (the one construction and congestion convergecast, every guess's
+	// flood probe and block-count convergecast, the priority bootstrap, and
+	// the winner broadcast — every term measured on the engine, none
+	// modeled).
 	EffectiveRounds int
 	// ChargedRounds is the analytic-mode total for the same pipeline.
 	ChargedRounds int
@@ -156,26 +157,30 @@ func BlockTopTokens(t *graph.Tree, p *partition.Parts) [][]Token {
 	return contrib
 }
 
-// probeBudget is the analytic charge for one guess's quality estimate: a
-// tree convergecast of the congestion maximum, a part-wise flood probe
-// whose round count the estimate itself bounds (the single-source
-// BatchRelaxBudget shape), and the pipelined block-count convergecast
-// (each vertex decides locally which parts' admitted chains it tops and
-// the per-part sums stream to the root: one PipecastBudget).
+// probeBudget is the analytic charge for one guess's quality probes: a
+// part-wise flood probe whose round count the estimate itself bounds (the
+// single-source BatchRelaxBudget shape), and the pipelined block-count
+// convergecast (each vertex decides locally which parts' admitted chains
+// it tops and the per-part sums stream to the root: one PipecastBudget).
+// The congestion maximum is one convergecast per search, not per guess.
 func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
-	return (t.Height() + 2) + (est + 2*t.Height() + 8) + PipecastBudget(t, p.NumParts())
+	return (est + 2*t.Height() + 8) + PipecastBudget(t, p.NumParts())
 }
 
 // SearchCap finds a good congestion cap fully in-network: the O(log n)
 // doubling search the paper's framework runs in place of the central sweep
-// (shortcut.ConstructAuto). Caps 1, 2, 4, ... (clamped to the part count —
-// a cap of NumParts already admits every part everywhere) are each
-// constructed with the flooding protocol, and each guess's quality is
-// estimated by convergecast over the constructed shortcut:
+// (shortcut.ConstructAuto). The guesses are caps 1, 2, 4, ... clamped to
+// the part count P, since a cap of P already admits every part
+// everywhere. They share the tree and the ranking, so their flooding fixed
+// points nest: at every vertex the state at cap c is the first c ranks of
+// the state at cap P (shortcut.CapViews). The search therefore runs one
+// flooding construction, at cap P, and reads every guess as a cap-c view
+// of it. Each guess's quality is estimated by convergecast over its view:
 //
-//   - congestion: every vertex knows how many parts it admitted over its
-//     parent edge; the maximum convergecasts up the tree (a single-token
-//     Pipecast under CombineMax);
+//   - congestion: min(c, the maximum over vertices of how many parts the
+//     cap-P state admits over the vertex's parent edge); that maximum
+//     convergecasts up the tree once per search (a single-token Pipecast
+//     under CombineMax);
 //   - block counts: every vertex decides locally which parts' admitted
 //     chains it tops (shortcut.BlockTops); the per-part sums pipeline up
 //     the tree (Pipecast), one token per tree edge per round;
@@ -193,13 +198,16 @@ func probeBudget(t *graph.Tree, p *partition.Parts, est int) int {
 // by all guesses; in simulate mode their bootstrap runs message-level on
 // the pipelined tree layer (BootstrapPrioritiesUnder) and its measured rounds
 // are booked — no modeled charge remains anywhere in the simulated
-// ledger. Analytic mode charges PriorityBudget as before.
+// ledger. Analytic mode charges PriorityBudget, and both ledgers book the
+// one construction and the one congestion convergecast once per search.
 //
 // The sequential side of the eccentricity probe is computed once too: the
 // cap-independent per-part bounds and probe order of shortcut.EccProbe,
 // which let every guess skip the parts that cannot raise its maximum. An
-// analytic search reads each guess's measurement and flooding state only,
-// so no guess's shortcut, the winner's included, builds its edge lists.
+// analytic search reads each view's measurement and prefixes only, so no
+// guess's shortcut builds its edge lists. The winner is returned as the
+// shortcut ConstructPrio at its cap would be (shortcut.Compact), holding
+// no more of the cap-P state than its own prefixes.
 func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOptions) (*SearchResult, error) {
 	if t.G != g {
 		return nil, fmt.Errorf("congest: cap search tree belongs to a different graph")
@@ -234,38 +242,62 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 	} else {
 		res.BootstrapRounds = boot.ChargedRounds
 	}
-	probe := shortcut.NewEccProbe(g, t, p)
-	bestEst := -1
-	for cap := 1; ; cap *= 2 {
-		c := cap
-		if c > np {
-			c = np
-		}
-		cres, err := ConstructShortcut(g, t, p, ConstructOptions{
-			Cap: c, Simulate: opts.Simulate, Priorities: res.Priorities, Adversary: opts.Adversary,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("congest: cap search guess %d: %w", c, err)
-		}
-		res.Guesses++
-		res.Stats.Add(cres.Stats)
-		est, err := estimateQuality(g, t, p, cres.S, probe, opts.Simulate, opts.Adversary, res)
-		if err != nil {
-			return nil, fmt.Errorf("congest: cap search guess %d: %w", c, err)
-		}
-		// The construction's analytic charge is the closed-form budget in
-		// either mode (analytic runs return exactly it), so the charged
-		// equivalent stays complete on simulate runs too.
-		book(cres.EffectiveRounds, ConstructBudget(t, c))
-		book(0, probeBudget(t, p, est)) // simulate books measured probe rounds inside estimateQuality
-		if bestEst == -1 || est < bestEst {
-			bestEst = est
-			res.S, res.Cap, res.Estimate = cres.S, c, est
-		}
+	var caps []int
+	for c := 1; ; c *= 2 {
+		caps = append(caps, min(c, np))
 		if c >= np {
 			break // larger caps construct the identical shortcut
 		}
 	}
+	// The one construction, at cap P. Its analytic charge is the
+	// closed-form budget in either mode (analytic runs return exactly it),
+	// so the charged equivalent stays complete on simulate runs too.
+	cres, err := ConstructShortcut(g, t, p, ConstructOptions{
+		Cap: np, Simulate: opts.Simulate, Priorities: res.Priorities, Adversary: opts.Adversary,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("congest: cap search construction at cap %d: %w", np, err)
+	}
+	res.Stats.Add(cres.Stats)
+	book(cres.EffectiveRounds, ConstructBudget(t, np))
+	views, err := cres.S.CapViews(caps)
+	if err != nil {
+		return nil, fmt.Errorf("congest: cap search: %w", err)
+	}
+	// The congestion maximum at cap P: every vertex knows how many parts
+	// it admitted over its parent edge, exactly the |sent| its protocol
+	// state holds when the construction converges.
+	if opts.Simulate {
+		counts := make([]uint64, g.N())
+		for v, list := range cres.S.FloodState() {
+			counts[v] = uint64(len(list))
+		}
+		rootMax, mstats, err := treeCombineUnder(t, counts, CombineMax, opts.Adversary)
+		if err != nil {
+			return nil, fmt.Errorf("congest: cap search congestion convergecast: %w", err)
+		}
+		if want := cres.S.Measure().Congestion; rootMax != uint64(want) {
+			return nil, fmt.Errorf("congest: congestion convergecast returned %d, fixed point has %d", rootMax, want)
+		}
+		res.Stats.Add(mstats)
+		book(mstats.Rounds, t.Height()+2)
+	} else {
+		book(0, t.Height()+2)
+	}
+	probe := shortcut.NewEccProbe(g, t, p)
+	var best *shortcut.Shortcut
+	for k, s := range views {
+		est, err := estimateQuality(g, t, p, s, probe, opts.Simulate, opts.Adversary, res)
+		if err != nil {
+			return nil, fmt.Errorf("congest: cap search guess %d: %w", caps[k], err)
+		}
+		res.Guesses++
+		book(0, probeBudget(t, p, est)) // simulate books measured probe rounds inside estimateQuality
+		if best == nil || est < res.Estimate {
+			best, res.Cap, res.Estimate = s, caps[k], est
+		}
+	}
+	res.S = best.Compact()
 	// Disseminate the winning cap down the tree so every node constructs
 	// (and keeps) the same assignment.
 	if opts.Simulate {
@@ -284,20 +316,19 @@ func SearchCap(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts SearchOpt
 
 // estimateQuality computes one guess's quality estimate —
 // maxBlocks · maxAugmentedEcc + congestion — and, in simulate mode, runs
-// the in-network protocols realizing it, booking their measured rounds
-// into res and validating each convergecast against the ground truth: the
-// congestion maximum (a single-token max convergecast), the
-// augmented-eccentricity probe (AggregateMin), and the per-part
+// the in-network protocols realizing its per-guess terms, booking their
+// measured rounds into res and validating each against the ground truth:
+// the augmented-eccentricity probe (AggregateMin) and the per-part
 // block-count sums (a pipelined multi-token convergecast of the locally
-// decidable BlockTops indicators — formerly a modeled charge). s is the
-// guess's flood-built shortcut, whose flooding state is the converged fixed
-// point, so both modes derive the same estimate from it. Its terms come
-// from the stored measurement and from probe, the search's shared
-// EccProbe: it walks the parts by descending bound and stops at the first
-// whose bound is no more than the maximum found, reading the flooding state
-// rather than filling the edge lists. The congestion convergecast's inputs
-// are the state's per-vertex list lengths; only simulate mode's probe
-// protocol and block-count indicators read the lists.
+// decidable BlockTops indicators). s is the guess's cap view of the
+// search's cap-P fixed point, which both modes share, so both derive the
+// same estimate from it. Its congestion and block counts come from the
+// view's measurement, which the search's one sweep over the cap-P state
+// derived, and its eccentricity from probe, the search's shared EccProbe:
+// it walks the parts by descending bound and stops at the first whose
+// bound is no more than the maximum found, reading the view's prefixes
+// rather than filling edge lists. Only simulate mode's probe protocol and
+// block-count indicators fill the view's lists.
 func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *shortcut.Shortcut, probe *shortcut.EccProbe, simulate bool, adv *Adversary, res *SearchResult) (int, error) {
 	m := s.Measure()
 	maxEcc, err := probe.MaxAugmentedEcc(s)
@@ -306,22 +337,6 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 	}
 	est := m.MaxBlocks*maxEcc + m.Congestion
 	if simulate {
-		// Per-vertex admitted counts: how many parts use v's parent edge —
-		// exactly the |sent| each node's protocol state holds when the
-		// construction converges.
-		counts := make([]uint64, g.N())
-		for v, list := range s.FloodState() {
-			counts[v] = uint64(len(list))
-		}
-		rootMax, mstats, err := treeCombineUnder(t, counts, CombineMax, adv)
-		if err != nil {
-			return 0, err
-		}
-		if rootMax != uint64(m.Congestion) {
-			return 0, fmt.Errorf("congest: congestion convergecast returned %d, fixed point has %d", rootMax, m.Congestion)
-		}
-		res.Stats.Add(mstats)
-		res.EffectiveRounds += mstats.Rounds
 		// The probe: every part floods its minimum member ID over its
 		// channels; time-to-quiet tracks the augmented eccentricity under
 		// real congestion serialization.
@@ -339,24 +354,7 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 		// it can decide locally (BlockTops); the per-part sums stream to
 		// the root on the pipelined layer and must reproduce the fixed
 		// point's block parameters exactly.
-		tops := s.BlockTops()
-		total := 0
-		for _, ts := range tops {
-			total += len(ts)
-		}
-		backing := make([]Token, 0, total)
-		contrib := make([][]Token, g.N())
-		for v, ts := range tops {
-			if len(ts) == 0 {
-				continue
-			}
-			base := len(backing)
-			for _, pi := range ts {
-				backing = append(backing, Token{Tag: pi, Value: 1})
-			}
-			contrib[v] = backing[base:len(backing):len(backing)]
-		}
-		bres, err := adv.Pipecast(t, p.NumParts(), contrib, CombineCount)
+		bres, err := adv.Pipecast(t, p.NumParts(), blockCountTokens(s), CombineCount)
 		if err != nil {
 			return 0, fmt.Errorf("congest: block-count convergecast: %w", err)
 		}
@@ -370,4 +368,28 @@ func estimateQuality(g *graph.Graph, t *graph.Tree, p *partition.Parts, s *short
 		res.EffectiveRounds += bres.EffectiveRounds
 	}
 	return est, nil
+}
+
+// blockCountTokens builds a guess's block-count convergecast payload: one
+// count token, tagged with the part, for every (vertex, part) pair in
+// s.BlockTops(), whose per-part sums are s's block counts.
+func blockCountTokens(s *shortcut.Shortcut) [][]Token {
+	tops := s.BlockTops()
+	total := 0
+	for _, ts := range tops {
+		total += len(ts)
+	}
+	backing := make([]Token, 0, total)
+	contrib := make([][]Token, len(tops))
+	for v, ts := range tops {
+		if len(ts) == 0 {
+			continue
+		}
+		base := len(backing)
+		for _, pi := range ts {
+			backing = append(backing, Token{Tag: pi, Value: 1})
+		}
+		contrib[v] = backing[base:len(backing):len(backing)]
+	}
+	return contrib
 }

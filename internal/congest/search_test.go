@@ -2,6 +2,7 @@ package congest_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/congest"
@@ -52,6 +53,107 @@ func TestSearchCapModesAgree(t *testing.T) {
 		if sim.ChargedEquivalent != ana.ChargedRounds || ana.ChargedEquivalent != ana.ChargedRounds {
 			t.Fatalf("%s: charged equivalents %d/%d do not match the analytic charge %d",
 				tc.name, sim.ChargedEquivalent, ana.ChargedEquivalent, ana.ChargedRounds)
+		}
+	}
+}
+
+// referenceSearch is the cap search as it ran before its guesses became
+// views of one construction: every doubling cap constructed on its own
+// under the block-count ranking, each estimated from its own measurement
+// and probe, the lowest estimate winning (ties toward the smaller cap).
+func referenceSearch(t *testing.T, g *graph.Graph, tr *graph.Tree, p *partition.Parts) (cap, est int, prio []int32, s *shortcut.Shortcut) {
+	t.Helper()
+	np := p.NumParts()
+	prio = shortcut.TreeBlockPriorities(tr, p)
+	est = -1
+	for c := 1; ; c *= 2 {
+		c := min(c, np)
+		guess := shortcut.ConstructPrio(g, tr, p, c, prio)
+		m := guess.Measure()
+		ecc, err := guess.MaxAugmentedEcc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := m.MaxBlocks*ecc + m.Congestion; est == -1 || e < est {
+			cap, est, s = c, e, guess
+		}
+		if c >= np {
+			return cap, est, prio, s
+		}
+	}
+}
+
+// TestSearchCapMatchesPerGuessReference: reading every guess as a cap view
+// of one cap-P construction changes no result. On the construction
+// instances and the Stats pin sweep's Borůvka-fragment instances,
+// analytic, simulated and simulated under a faulted adversary, SearchCap
+// must return the reference's cap, ranking, estimate, winning flooding
+// state and edges.
+func TestSearchCapMatchesPerGuessReference(t *testing.T) {
+	instances := constructInstances(t)
+	for _, in := range pinInstances(t) {
+		instances = append(instances, struct {
+			name string
+			g    *graph.Graph
+			tr   *graph.Tree
+			p    *partition.Parts
+		}{in.name, in.g, in.tr, in.p})
+	}
+	for _, tc := range instances {
+		wantCap, wantEst, wantPrio, want := referenceSearch(t, tc.g, tc.tr, tc.p)
+		for _, mode := range []struct {
+			name string
+			opts congest.SearchOptions
+		}{
+			{"analytic", congest.SearchOptions{}},
+			{"simulate", congest.SearchOptions{Simulate: true}},
+			{"faulted", congest.SearchOptions{Simulate: true, Adversary: congest.NewAdversary(testPlan(tc.g))}},
+		} {
+			res, err := congest.SearchCap(tc.g, tc.tr, tc.p, mode.opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, mode.name, err)
+			}
+			if res.Cap != wantCap || res.Estimate != wantEst || !slices.Equal(res.Priorities, wantPrio) {
+				t.Fatalf("%s %s: cap %d estimate %d ranking %v; the per-guess search gives cap %d estimate %d ranking %v",
+					tc.name, mode.name, res.Cap, res.Estimate, res.Priorities, wantCap, wantEst, wantPrio)
+			}
+			if !slices.EqualFunc(res.S.FloodState(), want.FloodState(), slices.Equal[[]int32]) {
+				t.Fatalf("%s %s: the winner's flooding state differs from the per-guess search's", tc.name, mode.name)
+			}
+			if !slices.EqualFunc(res.S.Edges(), want.Edges(), slices.Equal[[]int]) {
+				t.Fatalf("%s %s: the winner's edges differ from the per-guess search's", tc.name, mode.name)
+			}
+		}
+	}
+}
+
+// TestSimulatedCapStateTruncates: the flood-and-evict protocol run at cap
+// P, the part count, converges to a state whose first c ranks at every
+// vertex are ConstructPrio's state at cap c, for every doubling cap c — so
+// one protocol run serves every guess of the search.
+func TestSimulatedCapStateTruncates(t *testing.T) {
+	for _, tc := range constructInstances(t) {
+		np := tc.p.NumParts()
+		prio := shortcut.TreeBlockPriorities(tc.tr, tc.p)
+		cres, err := congest.ConstructShortcut(tc.g, tc.tr, tc.p, congest.ConstructOptions{Cap: np, Simulate: true, Priorities: prio})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		state, err := congest.ConstructState(tc.g, tc.tr, tc.p, np, cres.Budget, prio)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for c := 1; ; c *= 2 {
+			c := min(c, np)
+			want := shortcut.ConstructPrio(tc.g, tc.tr, tc.p, c, prio).FloodState()
+			for v, l := range state {
+				if got := l[:min(len(l), c)]; !slices.Equal(got, want[v]) {
+					t.Fatalf("%s cap %d: vertex %d's protocol state %v cut to %v, ConstructPrio admits %v", tc.name, c, v, l, got, want[v])
+				}
+			}
+			if c >= np {
+				break
+			}
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 // elects a leader, builds its own BFS tree (congest.LeaderElectSync, then
 // the early-exit congest.DistributedBFSSync), ranks parts by tree block
 // counts, runs the in-network O(log n) doubling cap search
-// (congest.SearchCap) — one flooding construction plus convergecast
-// quality estimate per guess — and keeps the winning shortcut. No witness,
+// (congest.SearchCap) — one flooding construction at the part count, read
+// at every guess's cap, and a convergecast quality estimate per guess —
+// and keeps the winning shortcut. No witness,
 // tree, or cap is supplied by the generator anywhere on that path.
 //
 // The same three families as E13, against the same witness baselines:

@@ -154,9 +154,16 @@ func (r *Result) consider(w float64, side []int) {
 // tombstones, and with them g's edge IDs.
 func packOneTree(g *graph.Graph, loads []float64, opts Options) (ids []int, stats *mst.RunStats, err error) {
 	// Reweighted copy: key = load, tie-broken by (weight, id) via tiny
-	// epsilons that preserve the lexicographic order.
+	// epsilons that preserve the lexicographic order. The scale is the
+	// largest finite weight plus one: an infinite weight would make it
+	// infinite, and a zero load times it NaN.
 	h := g.Clone()
-	maxW := g.MaxWeight() + 1
+	maxW := 1.0
+	for id := 0; id < g.M(); id++ {
+		if w := g.Edge(id).W; !g.EdgeRemoved(id) && !math.IsInf(w, 0) {
+			maxW = max(maxW, w+1)
+		}
+	}
 	for id := 0; id < g.M(); id++ {
 		if !g.EdgeRemoved(id) {
 			h.SetWeight(id, loads[id]*maxW*float64(g.M()+1)+g.Edge(id).W)

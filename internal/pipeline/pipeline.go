@@ -81,8 +81,9 @@ func Flood(g *graph.Graph, t *graph.Tree, cap int, simulate bool) Provider {
 
 // AutoFlood constructs shortcuts in-network with no cap input either: every
 // invocation runs the O(log n) doubling cap search (congest.SearchCap) —
-// block-priority bootstrap, one flooding construction plus convergecast
-// quality estimate per guess, winner broadcast — and returns the winning
+// block-priority bootstrap, one flooding construction at the part count
+// whose prefixes are every guess, a convergecast quality estimate per
+// guess, winner broadcast — and returns the winning
 // shortcut with the search's full cost in the mode's ledger.
 func AutoFlood(g *graph.Graph, t *graph.Tree, simulate bool) Provider {
 	return AutoFloodUnder(g, t, simulate, nil)

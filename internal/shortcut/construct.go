@@ -104,8 +104,9 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 // ConstructPrio is Construct under an explicit priority ranking (prio[i] =
 // rank of part i, rank 0 highest; nil selects the static by-ID order).
 // Exposed so the cap search can compute the ranking once per part family
-// and reuse it across all cap guesses. The ranking must be a permutation
-// of 0..NumParts-1 (ValidPriorities).
+// and build, under it, the one state every cap guess is a view of
+// (CapViews). The ranking must be a permutation of 0..NumParts-1
+// (ValidPriorities).
 //
 // One children-first pass computes the fixed point, runs FromFloodState's
 // checks on it and measures it. The shortcut is flood-built: it keeps the
@@ -117,11 +118,150 @@ func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, p
 	if err := checkFloodInput(g, t, p, prio); err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: %v", err))
 	}
-	f, err := measureFloodState(t, p, nil, prio, max(cap, 1))
+	cap = max(cap, 1)
+	f, err := measureFloodState(t, p, nil, prio, cap)
 	if err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: internal error: %v", err))
 	}
+	f.cap = cap
 	return &Shortcut{G: g, T: t, P: p, flood: f}
+}
+
+// CapViews returns the cap-c view of s for every c in caps, which must
+// ascend strictly and lie in [1, cap] for the cap ConstructPrio built s
+// at. Under one ranking the flooding fixed points nest: vertex by vertex,
+// the state at cap c is the first c ranks of the state at any larger cap,
+// because the c best ranks of a union are the c best of the union of each
+// set's c best, by induction children-first. So a view is what
+// ConstructPrio at its cap returns, FloodState, Measure, Edges, BlockTops
+// and the eccentricity probe alike, with nothing built per vertex: it
+// reads the prefixes of s's lists, and fills its edge lists from them
+// only when Edges is called. A view keeps s's lists alive; Compact copies
+// one's prefixes out.
+//
+// Every view's measurement comes from one sweep over s's state. Count a
+// list's positions from 0. With S(v) the ranks of s's list at v:
+//
+//   - congestion at cap c is min(c, max_v |S(v)|);
+//   - rank r is present at v at cap c when it is v's own part's, or sits
+//     at a position below c in a child's list: for every c above a, with
+//     a = −1 for v's own part and otherwise r's lowest position in a
+//     child's list. It is admitted at v for every c above its position in
+//     v's list. Each fixed point is grounded, so r's block count at cap c
+//     is #{v : r present} − #{v : r admitted}, and the sweep books both
+//     counts, per rank, in difference arrays over the cap index.
+func (s *Shortcut) CapViews(caps []int) ([]*Shortcut, error) {
+	f := s.flood
+	if f == nil || f.cap == 0 {
+		return nil, fmt.Errorf("shortcut: cap views need a state ConstructPrio built")
+	}
+	for k, c := range caps {
+		if c < 1 || c > f.cap || (k > 0 && c <= caps[k-1]) {
+			return nil, fmt.Errorf("shortcut: cap views at caps %v of a cap-%d state", caps, f.cap)
+		}
+	}
+	t, p := s.T, s.P
+	np, nc := len(f.rank), len(caps)
+	// from[k+1] is the index of the first cap above k, for k from -1 to
+	// np-1: the first view at which a rank at position k counts.
+	from := make([]int32, np+1)
+	for k, ci := -1, 0; k < np; k++ {
+		for ci < nc && caps[ci] <= k {
+			ci++
+		}
+		from[k+1] = int32(ci)
+	}
+	w := nc + 1 // a rank's row of each difference array: one per view, and a sink
+	present := make([]int32, np*w)
+	admitted := make([]int32, np*w)
+	mark := make([]int32, np) // v+1 for the ranks present at v
+	low := make([]int32, np)  // by rank: a at the vertex being swept
+	var ranks []int32
+	for v := range t.Parent {
+		stamp := int32(v + 1)
+		ranks = ranks[:0]
+		if pi := p.Of[v]; pi != -1 {
+			r := f.rank[pi]
+			mark[r], low[r] = stamp, -1
+			ranks = append(ranks, r)
+		}
+		// Every list but the root's, which is empty, is read once, by the
+		// parent: for what the child admits and what is present at v.
+		for _, c := range t.Children[v] {
+			for k, r := range f.list(c) {
+				admitted[int(r)*w+int(from[k+1])]++
+				switch {
+				case mark[r] != stamp:
+					mark[r], low[r] = stamp, int32(k)
+					ranks = append(ranks, r)
+				case int32(k) < low[r]:
+					low[r] = int32(k)
+				}
+			}
+		}
+		for _, r := range ranks {
+			present[int(r)*w+int(from[low[r]+1])]++
+		}
+	}
+	sizes := make([]int, nc*np)
+	blocks := make([]int, nc*np)
+	for part, r := range f.rank {
+		row := int(r) * w
+		var pres, adm int
+		for ci := range caps {
+			pres += int(present[row+ci])
+			adm += int(admitted[row+ci])
+			sizes[ci*np+int(r)] = adm
+			blocks[ci*np+part] = pres - adm
+		}
+	}
+	views := make([]*Shortcut, nc)
+	for ci, c := range caps {
+		m := Measurement{
+			Congestion:   min(c, f.m.Congestion),
+			Blocks:       blocks[ci*np : (ci+1)*np : (ci+1)*np],
+			TreeDiameter: f.m.TreeDiameter,
+		}
+		m.finish()
+		views[ci] = &Shortcut{G: s.G, T: t, P: p, flood: &floodLists{
+			admitted: f.admitted, cap: c, prefix: c,
+			size: sizes[ci*np : (ci+1)*np : (ci+1)*np], rank: f.rank, m: m,
+		}}
+	}
+	return views, nil
+}
+
+// Compact returns s unless s is a cap view. For a view it returns the
+// flood-built shortcut ConstructPrio at the view's cap would: the same
+// state and measurement, held as ConstructPrio holds them. Where the view
+// cuts a list it shares, the prefixes are copied out, so the result keeps
+// no larger cap's lists alive.
+func (s *Shortcut) Compact() *Shortcut {
+	f := s.flood
+	if f == nil || f.prefix == 0 {
+		return s
+	}
+	own := *f
+	own.prefix = 0
+	own.size = slices.Clone(f.size)
+	own.m.Blocks = slices.Clone(f.m.Blocks)
+	total, cut := 0, false
+	for v, l := range f.admitted {
+		total += len(f.list(v))
+		cut = cut || len(l) > f.prefix
+	}
+	if cut {
+		own.admitted = make([][]int32, len(f.admitted))
+		arena := make([]int32, 0, total)
+		for v := range f.admitted {
+			if l := f.list(v); len(l) > 0 {
+				start := len(arena)
+				arena = append(arena, l...)
+				own.admitted[v] = arena[start:len(arena):len(arena)]
+			}
+		}
+	}
+	return &Shortcut{G: s.G, T: s.T, P: s.P, flood: &own}
 }
 
 // ValidPriorities checks that prio is a permutation of 0..numParts-1 (nil
@@ -213,14 +353,31 @@ func checkFloodInput(g *graph.Graph, t *graph.Tree, p *partition.Parts, prio []i
 }
 
 // floodLists is a flood-built shortcut's flooding state with what its
-// readers need: admitted[v] holds the ranks admitted over v's parent edge,
+// readers need: list(v) holds the ranks admitted over v's parent edge,
 // size[r] the edge count of rank r's part, rank maps part to rank, and m is
 // the state's measurement.
+//
+// cap is the cap of the flooding fixed point the state is, the one
+// ConstructPrio generated it at, or 0 for a state FromFloodState was
+// handed. A cap view (CapViews) shares a larger cap's admitted lists and
+// reads each cut to its first prefix ranks; prefix is 0 for a state that
+// reads its lists whole.
 type floodLists struct {
 	admitted [][]int32
+	cap      int
+	prefix   int
 	size     []int
 	rank     []int32
 	m        Measurement
+}
+
+// list returns the ranks admitted over v's parent edge, ascending.
+func (f *floodLists) list(v int) []int32 {
+	l := f.admitted[v]
+	if f.prefix > 0 && len(l) > f.prefix {
+		return l[:f.prefix:f.prefix]
+	}
+	return l
 }
 
 // fillEdges assembles the per-part edge lists of a flooding state. The
@@ -258,7 +415,7 @@ func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
 		if !ok {
 			continue
 		}
-		for _, r := range f.admitted[v] {
+		for _, r := range f.list(int(v)) {
 			slab[cur[r]] = id
 			cur[r]++
 		}
@@ -294,10 +451,9 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 	f := &floodLists{admitted: admitted, size: make([]int, np)}
 	m := Measurement{TreeDiameter: treeDiameter(t), Blocks: make([]int, np)}
 	seen := make([]int, np) // by rank: #{v : rank present at v}
-	// present[r] == v+1 iff rank r is present at v. Each vertex is visited
+	// ps.mark[r] == v+1 iff rank r is present at v. Each vertex is visited
 	// once, so v+1 is a fresh stamp and the array is never cleared.
-	present := make([]int32, np)
-	var buf []int32 // the ranks present at v
+	ps := presence{mark: make([]int32, np)}
 	// Generated lists are carved from chunked arenas rather than allocated
 	// one per vertex: at scale the fixed point holds Θ(n·cap) ranks, and n
 	// separate allocations (plus their zeroing) dominate the pass. Headroom
@@ -307,12 +463,12 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 	for oi := len(t.Order) - 1; oi >= 0; oi-- {
 		v := t.Order[oi]
 		stamp := int32(v + 1)
-		buf = gather(t, p, prio, admitted, v, present, stamp, buf)
-		for _, r := range buf {
+		for _, r := range ps.gather(t, p, prio, admitted, v, stamp) {
 			seen[r]++
 		}
 		if generate {
-			if k := len(admit(t, v, cap, buf)); k > 0 {
+			if list := ps.admit(t, v, cap); len(list) > 0 {
+				k := len(list)
 				if k > arenaFree {
 					// The shortcut keeps its state for life, so a chunk is
 					// no larger than the unvisited vertices, oi+1 of them,
@@ -321,7 +477,7 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 					arena = make([]int32, 0, arenaFree)
 				}
 				start := len(arena)
-				arena = append(arena, buf[:k]...)
+				arena = append(arena, list...)
 				arenaFree -= k
 				admitted[v] = arena[start:len(arena):len(arena)]
 			}
@@ -339,7 +495,7 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 			case k > 0 && r <= list[k-1]:
 				return nil, fmt.Errorf("%w: vertex %d admits ranks %v, not strictly ascending",
 					ErrMalformedFloodState, v, list)
-			case present[r] != stamp:
+			case ps.mark[r] != stamp:
 				return nil, fmt.Errorf("%w: vertex %d admits rank %d, present at neither its own part nor a child",
 					ErrMalformedFloodState, v, r)
 			}
@@ -347,8 +503,8 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 		}
 		m.Congestion = max(m.Congestion, len(list))
 	}
-	// present is spent, so it becomes the part -> rank mapping.
-	f.rank = present
+	// ps.mark is spent, so it becomes the part -> rank mapping.
+	f.rank = ps.mark
 	for part := range f.rank {
 		r := int32(part)
 		if prio != nil {
@@ -362,42 +518,93 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 	return f, nil
 }
 
-// gather collects in buf, and returns, the ranks present at v: v's own
-// part's and every rank a child of v admits, each once. mark is
-// rank-indexed scratch: gather sets mark[r] = stamp for every rank it
-// collects, so stamp must differ from every value mark already holds.
-func gather(t *graph.Tree, p *partition.Parts, prio []int32, admitted [][]int32, v int, mark []int32, stamp int32, buf []int32) []int32 {
-	buf = buf[:0]
+// mergeChildren is the most tree children at which presence.gather
+// merges the children's lists. Above it, marking and sorting is cheaper:
+// merging pairwise costs O(children · ranks), and a wheel's hub is the
+// tree parent of nearly every rim vertex.
+const mergeChildren = 3
+
+// presence collects the ranks present at a vertex: its own part's and
+// every rank a child admits over its parent edge, each once. mark is
+// rank-indexed: gather sets mark[r] = stamp for every rank it collects, so
+// a stamp must differ from every value mark already holds. ranks and spare
+// are the merge's two buffers, and sorted reports whether ranks ascends.
+type presence struct {
+	mark         []int32
+	ranks, spare []int32
+	sorted       bool
+}
+
+// gather collects, and returns, the ranks present at v. The children's
+// lists are ascending, so at a vertex with at most mergeChildren tree
+// children the ranks are merged and come out ascending; at one with more
+// they are collected unordered and admit sorts them.
+func (ps *presence) gather(t *graph.Tree, p *partition.Parts, prio []int32, admitted [][]int32, v int, stamp int32) []int32 {
+	buf := ps.ranks[:0]
 	if pi := p.Of[v]; pi != -1 {
 		r := int32(pi)
 		if prio != nil {
 			r = prio[pi]
 		}
-		mark[r] = stamp
+		ps.mark[r] = stamp
 		buf = append(buf, r)
 	}
-	for _, c := range t.Children[v] {
-		for _, r := range admitted[c] {
-			if mark[r] != stamp {
-				mark[r] = stamp
-				buf = append(buf, r)
+	kids := t.Children[v]
+	if ps.sorted = len(kids) <= mergeChildren; ps.sorted {
+		for _, c := range kids {
+			buf, ps.spare = mergeRanks(ps.spare[:0], buf, admitted[c]), buf
+		}
+		for _, r := range buf {
+			ps.mark[r] = stamp
+		}
+	} else {
+		for _, c := range kids {
+			for _, r := range admitted[c] {
+				if ps.mark[r] != stamp {
+					ps.mark[r] = stamp
+					buf = append(buf, r)
+				}
 			}
 		}
 	}
+	ps.ranks = buf
 	return buf
 }
 
 // admit is the flooding rule at v, shared by measureFloodState's
 // generation step and the dirty-closure recompute of Repair: of the ranks
-// present at v (gather), the (up to) cap best, ascending, and none at the
-// root, which has no parent edge. It sorts present in place and returns a
-// prefix of it.
-func admit(t *graph.Tree, v, cap int, present []int32) []int32 {
+// gather last collected, at v, the (up to) cap best, ascending, and none
+// at the root, which has no parent edge. It returns a prefix of them.
+func (ps *presence) admit(t *graph.Tree, v, cap int) []int32 {
 	if t.ParentEdge[v] == -1 {
 		return nil
 	}
-	slices.Sort(present)
-	return present[:min(len(present), cap)]
+	if !ps.sorted {
+		slices.Sort(ps.ranks)
+	}
+	return ps.ranks[:min(len(ps.ranks), cap)]
+}
+
+// mergeRanks appends to dst the union of a and b, both ascending, once
+// each and ascending.
+func mergeRanks(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // AutoResult reports a congestion-cap auto-search.

@@ -194,7 +194,7 @@ func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) 
 			r := f.rank[i]
 			for _, x := range p.Sets[i] {
 				for v := x; t.Parent[v] >= 0 && !next.Has(v); v = t.Parent[v] {
-					if _, ok := slices.BinarySearch(f.admitted[v], r); !ok {
+					if _, ok := slices.BinarySearch(f.list(v), r); !ok {
 						break
 					}
 					thread(v)

@@ -342,17 +342,16 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 	admitted := slices.Clone(m.s.FloodState())
 	changed := false
 	count := 0
-	mark := make([]int32, m.P.NumParts())
-	var present []int32
+	ps := presence{mark: make([]int32, m.P.NumParts())}
 	for oi := g.N() - 1; oi >= 0; oi-- {
 		v := newT.Order[oi]
 		if !dirty[v] {
 			continue
 		}
 		count++
-		present = gather(newT, m.P, m.Prio, admitted, v, mark, int32(v+1), present)
+		ps.gather(newT, m.P, m.Prio, admitted, v, int32(v+1))
 		var next []int32
-		if list := admit(newT, v, m.Cap, present); len(list) > 0 {
+		if list := ps.admit(newT, v, m.Cap); len(list) > 0 {
 			next = slices.Clone(list)
 		}
 		if !slices.Equal(admitted[v], next) {

@@ -11,7 +11,8 @@
 // state for life: it is measured in the one children-first pass that
 // builds or checks the state, with no union-find at all, the cap search's
 // probe walks the state, and the per-part edge lists are assembled from it
-// only when Edges is first called. An edge-built shortcut (New,
+// only when Edges is first called. A cap view (CapViews) is a flood-built
+// shortcut that reads a larger cap's state cut to its own cap. An edge-built shortcut (New,
 // NewNormalized, Empty) is its edge lists, measured over epoch-stamped
 // scratch slices (graph.Scratch) and a single reused union-find forest, so
 // measuring it allocates O(parts) memory rather than O(parts · n) map
@@ -74,13 +75,22 @@ func (s *Shortcut) fill() {
 // FloodState returns a flood-built shortcut's flooding state: FloodState()[v]
 // lists, ascending in rank space, the ranks admitted over v's parent edge
 // (nil at the root and at vertices no flood reaches). The lists are the
-// shortcut's own and must not be modified. It returns nil for an edge-built
-// shortcut.
+// shortcut's own and must not be modified; a cap view's are prefixes of
+// the lists it shares, in an outer slice made per call. It returns nil for
+// an edge-built shortcut.
 func (s *Shortcut) FloodState() [][]int32 {
-	if s.flood == nil {
+	f := s.flood
+	if f == nil {
 		return nil
 	}
-	return s.flood.admitted
+	if f.prefix == 0 {
+		return f.admitted
+	}
+	out := make([][]int32, len(f.admitted))
+	for v := range out {
+		out[v] = f.list(v)
+	}
+	return out
 }
 
 // New wraps and validates a shortcut assignment: t and p must belong to g

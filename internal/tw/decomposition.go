@@ -288,24 +288,6 @@ func (r *Rooted) Height() int {
 	return h
 }
 
-// MinDepthBagOfVertex returns, for every vertex, the minimum-depth bag
-// containing it (-1 for a vertex in no bag). Computed in one sweep over the
-// bags.
-func (r *Rooted) MinDepthBagOfVertex() []int32 {
-	out := make([]int32, r.D.G.N())
-	for i := range out {
-		out[i] = -1
-	}
-	for bi, bag := range r.D.Bags {
-		for _, v := range bag {
-			if out[v] == -1 || r.Depth[bi] < r.Depth[out[v]] {
-				out[v] = int32(bi)
-			}
-		}
-	}
-	return out
-}
-
 // firstCommonBag returns some common element of two ascending lists, or -1.
 func firstCommonBag(a, b []int32) int {
 	x, y := 0, 0

@@ -36,7 +36,7 @@ func TestFoldSummaryMatchesMaterializedFold(t *testing.T) {
 			t.Fatalf("trial %d: summary height %d != materialized height %d", trial, got, want)
 		}
 		_ = matFold
-		ref := matRooted.MinDepthBagOfVertex()
+		ref := minDepthBagOfVertex(matRooted)
 		for v := range minGroup {
 			if minGroup[v] != ref[v] {
 				t.Fatalf("trial %d vertex %d: summary min group %d != materialized %d",
@@ -44,6 +44,24 @@ func TestFoldSummaryMatchesMaterializedFold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// minDepthBagOfVertex returns, for every vertex, the minimum-depth bag of
+// r containing it (-1 for a vertex in no bag), in one sweep over the bags:
+// the materialized side of the FoldSummary check.
+func minDepthBagOfVertex(r *Rooted) []int32 {
+	out := make([]int32, r.D.G.N())
+	for i := range out {
+		out[i] = -1
+	}
+	for bi, bag := range r.D.Bags {
+		for _, v := range bag {
+			if out[v] == -1 || r.Depth[bi] < r.Depth[out[v]] {
+				out[v] = int32(bi)
+			}
+		}
+	}
+	return out
 }
 
 // randomCoherentDecomposition builds a random graph with a valid tree

@@ -514,3 +514,45 @@ func TestApproxMinCutAfterChurnDelete(t *testing.T) {
 		}
 	}
 }
+
+// TestMinCutWithInfiniteWeight: tree packing reweights every edge by its
+// load, scaled past the largest weight so the load decides first. It
+// scaled by the largest weight itself, so one +Inf weight made the scale
+// +Inf and the first tree's zero loads NaN, and the packed MST failed on a
+// NaN weight. Two chorded 4-cycles joined by a weight-1 bridge, one chord
+// weighted +Inf: every min cut must find the bridge.
+func TestMinCutWithInfiniteWeight(t *testing.T) {
+	g := graph.New(8)
+	for _, half := range []int{0, 4} {
+		for v := 0; v < 4; v++ {
+			g.AddEdge(half+v, half+(v+1)%4, float64(2+v))
+		}
+	}
+	g.AddEdge(0, 2, math.Inf(1))
+	g.AddEdge(5, 7, 3)
+	g.AddEdge(3, 4, 1)
+	nw, err := repro.NewNetwork(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _, err := nw.ExactMinCut()
+	if err != nil || exact != 1 {
+		t.Fatalf("exact min cut %v, %v; want the bridge's 1", exact, err)
+	}
+	for _, run := range []struct {
+		name string
+		cut  func() (*repro.CutResult, error)
+	}{
+		{"ApproxMinCut", func() (*repro.CutResult, error) { return nw.ApproxMinCut(0.5) }},
+		{"MinCutConstructed", func() (*repro.CutResult, error) { return nw.MinCutConstructed(0.5, false) }},
+		{"MinCutConstructed simulated", func() (*repro.CutResult, error) { return nw.MinCutConstructed(0.5, true) }},
+	} {
+		cut, err := run.cut()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if cut.Value != 1 || graph.CutWeight(g, cut.Side) != 1 {
+			t.Fatalf("%s: cut %v with side %v; want the bridge's 1", run.name, cut.Value, cut.Side)
+		}
+	}
+}
