@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json bench bench-smoke bench-test bench-baseline scale-smoke
+.PHONY: all build test race vet lint lint-json bench bench-smoke bench-layers bench-test bench-baseline scale-smoke
 
 all: vet lint build test
 
@@ -50,10 +50,22 @@ bench-test:
 scale-smoke:
 	$(GO) test -run 'TestScaleSmoke100k' -count=1 -v ./internal/experiments
 
-# bench-baseline records the layer benchmarks (CI's layer-smoke set: cap
-# search, eccentricity probe, flood construction, measurement, relaxation,
-# convergecast, decomposition, MST), five samples each with allocations, as
-# JSON for perf tracking across changes (compare with benchstat or jq).
-# Record it on one host and compare only records from the same host.
+# LAYER_BENCH and LAYER_PKGS are the layer benchmarks: cap search,
+# eccentricity probe, flood construction, measurement, relaxation,
+# convergecast, decomposition and MST.
+LAYER_BENCH = SearchCap|MaxAugmentedEcc|FloodConstruct|Measure|BatchRelax|Pipecast|BoruvkaDecompose|ShortcutBoruvka
+LAYER_PKGS = ./internal/congest ./internal/shortcut ./internal/mst
+
+# bench-layers runs every layer benchmark once, and engine delivery's (the
+# election and BFS floods on the 10⁴ grid and wheel, in benchmark/), so a
+# broken layer benchmark fails.
+bench-layers:
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime=1x $(LAYER_PKGS)
+	cd benchmark && $(GO) test -run '^$$' -bench 'Flood/./(grid|wheel)/n=10000$$' -benchtime=1x -short
+
+# bench-baseline records the layer benchmarks, five samples each with
+# allocations, as JSON for perf tracking across changes (compare with
+# benchstat or jq). Record it on one host and compare only records from the
+# same host.
 bench-baseline:
-	$(GO) test -run '^$$' -bench 'SearchCap|MaxAugmentedEcc|FloodConstruct|Measure|BatchRelax|Pipecast|BoruvkaDecompose|ShortcutBoruvka' -count=5 -benchmem -json ./internal/congest ./internal/shortcut ./internal/mst > BENCH_baseline.json
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -count=5 -benchmem -json $(LAYER_PKGS) > BENCH_baseline.json

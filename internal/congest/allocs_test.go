@@ -2,6 +2,7 @@ package congest_test
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/congest"
@@ -59,6 +60,36 @@ func TestPipecastAllocsFlat(t *testing.T) {
 	}
 	run()
 	pinAllocs(t, "Pipecast", 320, g.N()*stats.Rounds, run)
+}
+
+// TestPipecastAllocsIndependentOfN: Pipecast's set-up builds its subtree
+// tag lists as one slab and its tree-port table as a few, so one call
+// allocates the same number of objects on a 100×100 grid as on a 20×20
+// one. A set-up that allocates per vertex makes thousands more. Garbage
+// collection is off while it counts: a collection can drop the pooled
+// engine, and the run after it regrows the engine's per-node arenas.
+func TestPipecastAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const numTags = 64
+	allocs := func(side int) float64 {
+		g := gen.Grid(side, side).G
+		tr, err := graph.BFSTree(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contrib := randomContrib(g.N(), numTags, xrand.New(11))
+		return testing.AllocsPerRun(4, func() {
+			if _, err := congest.Pipecast(tr, numTags, contrib, congest.CombineSum); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(20), allocs(100); small != large {
+		t.Errorf("a Pipecast call allocates %.0f objects on a 20×20 grid but %.0f on a 100×100 grid", small, large)
+	}
 }
 
 // TestConstructShortcutAllocsFlat pins the flooding-construction kernel

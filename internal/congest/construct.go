@@ -107,7 +107,7 @@ func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts C
 	want := res.S.FloodState()
 	err := adv.converge("ConstructShortcut", ConstructBudget(t, cap), func(budget int) (err error) {
 		var final [][]int32
-		final, res.Stats, err = runConstruct(g, t, p, cap, budget, prio, adv.attemptOptions(budget))
+		final, res.Stats, err = runConstruct(g, t, p, cap, budget, prio, want, adv.attemptOptions(budget))
 		if err == nil && !slices.EqualFunc(final, want, slices.Equal[[]int32]) {
 			err = &IncompleteError{Protocol: "ConstructShortcut", Rounds: res.Stats.Rounds, Budget: budget,
 				Detail: "flood-and-evict state differs from the fixed point"}
@@ -134,68 +134,53 @@ const (
 // All part identities are priority ranks (rank 0 = highest priority), so
 // "keep the cap best" is a sorted-prefix truncation.
 type conNode struct {
-	parentPort       int32
-	own              int32 // priority rank of this vertex's part, or -1
-	dirty            bool
-	slotOff, slotEnd int32   // the node's tree-child slots in the run's rcv
-	sent             []int32 // sorted; what the parent currently believes, <= cap
-	tmp              []int32 // scratch for the target computation
+	own        int32 // priority rank of this vertex's part, or -1
+	dirty      bool
+	sent       []int32 // sorted; what the parent currently believes
+	tmp, spare []int32 // the target merge's two buffers
 }
 
 // runConstruct executes the flood-and-evict protocol for a fixed round
 // budget and returns each node's final forwarded set (in rank space).
-func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget int, prio []int32, ropts Options) ([][]int32, Stats, error) {
+// want is the fixed point at cap, which sizes the state: every rank a node
+// holds is present in its subtree, so what it has sent, its target and
+// what it has heard from a child hold at most min(cap, |S|) ranks, S the
+// ranks present in the subtree, and that is the length of the node's, or
+// the child's, fixed-point list.
+func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget int, prio []int32, want [][]int32, ropts Options) ([][]int32, Stats, error) {
 	n := g.N()
 	final := make([][]int32, n)
 	state := make([]conNode, n)
-	// Nodes send on their parent port alone, so only tree children admit
-	// ranks: one slot per child edge, numbered in (node, port) order, and
-	// portSlot[portOff[v]+port] is the slot behind a child port of v.
-	portOff := make([]int32, n+1)
+	off := make([]int, n+1)
 	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
+		off[v+1] = off[v] + len(want[v])
 	}
-	portSlot := make([]int32, portOff[n])
-	slots := int32(0)
-	for v := 0; v < n; v++ {
+	// Nodes send on their parent port alone, so only tree children admit
+	// ranks, one slot each: the window of the child's width in one slab. A
+	// node's sent list and its two merge buffers share a second slab.
+	tp := newTreePorts(g, t)
+	rcv := make([][]int32, len(tp.child))
+	rcvSlab := make([]int32, off[n])
+	for s, c := range tp.child {
+		rcv[s] = rcvSlab[off[c]:off[c]:off[c+1]]
+	}
+	setSlab := make([]int32, 3*off[n])
+	for v := range state {
 		st := &state[v]
-		st.parentPort = -1
-		st.slotOff = slots
-		for port, a := range g.Adj(v) {
-			portSlot[portOff[v]+int32(port)] = -1
-			switch {
-			case a.ID == t.ParentEdge[v] && a.To == t.Parent[v]:
-				st.parentPort = int32(port)
-			case a.ID == t.ParentEdge[a.To] && t.Parent[a.To] == v:
-				portSlot[portOff[v]+int32(port)] = slots
-				slots++
-			}
-		}
-		st.slotEnd = slots
-		st.own = int32(-1)
+		row := setSlab[3*off[v] : 3*off[v+1]]
+		w := len(want[v])
+		st.sent, st.tmp, st.spare = row[:0:w], row[w:w:2*w], row[2*w:2*w:3*w]
+		st.own = -1
 		if pi := p.Of[v]; pi != -1 {
 			st.own = prio[pi]
 			st.dirty = true
 		}
 	}
-	// A child admits at most cap ranks (its own |sent| bound), so each slot
-	// is a cap-wide window of one slab; sent (<= cap) and tmp (<= cap+1
-	// while it merges) share a second slab, cap+1 wide each.
-	rcv := make([][]int32, slots)
-	rcvSlab := make([]int32, int(slots)*cap)
-	for s := range rcv {
-		rcv[s] = rcvSlab[s*cap : s*cap : (s+1)*cap]
-	}
-	w := cap + 1
-	setSlab := make([]int32, 2*n*w)
-	for v := range state {
-		state[v].sent = setSlab[2*v*w : 2*v*w : (2*v+1)*w]
-		state[v].tmp = setSlab[(2*v+1)*w : (2*v+1)*w : (2*v+2)*w]
-	}
 	step := func(nd *Node, msgs []Message) bool {
-		st := &state[nd.ID]
+		v := nd.ID
+		st := &state[v]
 		for _, m := range msgs {
-			s := portSlot[portOff[nd.ID]+int32(m.Port)]
+			s := tp.slot(v, m.Port)
 			rank := int32(m.Payload[1])
 			switch m.Payload[0] {
 			case conAdmit:
@@ -206,21 +191,21 @@ func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget
 			st.dirty = true
 		}
 		if nd.Round() == budget+1 {
-			final[nd.ID] = st.sent
+			final[v] = st.sent
 			return false
 		}
-		if st.dirty && st.parentPort != -1 {
-			target := conTarget(st, rcv[st.slotOff:st.slotEnd], cap)
+		if st.dirty && tp.parent[v] != -1 {
 			// One message per round: retract the worst stale admission
 			// first (keeping |sent| <= cap at all times), else forward the
 			// best missing part.
-			if x, ok := worstNotIn(st.sent, target); ok {
-				nd.Send(int(st.parentPort), Words{conEvict, uint64(x)})
+			switch op, x := nextConMessage(st.sent, st.target(rcv[tp.slotOff[v]:tp.slotOff[v+1]], cap)); op {
+			case conEvict:
+				nd.Send(int(tp.parent[v]), Words{conEvict, uint64(x)})
 				st.sent = delSorted(st.sent, x)
-			} else if x, ok := bestNotIn(target, st.sent); ok {
-				nd.Send(int(st.parentPort), Words{conAdmit, uint64(x)})
+			case conAdmit:
+				nd.Send(int(tp.parent[v]), Words{conAdmit, uint64(x)})
 				st.sent = insSorted(st.sent, x)
-			} else {
+			default:
 				st.dirty = false
 			}
 		} else if st.dirty {
@@ -238,32 +223,46 @@ func runConstruct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap, budget
 	return final, stats, nil
 }
 
-// conTarget computes the (up to) cap best priority ranks currently present
-// at the node: its own part plus everything admitted by its children, whose
-// sets are rcv. The merge keeps only the best cap+1 candidates, so a round
-// costs O(children · cap) regardless of how many parts exist.
-func conTarget(st *conNode, rcv [][]int32, cap int) []int32 {
-	tmp := st.tmp[:0]
+// target is the flooding rule at the node: the (up to) cap best priority
+// ranks present there, its own part's and those its children admit, whose
+// sets are rcv. It folds the flood pass's merge, bounded at cap, over the
+// children, so a round costs O(children · cap) however many parts exist.
+func (st *conNode) target(rcv [][]int32, cap int) []int32 {
+	tgt := st.tmp[:0]
 	if st.own != -1 {
-		tmp = append(tmp, st.own) //lint:allow hotalloc st.tmp is preallocated with cap+1 capacity at setup and insBounded keeps len <= cap
+		tgt = st.tmp[:1]
+		tgt[0] = st.own
 	}
 	for _, set := range rcv {
-		for _, i := range set {
-			tmp = insBounded(tmp, i, cap)
-		}
+		//lint:allow hotalloc both buffers are slab windows as wide as the node's fixed-point list, which bounds every target
+		tgt, st.spare = shortcut.MergeRanks(st.spare[:0], tgt, set, cap), tgt
 	}
-	st.tmp = tmp
-	return tmp
+	st.tmp = tgt
+	return tgt
 }
 
-// insBounded inserts x into the sorted set keeping only the lowest bound
-// elements.
-func insBounded(set []int32, x int32, bound int) []int32 {
-	set = insSorted(set, x)
-	if len(set) > bound {
-		set = set[:bound]
+// nextConMessage picks a node's next message in one two-pointer pass over
+// sent and target, both ascending: the largest rank of sent that target
+// lacks, to evict, or failing that the smallest rank of target that sent
+// lacks, to admit. It returns op 0 when the two are equal.
+func nextConMessage(sent, target []int32) (op int, rank int32) {
+	i, j := 0, 0
+	for i < len(sent) || j < len(target) {
+		switch {
+		case j == len(target) || (i < len(sent) && sent[i] < target[j]):
+			op, rank = conEvict, sent[i] // the last one found is the largest
+			i++
+		case i == len(sent) || target[j] < sent[i]:
+			if op == 0 {
+				op, rank = conAdmit, target[j]
+			}
+			j++
+		default:
+			i++
+			j++
+		}
 	}
-	return set
+	return op, rank
 }
 
 // insSorted inserts x into a sorted duplicate-free slice (no-op if present).
@@ -275,7 +274,7 @@ func insSorted(set []int32, x int32) []int32 {
 	if lo < len(set) && set[lo] == x {
 		return set
 	}
-	set = append(set, 0) //lint:allow hotalloc every caller passes a slab preallocated at setup (sent/tmp: cap+1, rcv: cap) and the protocol keeps len below it before insert
+	set = append(set, 0) //lint:allow hotalloc sent and rcv are slab windows as wide as the fixed-point list, which bounds them in a fault-free run, so the append stays in place
 	copy(set[lo+1:], set[lo:])
 	set[lo] = x
 	return set
@@ -289,36 +288,4 @@ func delSorted(set []int32, x int32) []int32 {
 		}
 	}
 	return set
-}
-
-// worstNotIn returns the largest element of a absent from b (both sorted).
-func worstNotIn(a, b []int32) (int32, bool) {
-	for i := len(a) - 1; i >= 0; i-- {
-		if !containsSorted(b, a[i]) {
-			return a[i], true
-		}
-	}
-	return 0, false
-}
-
-// bestNotIn returns the smallest element of a absent from b (both sorted).
-func bestNotIn(a, b []int32) (int32, bool) {
-	for _, x := range a {
-		if !containsSorted(b, x) {
-			return x, true
-		}
-	}
-	return 0, false
-}
-
-func containsSorted(set []int32, x int32) bool {
-	for _, v := range set {
-		if v == x {
-			return true
-		}
-		if v > x {
-			return false
-		}
-	}
-	return false
 }

@@ -1,8 +1,10 @@
 package congest_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/congest"
@@ -255,4 +257,129 @@ func TestBuildShortcutThenAggregate(t *testing.T) {
 			t.Fatalf("part %d: %d want %d", i, res.Mins[i], want)
 		}
 	}
+}
+
+// TestConstructKernelMatchesReference: the protocol's target, the flood
+// pass's merge folded at cap, and its two-pointer choice of the next
+// message equal the reference helpers below on random nodes: an own rank
+// or none, 0–40 child lists, a sent list, at every cap from 1 to the part
+// count.
+func TestConstructKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	subset := func(np, k int) []int32 {
+		out := make([]int32, k)
+		for i, r := range rng.Perm(np)[:k] {
+			out[i] = int32(r)
+		}
+		slices.Sort(out)
+		return out
+	}
+	ops := map[int]int{}
+	for trial := 0; trial < 400; trial++ {
+		np := 1 + rng.Intn(48)
+		own := int32(-1)
+		if rng.Intn(4) > 0 {
+			own = int32(rng.Intn(np))
+		}
+		rcv := make([][]int32, rng.Intn(41))
+		for c := range rcv {
+			rcv[c] = subset(np, rng.Intn(np+1))
+		}
+		for cap := 1; cap <= np; cap++ {
+			at := func() string { return fmt.Sprintf("own %d, children %v, cap %d", own, rcv, cap) }
+			target := conTarget(own, rcv, cap)
+			if got := congest.ConstructTarget(own, rcv, cap); !slices.Equal(got, target) {
+				t.Fatalf("%s: target %v, reference %v", at(), got, target)
+			}
+			// sent: any ranks, a part of the target, or all of it.
+			var sent []int32
+			switch rng.Intn(3) {
+			case 0:
+				sent = subset(np, rng.Intn(cap+1))
+			case 1:
+				for _, r := range target {
+					if rng.Intn(2) == 0 {
+						sent = append(sent, r)
+					}
+				}
+			default:
+				sent = slices.Clone(target)
+			}
+			op, rank := congest.NextConstructMessage(sent, target)
+			wantOp, wantRank := 0, int32(0)
+			if x, ok := worstNotIn(sent, target); ok {
+				wantOp, wantRank = congest.ConstructEvict, x
+			} else if x, ok := bestNotIn(target, sent); ok {
+				wantOp, wantRank = congest.ConstructAdmit, x
+			}
+			if op != wantOp || rank != wantRank {
+				t.Fatalf("%s, sent %v: message (%d, %d), reference (%d, %d)", at(), sent, op, rank, wantOp, wantRank)
+			}
+			ops[op]++
+		}
+	}
+	if ops[0] == 0 || ops[congest.ConstructAdmit] == 0 || ops[congest.ConstructEvict] == 0 {
+		t.Fatalf("message choices seen %v: every outcome must be exercised", ops)
+	}
+}
+
+// The protocol's first kernel, kept as the reference the merge-based one is
+// checked against. conTarget inserts every rank present at the node into
+// a sorted set bounded at cap; the next message searches one list for each
+// element of the other.
+func conTarget(own int32, rcv [][]int32, cap int) []int32 {
+	var tmp []int32
+	if own != -1 {
+		tmp = append(tmp, own)
+	}
+	for _, set := range rcv {
+		for _, i := range set {
+			tmp = insBounded(tmp, i, cap)
+		}
+	}
+	return tmp
+}
+
+// insBounded inserts x into the sorted set keeping only the lowest bound
+// elements.
+func insBounded(set []int32, x int32, bound int) []int32 {
+	if i, found := slices.BinarySearch(set, x); !found {
+		set = slices.Insert(set, i, x)
+	}
+	if len(set) > bound {
+		set = set[:bound]
+	}
+	return set
+}
+
+// worstNotIn returns the largest element of a absent from b (both sorted).
+func worstNotIn(a, b []int32) (int32, bool) {
+	for i := len(a) - 1; i >= 0; i-- {
+		if !containsSorted(b, a[i]) {
+			return a[i], true
+		}
+	}
+	return 0, false
+}
+
+// bestNotIn returns the smallest element of a absent from b (both sorted).
+func bestNotIn(a, b []int32) (int32, bool) {
+	for _, x := range a {
+		if !containsSorted(b, x) {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+func containsSorted(set []int32, x int32) bool {
+	for _, v := range set {
+		if v == x {
+			return true
+		}
+		if v > x {
+			return false
+		}
+	}
+	return false
 }

@@ -115,10 +115,12 @@ func (fp *FaultPlan) Clone() *FaultPlan {
 
 // Normalize canonicalizes the plan in place: link-down intervals are sorted
 // by (edge, from, to) and overlapping or adjacent intervals on the same edge
-// are merged; crash intervals likewise per node, with Wipe OR-ed across
-// merged intervals (a merged crash wipes if any constituent did). The
-// observable fault schedule — DownAt and CrashedAt at every round — is
-// invariant under normalization, which the fuzz test checks.
+// are merged; crash intervals likewise per node. A merged crash wipes if
+// one of its intervals that ends at the merged restart did, because a
+// restart discards the node's state only when an interval ending at that
+// round asks for it (wipesAt). The observable fault schedule — DownAt,
+// CrashedAt and which restarts wipe, at every round — is invariant under
+// normalization, which the fuzz test checks.
 func (fp *FaultPlan) Normalize() {
 	if len(fp.LinkDowns) > 1 {
 		sort.Slice(fp.LinkDowns, func(a, b int) bool {
@@ -159,10 +161,12 @@ func (fp *FaultPlan) Normalize() {
 		for _, c := range fp.Crashes[1:] {
 			last := &out[len(out)-1]
 			if c.Node == last.Node && c.Round <= last.Restart {
-				if c.Restart > last.Restart {
-					last.Restart = c.Restart
+				switch {
+				case c.Restart > last.Restart:
+					last.Restart, last.Wipe = c.Restart, c.Wipe
+				case c.Restart == last.Restart:
+					last.Wipe = last.Wipe || c.Wipe
 				}
-				last.Wipe = last.Wipe || c.Wipe
 				continue
 			}
 			out = append(out, c)
@@ -195,8 +199,8 @@ func (fp *FaultPlan) CrashedAt(node, gr int) bool {
 // state: some wiping crash interval ends exactly there. (A wipe interval
 // that ends while the node is still held down by another interval does not
 // wipe — the state is discarded at the moment the node actually restarts,
-// and only if the interval ending then asked for it. Normalize's OR-merge
-// makes overlapping intervals behave as one.)
+// and only if the interval ending then asked for it. Normalize keeps
+// exactly those wipes.)
 func (fp *FaultPlan) wipesAt(node, gr int) bool {
 	for _, c := range fp.Crashes {
 		if c.Node == node && c.Wipe && c.Restart == gr {

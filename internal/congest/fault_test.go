@@ -206,24 +206,29 @@ func TestDropsAreCountedAndTotal(t *testing.T) {
 // FuzzFaultPlan fuzzes the plan event merging: Normalize (sort + merge of
 // overlapping intervals) must not change the plan's observable schedule —
 // DownAt and CrashedAt agree with the un-normalized plan at every (target,
-// round) — and must be idempotent.
+// round), and so does whether each restart wipes the node — and must be
+// idempotent. Each event is three bytes: the target, the first round, and
+// the length less one (low four bits) with the wipe flag (bit 4).
 func FuzzFaultPlan(f *testing.F) {
-	f.Add([]byte{1, 2, 9, 0, 3, 7, 1, 1, 4})
-	f.Add([]byte{0, 1, 2, 0, 1, 3, 0, 2, 5, 1, 4, 9})
+	f.Add([]byte{1, 2, 17, 0, 3, 23, 1, 1, 4})
+	f.Add([]byte{0, 1, 2, 0, 1, 19, 0, 2, 21, 1, 4, 17})
 	f.Add([]byte{})
+	// Node 0 crashes over [1,10) with a wipe and over [5,20) without: its
+	// one restart, at round 20, keeps its state.
+	f.Add([]byte{0, 0, 24, 0, 4, 14})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n, m, horizon = 4, 6, 24
 		plan := &congest.FaultPlan{}
 		for i := 0; i+2 < len(data); i += 3 {
 			target := int(data[i] % 8)
 			from := int(data[i+1]%(horizon-2)) + 1
-			to := from + int(data[i+2]%8) + 1
+			to := from + int(data[i+2]%16) + 1
 			if target < m {
 				plan.LinkDowns = append(plan.LinkDowns, congest.LinkDown{Edge: target, From: from, To: to})
 			}
 			if target < n {
 				plan.Crashes = append(plan.Crashes, congest.Crash{
-					Node: target, Round: from, Restart: to, Wipe: data[i+2]&1 == 1})
+					Node: target, Round: from, Restart: to, Wipe: data[i+2]&16 != 0})
 			}
 		}
 		if err := plan.Validate(n, m); err != nil {
@@ -234,7 +239,7 @@ func FuzzFaultPlan(f *testing.F) {
 		if err := norm.Validate(n, m); err != nil {
 			t.Fatalf("normalized plan invalid: %v", err)
 		}
-		for gr := 0; gr <= horizon+8; gr++ {
+		for gr := 0; gr <= horizon+16; gr++ {
 			for e := 0; e < m; e++ {
 				if plan.DownAt(e, gr) != norm.DownAt(e, gr) {
 					t.Fatalf("edge %d round %d: DownAt changed by Normalize (%v -> %v)",
@@ -245,6 +250,11 @@ func FuzzFaultPlan(f *testing.F) {
 				if plan.CrashedAt(v, gr) != norm.CrashedAt(v, gr) {
 					t.Fatalf("node %d round %d: CrashedAt changed by Normalize (%v -> %v)",
 						v, gr, plan.CrashedAt(v, gr), norm.CrashedAt(v, gr))
+				}
+				restart := plan.CrashedAt(v, gr-1) && !plan.CrashedAt(v, gr)
+				if restart && plan.WipesAt(v, gr) != norm.WipesAt(v, gr) {
+					t.Fatalf("node %d restart at round %d: wipe changed by Normalize (%v -> %v)",
+						v, gr, plan.WipesAt(v, gr), norm.WipesAt(v, gr))
 				}
 			}
 		}

@@ -3,7 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -142,93 +142,82 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 		}
 	}
 
-	// Per-vertex sorted distinct subtree tag lists plus accumulators
-	// initialized to the vertex's own folded contribution. Children
-	// precede parents in reverse BFS order, so one bottom-up sweep merges
-	// each child's final list into its parent's.
-	lists := make([][]int32, n)
-	var scratch []int32
-	for oi := n - 1; oi >= 0; oi-- {
-		v := t.Order[oi]
-		scratch = scratch[:0]
-		for _, tok := range contrib[v] {
-			scratch = append(scratch, tok.Tag)
+	// Every vertex's sorted distinct subtree tags are its row of one slab,
+	// tags[off[v]:off[v+1]], with its accumulators at the same indices in
+	// acc. A tag is in v's row iff v lies on the tree path from one of the
+	// tag's holders up to the root, so the rows come from walks up the
+	// tree, tag by tag, each stopping at the first vertex the tag already
+	// reached. One pass counts the rows' lengths; a second, over the tags
+	// in descending order, fills each row from its end, so every row comes
+	// out ascending. Each (vertex, tag) pair is visited once per pass, and
+	// the set-up allocates the same number of slabs whatever n is.
+	tagOff := make([]int32, numTags+2) // holders of tag tg: byTag[tagOff[tg]:tagOff[tg+1]]
+	for _, toks := range contrib {
+		for _, tok := range toks {
+			tagOff[tok.Tag+2]++
 		}
-		for _, c := range t.Children[v] {
-			scratch = append(scratch, lists[c]...)
+	}
+	for i := 2; i < len(tagOff); i++ {
+		tagOff[i] += tagOff[i-1]
+	}
+	byTag := make([]int32, tagOff[numTags+1])
+	for v, toks := range contrib {
+		for _, tok := range toks {
+			byTag[tagOff[tok.Tag+1]] = int32(v)
+			tagOff[tok.Tag+1]++
 		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
-		list := make([]int32, 0, len(scratch))
-		for i, tg := range scratch {
-			if i == 0 || tg != scratch[i-1] {
-				list = append(list, tg)
+	}
+	mark := make([]int32, n) // tg+1 once the walks of tag tg reached the vertex
+	off := make([]int32, n+1)
+	walk := func(tg int, visit func(u int)) {
+		for _, v := range byTag[tagOff[tg]:tagOff[tg+1]] {
+			for u := int(v); u != -1 && mark[u] != int32(tg+1); u = t.Parent[u] {
+				mark[u] = int32(tg + 1)
+				visit(u)
 			}
 		}
-		lists[v] = list
 	}
-
-	// CSR slabs: tag lists and accumulators share offsets; per-child slot
-	// state (delivered counts, frontier indices into the parent's list)
-	// lives in a second CSR keyed by (vertex, child port).
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int32(len(lists[v]))
+	for tg := 0; tg < numTags; tg++ {
+		walk(tg, func(u int) { off[u]++ })
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1] // off[v] is now where v's row ends
 	}
 	tags := make([]int32, off[n])
-	acc := make([]uint64, off[n])
+	clear(mark)
+	for tg := numTags - 1; tg >= 0; tg-- {
+		walk(tg, func(u int) {
+			off[u]--
+			tags[off[u]] = int32(tg)
+		})
+	}
+	acc := make([]uint64, len(tags))
+	for i := range acc {
+		acc[i] = comb.Identity
+	}
+	for v, toks := range contrib {
+		row := tags[off[v]:off[v+1]]
+		for _, tok := range toks {
+			i, _ := slices.BinarySearch(row, tok.Tag)
+			acc[int(off[v])+i] = comb.Fold(acc[int(off[v])+i], tok.Value)
+		}
+	}
+	// Per-slot state, one slot per tree child (the tree-port table):
+	// frontier[s] is the index in v's row of the child's next-undelivered
+	// tag (len(row) once the child's stream is exhausted); delivered[s]
+	// counts receipts.
+	tp := newTreePorts(g, t)
+	frontier := make([]int32, len(tp.child))
+	delivered := make([]int32, len(tp.child))
 	for v := 0; v < n; v++ {
 		row := tags[off[v]:off[v+1]]
-		copy(row, lists[v])
-		arow := acc[off[v]:off[v+1]]
-		for i := range arow {
-			arow[i] = comb.Identity
-		}
-		for _, tok := range contrib[v] {
-			i := sort.Search(len(row), func(j int) bool { return row[j] >= tok.Tag })
-			arow[i] = comb.Fold(arow[i], tok.Value)
-		}
-	}
-	// Child slots: slot s of vertex v covers one tree child; portSlot maps
-	// an adjacency port to its slot (or -1). frontier[s] is the index in
-	// v's tag list of the child's next-undelivered tag (len(list) once the
-	// child's stream is exhausted); delivered[s] counts receipts.
-	slotOff := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		slotOff[v+1] = slotOff[v] + int32(len(t.Children[v]))
-	}
-	portSlot := make([]int32, 0, 2*g.M())
-	portOff := make([]int32, n+1)
-	slotChild := make([]int32, slotOff[n])
-	frontier := make([]int32, slotOff[n])
-	delivered := make([]int32, slotOff[n])
-	for v := 0; v < n; v++ {
-		portOff[v+1] = portOff[v] + int32(g.Degree(v))
-		next := slotOff[v]
-		for _, a := range g.Adj(v) {
-			if t.Parent[a.To] == v && t.ParentEdge[a.To] == a.ID {
-				slotChild[next] = int32(a.To)
-				// First frontier: where the child's first tag sits in v's
-				// list (every child tag appears there by construction).
-				if len(lists[a.To]) == 0 {
-					frontier[next] = int32(len(lists[v]))
-				} else {
-					row := lists[v]
-					frontier[next] = int32(sort.Search(len(row), func(j int) bool { return row[j] >= lists[a.To][0] }))
-				}
-				portSlot = append(portSlot, next)
-				next++
-			} else {
-				portSlot = append(portSlot, -1)
-			}
-		}
-	}
-	parentPort := make([]int32, n)
-	for v := 0; v < n; v++ {
-		parentPort[v] = -1
-		for port, a := range g.Adj(v) {
-			if a.ID == t.ParentEdge[v] && a.To == t.Parent[v] {
-				parentPort[v] = int32(port)
-				break
+		for s := tp.slotOff[v]; s < tp.slotOff[v+1]; s++ {
+			// The first frontier: where the child's first tag sits in v's
+			// row (every child tag appears there by construction).
+			frontier[s] = int32(len(row))
+			if c := tp.child[s]; off[c] < off[c+1] {
+				i, _ := slices.BinarySearch(row, tags[off[c]])
+				frontier[s] = int32(i)
 			}
 		}
 	}
@@ -239,7 +228,7 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 		v := nd.ID
 		myOff, myLen := off[v], off[v+1]-off[v]
 		for _, m := range msgs {
-			s := portSlot[portOff[v]+int32(m.Port)]
+			s := tp.slot(v, m.Port)
 			if s == -1 {
 				//lint:allow hotalloc terminal engine-abort path: the Errorf boxing happens only when the run is already failing
 				nd.eng.fail(fmt.Errorf("congest: pipecast token on non-child port %d at node %d", m.Port, v))
@@ -254,12 +243,11 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 			}
 			acc[myOff+idx] = comb.Fold(acc[myOff+idx], m.Payload[1])
 			delivered[s]++
-			c := slotChild[s]
-			clist := lists[c]
-			if int(delivered[s]) == len(clist) {
+			c := tp.child[s]
+			if delivered[s] == off[c+1]-off[c] {
 				frontier[s] = myLen
 			} else {
-				cn := clist[delivered[s]]
+				cn := tags[off[c]+delivered[s]]
 				fr := idx + 1
 				for tags[myOff+fr] < cn {
 					fr++
@@ -268,7 +256,7 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 			}
 		}
 		if v == root {
-			for s := slotOff[v]; s < slotOff[v+1]; s++ {
+			for s := tp.slotOff[v]; s < tp.slotOff[v+1]; s++ {
 				if frontier[s] < myLen {
 					nd.SleepUntil(math.MaxInt) // waiting on a child's token
 					return true
@@ -280,14 +268,14 @@ func pipecastOpts(t *graph.Tree, numTags int, contrib [][]Token, comb Combiner, 
 			return false // stream exhausted (implies all children done)
 		}
 		minF := myLen
-		for s := slotOff[v]; s < slotOff[v+1]; s++ {
+		for s := tp.slotOff[v]; s < tp.slotOff[v+1]; s++ {
 			if frontier[s] < minF {
 				minF = frontier[s]
 			}
 		}
 		if nextEmit[v] < minF {
 			i := nextEmit[v]
-			nd.Send(int(parentPort[v]), Words{uint64(tags[myOff+i]), acc[myOff+i]})
+			nd.Send(int(tp.parent[v]), Words{uint64(tags[myOff+i]), acc[myOff+i]})
 			nextEmit[v]++
 		}
 		if nextEmit[v] < myLen && nextEmit[v] >= minF {
@@ -364,28 +352,14 @@ func pipeBroadcastOpts(t *graph.Tree, tokens []Token, opts Options) (*BroadcastR
 	count := make([]int32, n)
 	recvd := make([]int32, n) // tokens received so far (root: k)
 	sent := make([]int32, n)  // tokens forwarded to children so far
-	childPorts := make([]int32, 0, n)
-	childOff := make([]int32, n+1)
-	parentPortOf := make([]int32, n)
-	for v := 0; v < n; v++ {
-		parentPortOf[v] = -1
-		for port, a := range g.Adj(v) {
-			if a.ID == t.ParentEdge[v] && a.To == t.Parent[v] {
-				parentPortOf[v] = int32(port)
-			}
-			if t.Parent[a.To] == v && t.ParentEdge[a.To] == a.ID {
-				childPorts = append(childPorts, int32(port))
-			}
-		}
-		childOff[v+1] = int32(len(childPorts))
-	}
+	tp := newTreePorts(g, t)
 	root := t.Root
 	recvd[root] = int32(k)
 	step := func(nd *Node, msgs []Message) bool {
 		v := nd.ID
-		numChild := childOff[v+1] - childOff[v]
+		numChild := tp.slotOff[v+1] - tp.slotOff[v]
 		for _, m := range msgs {
-			if int32(m.Port) != parentPortOf[v] {
+			if int32(m.Port) != tp.parent[v] {
 				//lint:allow hotalloc terminal engine-abort path: the Errorf boxing happens only when the run is already failing
 				nd.eng.fail(fmt.Errorf("congest: broadcast token on non-parent port %d at node %d", m.Port, v))
 				return false
@@ -434,8 +408,8 @@ func pipeBroadcastOpts(t *graph.Tree, tokens []Token, opts Options) (*BroadcastR
 			haveNext = true
 		}
 		if haveNext {
-			for ci := childOff[v]; ci < childOff[v+1]; ci++ {
-				nd.Send(int(childPorts[ci]), Words{uint64(tg), val})
+			for s := tp.slotOff[v]; s < tp.slotOff[v+1]; s++ {
+				nd.Send(int(tp.port[s]), Words{uint64(tg), val})
 			}
 			sent[v]++
 		}

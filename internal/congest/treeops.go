@@ -37,3 +37,53 @@ func treeCombineUnder(t *graph.Tree, values []uint64, comb Combiner, a *Adversar
 	}
 	return res.Values[0], res.Stats, nil
 }
+
+// treePorts is a rooted spanning tree as its vertices see it through their
+// ports, the one table the tree protocols read: the flooding construction,
+// Pipecast and PipeBroadcast. parent[v] is v's port to its tree parent, or
+// -1 at the root. v's tree children own the slots [slotOff[v],
+// slotOff[v+1]), one per child in port order: child[s] is the child and
+// port[s] v's port to it. portSlot[portOff[v]+p] is the slot behind v's
+// port p, or -1 where p leads to no tree child.
+type treePorts struct {
+	parent, slotOff, child, port []int32
+	portOff, portSlot            []int32
+}
+
+// newTreePorts derives t's port table; t must be a tree of g.
+func newTreePorts(g *graph.Graph, t *graph.Tree) *treePorts {
+	n := g.N()
+	tp := &treePorts{
+		parent:  make([]int32, n),
+		slotOff: make([]int32, n+1),
+		child:   make([]int32, 0, n),
+		port:    make([]int32, 0, n),
+		portOff: make([]int32, n+1),
+	}
+	for v := 0; v < n; v++ {
+		tp.portOff[v+1] = tp.portOff[v] + int32(g.Degree(v))
+	}
+	tp.portSlot = make([]int32, tp.portOff[n])
+	for v := 0; v < n; v++ {
+		tp.parent[v] = -1
+		for port, a := range g.Adj(v) {
+			slot := int32(-1)
+			switch {
+			case a.ID == t.ParentEdge[v] && a.To == t.Parent[v]:
+				tp.parent[v] = int32(port)
+			case a.ID == t.ParentEdge[a.To] && t.Parent[a.To] == v:
+				slot = int32(len(tp.child))
+				tp.child = append(tp.child, int32(a.To))
+				tp.port = append(tp.port, int32(port))
+			}
+			tp.portSlot[tp.portOff[v]+int32(port)] = slot
+		}
+		tp.slotOff[v+1] = int32(len(tp.child))
+	}
+	return tp
+}
+
+// slot returns the slot behind v's port, or -1.
+func (tp *treePorts) slot(v, port int) int32 {
+	return tp.portSlot[tp.portOff[v]+int32(port)]
+}

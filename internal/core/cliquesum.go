@@ -341,7 +341,7 @@ func localBagShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, w *Cliq
 	// Repaired tree T²: Steiner contraction mapped into bag-local indices.
 	// All the small per-call int buffers share one backing allocation.
 	ln := bagLocal.N()
-	lstore := make([]int, 2*ln, 4*ln)
+	lstore := make([]int, 2*ln, 3*ln)
 	lparent := lstore[:ln]
 	lparentEdge := lstore[ln : 2*ln]
 	stEdges, stRoot := steinerContract(t, toGlobal)
@@ -369,15 +369,9 @@ func localBagShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, w *Cliq
 	}
 	// Clip parts into the bag and split into components of the completed
 	// bag graph (the double-edge treatment: components become sub-parts).
-	// The component DFS runs over hoisted buffers: one scratch (slot 0 = in
-	// clipped set, 1 = seen), one shared component store, one stack.
 	sets := make([][]int, 0, len(partIdx))
 	origin := make([]int, 0, len(partIdx)) // sub-part -> index into partIdx
 	localVs := lstore[2*ln : 2*ln : 3*ln]
-	in := bagLocal.AcquireScratch()
-	defer bagLocal.ReleaseScratch(in)
-	compStore := lstore[3*ln : 3*ln : 4*ln]
-	var stack []int
 	for k, i := range partIdx {
 		localVs = localVs[:0]
 		for _, v := range p.Sets[i] {
@@ -385,33 +379,7 @@ func localBagShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, w *Cliq
 				localVs = append(localVs, int(lv))
 			}
 		}
-		in.Reset()
-		for _, v := range localVs {
-			in.Set(v, 0)
-		}
-		for _, v := range localVs {
-			if st, _ := in.Get(v); st == 1 {
-				continue
-			}
-			base := len(compStore)
-			stack = append(stack[:0], v)
-			in.Set(v, 1)
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				compStore = append(compStore, x)
-				for _, a := range bagLocal.Adj(x) {
-					if st, ok := in.Get(a.To); ok && st == 0 {
-						in.Set(a.To, 1)
-						stack = append(stack, a.To)
-					}
-				}
-			}
-			// compStore may have been regrown by later appends; slices taken
-			// here keep pointing at the backing they were cut from, which
-			// stays correct.
-			comp := compStore[base:len(compStore):len(compStore)]
-			sort.Ints(comp)
+		for _, comp := range componentsWithin(bagLocal, localVs) {
 			sets = append(sets, comp)
 			origin = append(origin, k)
 		}

@@ -127,8 +127,12 @@ func (m *roundMeter) probe(p congest.RoundProbe) {
 // DistinctWeights, deterministic seed) — under unit weights, Borůvka's
 // lowest-ID tie-break selects one connected edge set per family and
 // collapses every fragment in a single phase, which would degenerate the
-// decompose and cap-search stages.
+// decompose and cap-search stages. n below 1, or below 4 for the wheel
+// (a hub and a rim of at least three), is an error.
 func scaleCSR(family string, n int) (*graph.CSR, error) {
+	if n < 1 || (family == "wheel" && n < 4) {
+		return nil, fmt.Errorf("experiments: scale family %q at n = %d is too small", family, n)
+	}
 	var c *graph.CSR
 	switch family {
 	case "grid":

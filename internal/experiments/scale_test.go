@@ -78,3 +78,25 @@ func TestScaleSmoke100k(t *testing.T) {
 		}
 	}
 }
+
+// TestScalePipelineRejectsTooSmall: a size a scale family cannot be built
+// at is an error from ScalePipeline, not a generator panic; the smallest
+// size each family takes runs.
+func TestScalePipelineRejectsTooSmall(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		n      int
+	}{{"wheel", 3}, {"wheel", 0}, {"grid", 0}, {"chain", -1}} {
+		if res, err := ScalePipeline(tc.family, tc.n, ScaleSimulate); err == nil {
+			t.Errorf("%s at n = %d: got %d vertices, want an error", tc.family, tc.n, res.N)
+		}
+	}
+	for _, tc := range []struct {
+		family string
+		n      int
+	}{{"wheel", 4}, {"grid", 1}, {"chain", 1}} {
+		if _, err := ScalePipeline(tc.family, tc.n, ScaleSimulate); err != nil {
+			t.Errorf("%s at n = %d: %v", tc.family, tc.n, err)
+		}
+	}
+}

@@ -42,7 +42,7 @@ func TestCapViewsMatchConstructPrio(t *testing.T) {
 			perm[i] = int32(r)
 		}
 		probe := shortcut.NewEccProbe(g, tr, p)
-		for _, prio := range [][]int32{nil, shortcut.TreeBlockPriorities(tr, p), perm} {
+		for _, prio := range [][]int32{identityRanking(np), shortcut.TreeBlockPriorities(tr, p), perm} {
 			full := shortcut.ConstructPrio(g, tr, p, np, prio)
 			state := cloneState(full.FloodState())
 			caps := doublingCaps(np)
@@ -107,13 +107,14 @@ func cloneState(state [][]int32) [][]int32 {
 // a cap no smaller than the view's, and ascending caps from 1.
 func TestCapViewsRejectsCaps(t *testing.T) {
 	name, g, tr, p := lazyInstance(t, xrand.New(3))
-	s := shortcut.ConstructPrio(g, tr, p, 4, nil)
+	id := identityRanking(p.NumParts())
+	s := shortcut.ConstructPrio(g, tr, p, 4, id)
 	for _, caps := range [][]int{{0}, {5}, {2, 1}, {2, 2}} {
 		if _, err := s.CapViews(caps); err == nil {
 			t.Fatalf("%s: caps %v of a cap-4 state accepted", name, caps)
 		}
 	}
-	checked, err := shortcut.FromFloodState(g, tr, p, s.FloodState(), nil)
+	checked, err := shortcut.FromFloodState(g, tr, p, s.FloodState(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package shortcut
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -102,7 +103,7 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 }
 
 // ConstructPrio is Construct under an explicit priority ranking (prio[i] =
-// rank of part i, rank 0 highest; nil selects the static by-ID order).
+// rank of part i, rank 0 highest).
 // Exposed so the cap search can compute the ranking once per part family
 // and build, under it, the one state every cap guess is a view of
 // (CapViews). The ranking must be a permutation of 0..NumParts-1
@@ -264,14 +265,11 @@ func (s *Shortcut) Compact() *Shortcut {
 	return &Shortcut{G: s.G, T: s.T, P: s.P, flood: &own}
 }
 
-// ValidPriorities checks that prio is a permutation of 0..numParts-1 (nil
-// is the identity and always valid): a rank out of range would index past
-// the rank-indexed counts of the flood pass, and a duplicate rank would
-// silently merge two parts' floods — one part losing every edge.
+// ValidPriorities checks that prio is a permutation of 0..numParts-1: a
+// rank out of range would index past the rank-indexed counts of the flood
+// pass, and a duplicate rank would silently merge two parts' floods — one
+// part losing every edge.
 func ValidPriorities(prio []int32, numParts int) error {
-	if prio == nil {
-		return nil
-	}
 	if len(prio) != numParts {
 		return fmt.Errorf("shortcut: %d priorities for %d parts", len(prio), numParts)
 	}
@@ -295,11 +293,11 @@ var ErrMalformedFloodState = errors.New("shortcut: malformed flood state")
 // FromFloodState returns the flood-built Shortcut described by a
 // flooding-construction state: admitted[v] lists, in rank space (see
 // FloodState), the parts admitted over v's parent edge; prio maps part to
-// rank (nil = identity) and must be a permutation of 0..NumParts-1. A
-// maintained shortcut's repaired state becomes a shortcut through here. The
-// shortcut keeps admitted as its flooding state and builds no edge lists,
-// exactly as ConstructPrio's does, so the caller hands the state over and
-// must not modify it afterwards.
+// rank and must be a permutation of 0..NumParts-1. A maintained shortcut's
+// repaired state becomes a shortcut through here. The shortcut keeps
+// admitted as its flooding state and builds no edge lists, exactly as
+// ConstructPrio's does, so the caller hands the state over and must not
+// modify it afterwards.
 //
 // The state already holds everything Measure would recompute, so the
 // returned shortcut carries its Measurement, derived in one children-first
@@ -505,12 +503,8 @@ func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, pr
 	}
 	// ps.mark is spent, so it becomes the part -> rank mapping.
 	f.rank = ps.mark
-	for part := range f.rank {
-		r := int32(part)
-		if prio != nil {
-			r = prio[part]
-		}
-		f.rank[part] = r
+	copy(f.rank, prio)
+	for part, r := range f.rank {
 		m.Blocks[part] = seen[r] - f.size[r]
 	}
 	m.finish()
@@ -542,17 +536,14 @@ type presence struct {
 func (ps *presence) gather(t *graph.Tree, p *partition.Parts, prio []int32, admitted [][]int32, v int, stamp int32) []int32 {
 	buf := ps.ranks[:0]
 	if pi := p.Of[v]; pi != -1 {
-		r := int32(pi)
-		if prio != nil {
-			r = prio[pi]
-		}
+		r := prio[pi]
 		ps.mark[r] = stamp
 		buf = append(buf, r)
 	}
 	kids := t.Children[v]
 	if ps.sorted = len(kids) <= mergeChildren; ps.sorted {
 		for _, c := range kids {
-			buf, ps.spare = mergeRanks(ps.spare[:0], buf, admitted[c]), buf
+			buf, ps.spare = MergeRanks(ps.spare[:0], buf, admitted[c], math.MaxInt), buf
 		}
 		for _, r := range buf {
 			ps.mark[r] = stamp
@@ -585,11 +576,17 @@ func (ps *presence) admit(t *graph.Tree, v, cap int) []int32 {
 	return ps.ranks[:min(len(ps.ranks), cap)]
 }
 
-// mergeRanks appends to dst the union of a and b, both ascending, once
-// each and ascending.
-func mergeRanks(dst, a, b []int32) []int32 {
+// MergeRanks appends to dst the first limit ranks of the union of a and
+// b, both ascending: each rank once, ascending. It is the flooding rule's
+// one merge: the flood pass folds it over a vertex's children unbounded,
+// and the flood-and-evict protocol (congest.ConstructShortcut) folds it
+// at cap to compute what a vertex forwards. The limit sits in the loop
+// condition and the tails are appended in bulk, not rank by rank, because
+// the flood pass, the analytic pipeline's hot path, runs it unbounded.
+func MergeRanks(dst, a, b []int32, limit int) []int32 {
+	end := len(dst) + min(limit, len(a)+len(b))
 	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	for i < len(a) && j < len(b) && len(dst) < end {
 		switch {
 		case a[i] < b[j]:
 			dst = append(dst, a[i])
@@ -603,8 +600,11 @@ func mergeRanks(dst, a, b []int32) []int32 {
 			j++
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	if room := end - len(dst); room > 0 { // a or b is spent
+		dst = append(dst, a[i:i+min(room, len(a)-i)]...)
+		dst = append(dst, b[j:j+min(room, len(b)-j)]...)
+	}
+	return dst
 }
 
 // AutoResult reports a congestion-cap auto-search.

@@ -2,6 +2,7 @@ package shortcut_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -239,5 +240,29 @@ func TestBlockTopsSumToBlockCounts(t *testing.T) {
 		s, _ := shortcut.ObliviousAuto(g, tr, p)
 		check("oblivious", s)
 		check("empty", shortcut.Empty(g, tr, p))
+	}
+}
+
+// TestMergeRanksMatchesReference: MergeRanks appends to whatever dst holds
+// the first limit ranks of the union of two ascending lists, each once,
+// for limits from below zero to above the union's size.
+func TestMergeRanksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sorted := func(k int) []int32 {
+		out := make([]int32, k)
+		for i, r := range rng.Perm(40)[:k] {
+			out[i] = int32(r)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b, dst := sorted(rng.Intn(21)), sorted(rng.Intn(21)), sorted(rng.Intn(3))
+		limit := rng.Intn(45) - 2
+		union := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(a), b...))))
+		want := append(slices.Clone(dst), union[:max(0, min(limit, len(union)))]...)
+		if got := shortcut.MergeRanks(slices.Clone(dst), a, b, limit); !slices.Equal(got, want) {
+			t.Fatalf("MergeRanks(%v, %v, %v, %d) = %v, want %v", dst, a, b, limit, got, want)
+		}
 	}
 }

@@ -126,134 +126,206 @@ func (e *EccProbe) MaxAugmentedEcc(s *Shortcut) (int, error) {
 }
 
 // maxAugmentedEcc runs the probe's BFSs and also returns how many parts it
-// walked. Each kind of shortcut has one path.
-//
-// One BFS routine serves both, walking G and T directly: from u it follows
-// u's G-edges inside Pᵢ when u is a member, u's parent edge when that edge
-// is in Hᵢ, and the parent edge of each child that has it in Hᵢ. Before the
-// BFS, the part's Hᵢ edges are threaded into per-parent child lists, so a
-// part costs O(|Pᵢ|·deg + |Hᵢ|) whatever the tree degree of the vertices it
-// reaches. Three pooled scratch arenas and one queue serve every part.
+// walked. Each kind of shortcut has one path (see augWalk).
 //
 //   - A flood-built shortcut's parts are visited in e's order, pruned by
-//     e's bounds, when e is non-nil, and in index order otherwise. Hᵢ comes
-//     from the flooding state, which the probe never turns into edge lists:
-//     the state is grounded, so walking up from each member while the
-//     parent edge admits the part's rank (a binary search) meets every Hᵢ
-//     edge once. The part is connected when the BFS reaches all
-//     Blocks[i] + |Hᵢ| vertices of G[Pᵢ] + Hᵢ: every vertex where the part
-//     is present tops a block or admits it over its parent edge.
-//   - An edge-built shortcut's parts are visited in index order, Hᵢ is
-//     threaded from its sorted list, and the part is connected when the
-//     BFS reaches every member and every endpoint of Hᵢ.
+//     e's bounds, when e is non-nil, and in index order otherwise.
+//   - An edge-built shortcut's parts are visited in index order.
 func (s *Shortcut) maxAugmentedEcc(e *EccProbe) (maxEcc, probed int, err error) {
-	g, t, p := s.G, s.T, s.P
+	p := s.P
 	for i, set := range p.Sets {
 		if len(set) == 0 {
 			return 0, 0, fmt.Errorf("shortcut: part %d is empty, augmented eccentricity undefined", i)
 		}
 	}
-	f := s.flood
-	var edges [][]int
+	w := s.newAugWalk()
+	defer w.release()
+	for k := range p.Sets {
+		i := k
+		if s.flood != nil && e != nil {
+			if i = int(e.order[k]); e.bound[i] >= 0 && int(e.bound[i]) <= maxEcc {
+				break
+			}
+		}
+		probed++
+		w.thread(i)
+		maxEcc = max(maxEcc, w.bfs(i, p.Sets[i][0]))
+		if !w.connected(i) {
+			return 0, 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+		}
+	}
+	return maxEcc, probed, nil
+}
+
+// AugmentedDiameter returns the hop diameter of G[Pᵢ] + Hᵢ — the subgraph
+// induced by the part plus its shortcut edges (with their endpoints). The
+// framework's promise is that this is O(bᵢ · d_T). It runs the probe's
+// BFS from the part's first member, and then from every vertex that BFS
+// reached.
+//
+// An empty part or a disconnected augmented subgraph (shortcut edges that
+// never touch the part, or a part that was built unchecked and is itself
+// disconnected) is an explicit error: before this check the empty case
+// returned diameter 0, masquerading as a perfectly-helped part.
+func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
+	if i < 0 || i >= s.P.NumParts() {
+		return 0, fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
+	}
+	if len(s.P.Sets[i]) == 0 {
+		return 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
+	}
+	w := s.newAugWalk()
+	defer w.release()
+	w.thread(i)
+	d := w.bfs(i, s.P.Sets[i][0])
+	if !w.connected(i) {
+		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+	}
+	reached := slices.Clone(w.queue)
+	for _, v := range reached[1:] {
+		d = max(d, w.bfs(i, int(v)))
+	}
+	return d, nil
+}
+
+// augWalk is the one BFS over an augmented subgraph G[Pᵢ] + Hᵢ, walking G
+// and T directly: from u it follows u's G-edges inside Pᵢ when u is a
+// member, u's parent edge when that edge is in Hᵢ, and the parent edge of
+// each child that has it in Hᵢ. thread first threads the part's Hᵢ edges
+// into per-parent child lists, so a part costs O(|Pᵢ|·deg + |Hᵢ|) whatever
+// the tree degree of the vertices it reaches. Three pooled scratch arenas
+// and one queue serve every part.
+//
+//   - A flood-built shortcut's Hᵢ comes from the flooding state, which the
+//     walk never turns into edge lists: the state is grounded, so walking
+//     up from each member while the parent edge admits the part's rank (a
+//     binary search) meets every Hᵢ edge once. The part is connected when
+//     the BFS reaches all Blocks[i] + |Hᵢ| vertices of G[Pᵢ] + Hᵢ: every
+//     vertex where the part is present tops a block or admits it over its
+//     parent edge.
+//   - An edge-built shortcut's Hᵢ is threaded from its sorted list, and the
+//     part is connected when the BFS reaches every member and every
+//     endpoint of Hᵢ.
+type augWalk struct {
+	s     *Shortcut
+	edges [][]int // an edge-built shortcut's lists, nil for a flood-built one
+	// seen marks the vertices the last BFS reached; head[v] is v's first
+	// child whose parent edge is in Hᵢ, and next[c], set exactly for those
+	// children, the one after c.
+	seen, head, next *graph.Scratch
+	queue            []int32 // the last BFS's vertices, in BFS order
+}
+
+func (s *Shortcut) newAugWalk() *augWalk {
+	g, p, f := s.G, s.P, s.flood
+	w := &augWalk{s: s}
 	largest := 0 // |V(G[Pᵢ] + Hᵢ)|, or a bound on it
 	if f != nil {
 		for i := range p.Sets {
 			largest = max(largest, f.m.Blocks[i]+f.size[f.rank[i]])
 		}
 	} else {
-		edges = s.Edges()
+		w.edges = s.Edges()
 		for i, set := range p.Sets {
-			largest = max(largest, len(set)+2*len(edges[i]))
+			largest = max(largest, len(set)+2*len(w.edges[i]))
 		}
 	}
-	seen := g.AcquireScratch()
-	defer g.ReleaseScratch(seen)
-	// Hᵢ as child lists: head[v] is v's first child whose parent edge is in
-	// Hᵢ, and next[c], set exactly for those children, the one after c.
-	head := g.AcquireScratch()
-	defer g.ReleaseScratch(head)
-	next := g.AcquireScratch()
-	defer g.ReleaseScratch(next)
-	thread := func(c int) {
+	w.seen, w.head, w.next = g.AcquireScratch(), g.AcquireScratch(), g.AcquireScratch()
+	w.queue = make([]int32, 0, largest)
+	return w
+}
+
+func (w *augWalk) release() {
+	g := w.s.G
+	g.ReleaseScratch(w.seen)
+	g.ReleaseScratch(w.head)
+	g.ReleaseScratch(w.next)
+}
+
+// thread makes head and next part i's Hᵢ.
+func (w *augWalk) thread(i int) {
+	g, t, p, f := w.s.G, w.s.T, w.s.P, w.s.flood
+	w.head.Reset()
+	w.next.Reset()
+	link := func(c int) {
 		par := t.Parent[c]
-		next.Set(c, head.GetOr(par, -1))
-		head.Set(par, int32(c))
+		w.next.Set(c, w.head.GetOr(par, -1))
+		w.head.Set(par, int32(c))
 	}
-	queue := make([]int32, 0, largest)
-	for k := range p.Sets {
-		i := k
-		if f != nil && e != nil {
-			if i = int(e.order[k]); e.bound[i] >= 0 && int(e.bound[i]) <= maxEcc {
-				break
+	if f != nil {
+		r := f.rank[i]
+		for _, x := range p.Sets[i] {
+			for v := x; t.Parent[v] >= 0 && !w.next.Has(v); v = t.Parent[v] {
+				if _, ok := slices.BinarySearch(f.list(v), r); !ok {
+					break
+				}
+				link(v)
 			}
 		}
-		probed++
-		head.Reset()
-		next.Reset()
-		if f != nil {
-			r := f.rank[i]
-			for _, x := range p.Sets[i] {
-				for v := x; t.Parent[v] >= 0 && !next.Has(v); v = t.Parent[v] {
-					if _, ok := slices.BinarySearch(f.list(v), r); !ok {
-						break
-					}
-					thread(v)
-				}
-			}
-		} else {
-			for _, id := range edges[i] {
-				c := g.Edge(id).U
-				if t.ParentEdge[c] != id {
-					c = g.Edge(id).V
-				}
-				thread(c)
-			}
+		return
+	}
+	for _, id := range w.edges[i] {
+		c := g.Edge(id).U
+		if t.ParentEdge[c] != id {
+			c = g.Edge(id).V
 		}
-		seen.Reset()
-		src := p.Sets[i][0]
-		seen.Visit(src)
-		queue = append(queue[:0], int32(src))
-		level := 0
-		for start := 0; ; level++ {
-			end := len(queue)
-			for _, u32 := range queue[start:end] {
-				u := int(u32)
-				if p.Of[u] == i {
-					for _, a := range g.Adj(u) {
-						if p.Of[a.To] == i && seen.Visit(a.To) {
-							queue = append(queue, int32(a.To))
-						}
-					}
-				}
-				if par := t.Parent[u]; next.Has(u) && seen.Visit(par) {
-					queue = append(queue, int32(par))
-				}
-				for c := head.GetOr(u, -1); c >= 0; c = next.GetOr(int(c), -1) {
-					if seen.Visit(int(c)) {
-						queue = append(queue, c)
+		link(c)
+	}
+}
+
+// bfs walks part i's augmented subgraph, as last threaded, from src and
+// returns src's eccentricity in what it reaches.
+func (w *augWalk) bfs(i, src int) int {
+	g, t, p := w.s.G, w.s.T, w.s.P
+	seen, head, next := w.seen, w.head, w.next
+	seen.Reset()
+	seen.Visit(src)
+	queue := append(w.queue[:0], int32(src))
+	level := 0
+	for start := 0; ; level++ {
+		end := len(queue)
+		for _, u32 := range queue[start:end] {
+			u := int(u32)
+			if p.Of[u] == i {
+				for _, a := range g.Adj(u) {
+					if p.Of[a.To] == i && seen.Visit(a.To) {
+						queue = append(queue, int32(a.To))
 					}
 				}
 			}
-			if start = end; start == len(queue) {
-				break
+			if par := t.Parent[u]; next.Has(u) && seen.Visit(par) {
+				queue = append(queue, int32(par))
+			}
+			for c := head.GetOr(u, -1); c >= 0; c = next.GetOr(int(c), -1) {
+				if seen.Visit(int(c)) {
+					queue = append(queue, c)
+				}
 			}
 		}
-		maxEcc = max(maxEcc, level)
-		connected := true
-		if f != nil {
-			connected = len(queue) == f.m.Blocks[i]+f.size[f.rank[i]]
-		} else {
-			for _, v := range p.Sets[i] {
-				connected = connected && seen.Has(v)
-			}
-			for _, id := range edges[i] {
-				ed := g.Edge(id)
-				connected = connected && seen.Has(ed.U) && seen.Has(ed.V)
-			}
-		}
-		if !connected {
-			return 0, 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
+		if start = end; start == len(queue) {
+			break
 		}
 	}
-	return maxEcc, probed, nil
+	w.queue = queue
+	return level
+}
+
+// connected reports whether the last BFS reached all of part i's augmented
+// subgraph.
+func (w *augWalk) connected(i int) bool {
+	if f := w.s.flood; f != nil {
+		return len(w.queue) == f.m.Blocks[i]+f.size[f.rank[i]]
+	}
+	g := w.s.G
+	for _, v := range w.s.P.Sets[i] {
+		if !w.seen.Has(v) {
+			return false
+		}
+	}
+	for _, id := range w.edges[i] {
+		if e := g.Edge(id); !w.seen.Has(e.U) || !w.seen.Has(e.V) {
+			return false
+		}
+	}
+	return true
 }

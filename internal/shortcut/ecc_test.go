@@ -151,7 +151,7 @@ func TestMaxAugmentedEccBoundedMatchesFull(t *testing.T) {
 				for _, pr := range []struct {
 					name string
 					prio []int32
-				}{{"nil", nil}, {"blocks", shortcut.TreeBlockPriorities(tr, p)}, {"random", perm}} {
+				}{{"identity", identityRanking(np)}, {"blocks", shortcut.TreeBlockPriorities(tr, p)}, {"random", perm}} {
 					for c := 1; c <= np; c++ {
 						at := fmt.Sprintf("%s, %s tree, %s parts=%d, %s ranking, cap %d", name, tc.tree, fam.name, np, pr.name, c)
 						lazy := shortcut.ConstructPrio(g, tr, p, c, pr.prio)

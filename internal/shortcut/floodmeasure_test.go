@@ -40,6 +40,15 @@ func sameMeasurement(a, b shortcut.Measurement) bool {
 		a.Quality == b.Quality && slices.Equal(a.Blocks, b.Blocks)
 }
 
+// identityRanking is the static by-ID order: part i has rank i.
+func identityRanking(numParts int) []int32 {
+	prio := make([]int32, numParts)
+	for i := range prio {
+		prio[i] = int32(i)
+	}
+	return prio
+}
+
 // TestFloodMeasureMatchesUnionFind: the measurement FromFloodState derives
 // from the admitted lists equals the union-find measurement of the same
 // edges, on every family, part family, ranking and doubling cap.
@@ -75,11 +84,11 @@ func TestFloodMeasureMatchesUnionFind(t *testing.T) {
 				p    *partition.Parts
 			}{{"voronoi", voronoi}, {"boruvka", boruvka}} {
 				p := pf.p
-				for _, prio := range [][]int32{nil, shortcut.TreeBlockPriorities(tr, p)} {
-					np := p.NumParts()
+				np := p.NumParts()
+				for k, prio := range [][]int32{identityRanking(np), shortcut.TreeBlockPriorities(tr, p)} {
 					for cap := 1; ; cap *= 2 {
 						c := min(cap, np)
-						name := fmt.Sprintf("%s seed %d %s parts=%d prio=%t cap=%d", fam.name, seed, pf.name, np, prio != nil, c)
+						name := fmt.Sprintf("%s seed %d %s parts=%d blocks=%t cap=%d", fam.name, seed, pf.name, np, k == 1, c)
 						s, err := shortcut.FromFloodState(g, tr, p, shortcut.ConstructPrio(g, tr, p, c, prio).FloodState(), prio)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -133,11 +142,12 @@ func TestFromFloodStateRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := shortcut.ConstructPrio(g, tr, p, 2, nil).FloodState()
+	id := identityRanking(2)
+	valid := shortcut.ConstructPrio(g, tr, p, 2, id).FloodState()
 	if want := [][]int32{nil, {0, 1}, {0, 1}, {0}}; !slices.EqualFunc(valid, want, slices.Equal[[]int32]) {
 		t.Fatalf("fixed point %v, want %v", valid, want)
 	}
-	if _, err := shortcut.FromFloodState(g, tr, p, valid, nil); err != nil {
+	if _, err := shortcut.FromFloodState(g, tr, p, valid, id); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -161,7 +171,7 @@ func TestFromFloodStateRejectsMalformed(t *testing.T) {
 		for v, l := range valid {
 			state[v] = slices.Clone(l)
 		}
-		s, err := shortcut.FromFloodState(g, tr, p, tc.edit(state), nil)
+		s, err := shortcut.FromFloodState(g, tr, p, tc.edit(state), id)
 		if !errors.Is(err, shortcut.ErrMalformedFloodState) || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: got shortcut %v, error %v; want an error wrapping ErrMalformedFloodState that says %q",
 				tc.name, s, err, tc.want)

@@ -81,9 +81,9 @@ func TestConstructPrioLazyMatchesEager(t *testing.T) {
 		for i, r := range rng.Perm(np) {
 			perm[i] = int32(r)
 		}
-		for _, prio := range [][]int32{nil, perm} {
+		for k, prio := range [][]int32{identityRanking(np), perm} {
 			for c := 1; c <= np; c++ {
-				at := fmt.Sprintf("%s, %d parts, cap %d, ranked %t", name, np, c, prio != nil)
+				at := fmt.Sprintf("%s, %d parts, cap %d, ranked %t", name, np, c, k == 1)
 				lazy := shortcut.ConstructPrio(g, tr, p, c, prio)
 				checked, err := shortcut.FromFloodState(g, tr, p, lazy.FloodState(), prio)
 				if err != nil {

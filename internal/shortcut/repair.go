@@ -135,9 +135,6 @@ func MaintainPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, pr
 	if err := checkFloodInput(g, t, p, prio); err != nil {
 		return nil, err
 	}
-	if prio == nil {
-		prio = identityRanking(p.NumParts())
-	}
 	if cap < 1 {
 		cap = 1
 	}
@@ -165,9 +162,6 @@ func (m *Maintained) Quality() int { return m.s.Measure().Quality }
 func (m *Maintained) Reseat(cap int, prio []int32) error {
 	if err := ValidPriorities(prio, m.P.NumParts()); err != nil {
 		return err
-	}
-	if prio == nil {
-		prio = identityRanking(m.P.NumParts())
 	}
 	if cap < 1 {
 		cap = 1
@@ -371,14 +365,4 @@ func (m *Maintained) repairTreeDelete(ev Event, rep *RepairReport) error {
 	rep.RepairRounds = count + 2
 	rep.Changed = changed
 	return nil
-}
-
-// identityRanking is the static by-ID order as an explicit permutation, so
-// repair can index the frozen ranking unconditionally.
-func identityRanking(numParts int) []int32 {
-	prio := make([]int32, numParts)
-	for i := range prio {
-		prio[i] = int32(i)
-	}
-	return prio
 }

@@ -199,7 +199,7 @@ func TestRepairRebuildThreshold(t *testing.T) {
 	}
 	// Reseat resets the baseline: after a reseat at cap 3, whose quality is
 	// above the cap-2 baseline, factor 1 recommends nothing.
-	if err := m.Reseat(3, nil); err != nil {
+	if err := m.Reseat(3, identityRanking(m.P.NumParts())); err != nil {
 		t.Fatal(err)
 	}
 	if m.Quality() <= base {

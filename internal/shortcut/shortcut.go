@@ -357,87 +357,3 @@ func (s *Shortcut) BlockTops() [][]int32 {
 	}
 	return tops
 }
-
-// AugmentedDiameter returns the hop diameter of G[Pᵢ] + Hᵢ — the subgraph
-// induced by the part plus its shortcut edges (with their endpoints). The
-// framework's promise is that this is O(bᵢ · d_T).
-//
-// An empty part or a disconnected augmented subgraph (shortcut edges that
-// never touch the part, or a part that was built unchecked and is itself
-// disconnected) is an explicit error: before this check the empty case
-// returned diameter 0, masquerading as a perfectly-helped part.
-func (s *Shortcut) AugmentedDiameter(i int) (int, error) {
-	aug, _, err := s.augmentedSubgraph(i)
-	if err != nil {
-		return 0, err
-	}
-	d := graph.Diameter(aug)
-	if d < 0 {
-		return 0, fmt.Errorf("shortcut: augmented subgraph of part %d is disconnected: %w", i, graph.ErrDisconnected)
-	}
-	return d, nil
-}
-
-// augmentedSubgraph builds G[Pᵢ] + Hᵢ — the subgraph induced by part i plus
-// its shortcut edges (with their endpoints) — and returns it with the local
-// index of the part's minimum vertex (the probe source).
-func (s *Shortcut) augmentedSubgraph(i int) (*graph.Graph, int, error) {
-	if i < 0 || i >= s.P.NumParts() {
-		return nil, 0, fmt.Errorf("shortcut: part %d out of range for %d parts", i, s.P.NumParts())
-	}
-	if len(s.P.Sets[i]) == 0 {
-		return nil, 0, fmt.Errorf("shortcut: part %d is empty, augmented diameter undefined", i)
-	}
-	g := s.G
-	h := s.Edges()[i]
-	in := g.AcquireScratch() // vertex -> local index (assigned after sort)
-	defer g.ReleaseScratch(in)
-	// Collect the augmented vertex set: the part plus shortcut endpoints.
-	verts := make([]int, 0, len(s.P.Sets[i])+2*len(h))
-	for _, v := range s.P.Sets[i] {
-		if in.Visit(v) {
-			verts = append(verts, v)
-		}
-	}
-	numPart := len(verts)
-	for _, id := range h {
-		e := g.Edge(id)
-		if in.Visit(e.U) {
-			verts = append(verts, e.U)
-		}
-		if in.Visit(e.V) {
-			verts = append(verts, e.V)
-		}
-	}
-	sort.Ints(verts)
-	for li, v := range verts {
-		// Part members get values < numPart only by coincidence after the
-		// sort, so store the local index and tag part membership separately.
-		in.Set(v, int32(li))
-	}
-	partIn := g.AcquireScratch()
-	defer g.ReleaseScratch(partIn)
-	for _, v := range s.P.Sets[i] {
-		partIn.Visit(v)
-	}
-	aug := graph.NewWithEdgeCapacity(len(verts), numPart+len(h))
-	// Induced part edges, discovered by scanning part adjacency (each edge
-	// once, from its canonical U endpoint).
-	for _, v := range s.P.Sets[i] {
-		for _, a := range g.Adj(v) {
-			if !partIn.Has(a.To) {
-				continue
-			}
-			e := g.Edge(a.ID)
-			if e.U != v {
-				continue // the arc at the other endpoint adds it
-			}
-			aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
-		}
-	}
-	for _, id := range h {
-		e := g.Edge(id)
-		aug.AddEdge(int(in.GetOr(e.U, -1)), int(in.GetOr(e.V, -1)), 1)
-	}
-	return aug, int(in.GetOr(s.P.Sets[i][0], -1)), nil
-}

@@ -68,10 +68,8 @@ func ApproxBatch(g *graph.Graph, srcs []int, p *partition.Parts, s *shortcut.Sho
 	if err != nil {
 		return nil, err
 	}
-	maxPhases := opts.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = n + 2
-	}
+	// n + 2 phases always suffice: each includes a full cross-edge pass.
+	maxPhases := n + 2
 	rounded, err := RoundWeights(g, opts.Eps)
 	if err != nil {
 		return nil, err

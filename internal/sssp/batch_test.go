@@ -203,7 +203,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Eps: math.Inf(1)},
 		{Eps: math.Inf(-1)},
 		{Eps: -0.5},
-		{MaxPhases: -1},
 	}
 	for _, opts := range bad {
 		if _, err := sssp.Approx(fam.g, 0, fam.p, fam.s, opts); !errors.Is(err, sssp.ErrInvalidOptions) {

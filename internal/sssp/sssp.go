@@ -62,9 +62,6 @@ type Options struct {
 	// over-estimate each edge by at most this factor. Must be finite and
 	// strictly positive (ErrInvalidOptions otherwise).
 	Eps float64
-	// MaxPhases aborts non-converging runs (0 = n+2, which is always
-	// sufficient: each phase includes a full cross-edge pass).
-	MaxPhases int
 	// Simulate runs each phase's part-wise relaxation on the CONGEST
 	// simulator; false computes fixed points sequentially and charges
 	// rounds analytically (quality-based), for large benches.
@@ -86,9 +83,6 @@ func (o Options) normalized() (Options, error) {
 	}
 	if math.IsNaN(o.Eps) || math.IsInf(o.Eps, 0) || o.Eps < 0 {
 		return o, fmt.Errorf("%w: eps %v (want finite eps > 0)", ErrInvalidOptions, o.Eps)
-	}
-	if o.MaxPhases < 0 {
-		return o, fmt.Errorf("%w: negative MaxPhases %d", ErrInvalidOptions, o.MaxPhases)
 	}
 	return o, nil
 }
