@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json bench bench-smoke bench-layers bench-test bench-baseline scale-smoke
+.PHONY: all build test race vet lint lint-json bench bench-smoke bench-layers bench-test bench-baseline scale-smoke scale-million
 
 all: vet lint build test
 
@@ -49,6 +49,15 @@ bench-test:
 # BenchmarkScaleMillionPipeline.
 scale-smoke:
 	$(GO) test -run 'TestScaleSmoke100k' -count=1 -v ./internal/experiments
+
+# scale-million runs the analytic 10⁶ grid pipeline (~12 s and 2.5–3 GB
+# on 2 vCPUs) and prints its stage table and peak RSS. The binary runs
+# under a 6 GB address-space limit (ulimit -v) set in its own shell, so
+# a run that needs more fails on its own instead of pushing the host into
+# the OOM killer; the build runs unlimited.
+scale-million:
+	$(GO) build -o .scale_build/graphgen ./cmd/graphgen
+	ulimit -v 6000000 && .scale_build/graphgen -scale -family grid -n 1000000 -mode analytic
 
 # LAYER_BENCH and LAYER_PKGS are the layer benchmarks: cap search,
 # eccentricity probe, flood construction, measurement, relaxation,

@@ -2,7 +2,8 @@
 // structural witnesses, and prints summary statistics — a quick way to
 // inspect what the experiments run on. With -scale it instead drives the
 // full zero-witness pipeline at scale (generate → elect → BFS → decompose
-// → cap search → construct → MST) and prints the per-stage table.
+// → cap search → construct → MST) and prints the per-stage table, then the
+// process's peak resident set where /proc/self/status reports it.
 //
 // Usage:
 //
@@ -12,9 +13,13 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
@@ -36,6 +41,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(res)
+		if mb, ok := peakRSSMB(); ok {
+			fmt.Printf("peak_rss=%.1fMB\n", mb)
+		}
 		return
 	}
 	rng := xrand.New(*seed)
@@ -126,4 +134,23 @@ func main() {
 	default:
 		log.Fatalf("unknown family %q", *family)
 	}
+}
+
+// peakRSSMB reads the process's peak resident set (VmHWM) in MB (2^20
+// bytes) from /proc/self/status, and reports false where that file or the
+// line is missing.
+func peakRSSMB() (float64, bool) {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
+			return kb / 1024, err == nil
+		}
+	}
+	return 0, false
 }

@@ -77,7 +77,12 @@ func ConstructBudget(t *graph.Tree, cap int) int {
 // starts at ConstructBudget and doubles until the converged state matches
 // that state (the same environment-checked convergence loop AggregateMin
 // uses), and returns the same shortcut, so one flood pass serves as both
-// the convergence target and the result.
+// the convergence target and the result. The shortcut is measured at
+// construction, in closed form where every part is one vertex or the cap
+// covers every subtree's parts, and its state is generated on first read:
+// analytic mode reads nothing, so it runs the pass only where the closed
+// form does not apply, and simulate mode's convergence target is that
+// first read.
 func ConstructShortcut(g *graph.Graph, t *graph.Tree, p *partition.Parts, opts ConstructOptions) (*ConstructResult, error) {
 	if t.G != g {
 		return nil, fmt.Errorf("congest: construction tree belongs to a different graph")

@@ -142,8 +142,10 @@ func Approx(g *graph.Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// consider keeps side if it cuts less than the best cut so far, or if no
+// cut is kept yet, so a result always holds a non-empty proper side.
 func (r *Result) consider(w float64, side []int) {
-	if w < r.Value {
+	if w < r.Value || len(r.Side) == 0 {
 		r.Value = w
 		r.Side = append(r.Side[:0], side...)
 	}
@@ -205,7 +207,9 @@ func packOneTree(g *graph.Graph, loads []float64, opts Options) (ids []int, stat
 }
 
 // evalTreeCuts scans all 1-respecting cuts (and optionally 2-respecting
-// ones) of the packed tree.
+// ones) of the packed tree. Every cut it keeps is summed directly over the
+// edges crossing its side: a sum of non-negative weights, in which +Inf
+// stays +Inf and no weight cancels another.
 func evalTreeCuts(g *graph.Graph, t *graph.Tree, opts Options, res *Result) {
 	n := g.N()
 	// Euler intervals for subtree membership.
@@ -233,139 +237,90 @@ func evalTreeCuts(g *graph.Graph, t *graph.Tree, opts Options, res *Result) {
 		}
 	}
 	inSub := func(root, x int) bool { return tin[root] <= tin[x] && tout[x] <= tout[root] }
-	// 1-respecting values via the LCA difference trick.
+	// offer sums the cut of the side in marks and hands the side to res if
+	// it cuts less than the best so far.
+	offer := func(in func(int) bool) {
+		var w float64
+		for id := 0; id < g.M(); id++ {
+			if e := g.Edge(id); !g.EdgeRemoved(id) && in(e.U) != in(e.V) {
+				w += e.W
+			}
+		}
+		if w < res.Value {
+			var side []int
+			for x := 0; x < n; x++ {
+				if in(x) {
+					side = append(side, x)
+				}
+			}
+			res.consider(w, side)
+		}
+	}
+	if opts.TwoRespecting {
+		// Every subtree, then every pair of subtrees, disjoint or nested,
+		// summed directly: the pair loop pays O(m) per pair either way.
+		for u := 0; u < n; u++ {
+			if u != t.Root {
+				offer(func(x int) bool { return inSub(u, x) })
+			}
+		}
+		for u := 0; u < n; u++ {
+			if u == t.Root {
+				continue
+			}
+			for v := u + 1; v < n; v++ {
+				switch {
+				case v == t.Root:
+				case inSub(u, v): // S_u ∖ S_v
+					offer(func(x int) bool { return inSub(u, x) && !inSub(v, x) })
+				case inSub(v, u): // S_v ∖ S_u
+					offer(func(x int) bool { return inSub(v, x) && !inSub(u, x) })
+				default: // S_u ∪ S_v
+					offer(func(x int) bool { return inSub(u, x) || inSub(v, x) })
+				}
+			}
+		}
+		return
+	}
+	// 1-respecting values via the LCA difference trick, over the finite
+	// weights, with the +Inf edges counted apart so that no Inf − Inf
+	// makes a NaN. The trick subtracts, so a huge weight can cancel small
+	// ones: its value only picks the subtrees offer re-sums.
 	l := graph.NewLCA(t)
 	diff := make([]float64, n)
+	inf := make([]int, n)
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
 		if g.EdgeRemoved(id) || t.IsTreeEdge(id) {
 			continue
 		}
 		a := l.Query(e.U, e.V)
+		if math.IsInf(e.W, 1) {
+			inf[e.U]++
+			inf[e.V]++
+			inf[a] -= 2
+			continue
+		}
 		diff[e.U] += e.W
 		diff[e.V] += e.W
 		diff[a] -= 2 * e.W
 	}
-	cut1 := make([]float64, n) // indexed by subtree root v (v != Root)
-	// Bottom-up accumulation of diff.
-	for i := len(t.Order) - 1; i >= 0; i-- {
+	// Bottom-up accumulation: diff[v] and inf[v] become S_v's sums.
+	for i := len(t.Order) - 1; i >= 1; i-- {
 		v := t.Order[i]
-		cut1[v] += diff[v]
-		if p := t.Parent[v]; p != -1 {
-			cut1[p] += cut1[v]
-		}
-	}
-	subtreeVerts := func(v int) []int {
-		var out []int
-		stack := []int{v}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			out = append(out, x)
-			stack = append(stack, t.Children[x]...)
-		}
-		return out
+		diff[t.Parent[v]] += diff[v]
+		inf[t.Parent[v]] += inf[v]
 	}
 	for v := 0; v < n; v++ {
 		if v == t.Root {
 			continue
 		}
-		w := cut1[v] + g.Edge(t.ParentEdge[v]).W
-		res.consider(w, subtreeVerts(v))
-		cut1[v] = w // reuse as δ(S_v) for the 2-respecting pass
-	}
-	if !opts.TwoRespecting {
-		return
-	}
-	// 2-respecting: for every pair of subtrees, disjoint or nested.
-	for u := 0; u < n; u++ {
-		if u == t.Root {
-			continue
+		up := g.Edge(t.ParentEdge[v]).W
+		if inf[v] > 0 || math.IsInf(up, 1) {
+			continue // cuts +Inf, which never beats the kept cut
 		}
-		for v := u + 1; v < n; v++ {
-			if v == t.Root {
-				continue
-			}
-			var w float64
-			switch {
-			case inSub(u, v): // v nested in u
-				w = nestedCut(g, cut1, u, v, inSub)
-			case inSub(v, u):
-				w = nestedCut(g, cut1, v, u, inSub)
-			default: // disjoint: δ(A)+δ(B)-2w(A,B)
-				w = cut1[u] + cut1[v] - 2*crossWeight(g, u, v, inSub)
-			}
-			if w < res.Value && w >= 0 {
-				side := subtreeVerts(u)
-				if inSub(u, v) {
-					// A \ B
-					keep := side[:0]
-					for _, x := range side {
-						if !inSub(v, x) {
-							keep = append(keep, x)
-						}
-					}
-					side = keep
-				} else if inSub(v, u) {
-					side = subtreeVerts(v)
-					keep := side[:0]
-					for _, x := range side {
-						if !inSub(u, x) {
-							keep = append(keep, x)
-						}
-					}
-					side = keep
-				} else {
-					side = append(side, subtreeVerts(v)...)
-				}
-				if len(side) > 0 && len(side) < n {
-					res.consider(w, side)
-				}
-			}
+		if w := diff[v] + up; w < res.Value || math.IsNaN(w) {
+			offer(func(x int) bool { return inSub(v, x) })
 		}
 	}
-}
-
-// crossWeight sums edges with one endpoint in S_u and the other in S_v
-// (disjoint subtrees).
-func crossWeight(g *graph.Graph, u, v int, inSub func(int, int) bool) float64 {
-	var w float64
-	for id := 0; id < g.M(); id++ {
-		if g.EdgeRemoved(id) {
-			continue
-		}
-		e := g.Edge(id)
-		au, bu := inSub(u, e.U), inSub(u, e.V)
-		av, bv := inSub(v, e.U), inSub(v, e.V)
-		if (au && bv) || (av && bu) {
-			w += e.W
-		}
-	}
-	return w
-}
-
-// nestedCut computes δ(S_u \ S_v) = δ(S_u) − δ(S_v) + 2·w(S_v, S_u∖S_v)
-// for S_v nested inside S_u.
-func nestedCut(g *graph.Graph, cut1 []float64, u, v int, inSub func(int, int) bool) float64 {
-	var wBA float64
-	for id := 0; id < g.M(); id++ {
-		if g.EdgeRemoved(id) {
-			continue
-		}
-		e := g.Edge(id)
-		inVU := inSub(v, e.U)
-		inVV := inSub(v, e.V)
-		if inVU == inVV {
-			continue
-		}
-		// One endpoint in S_v; the other must be in S_u ∖ S_v.
-		other := e.U
-		if inVU {
-			other = e.V
-		}
-		if inSub(u, other) {
-			wBA += e.W
-		}
-	}
-	return cut1[u] - cut1[v] + 2*wBA
 }

@@ -2,6 +2,7 @@ package mincut_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,5 +200,61 @@ func TestRoundLedgersStayInTheirMode(t *testing.T) {
 	// analytic run's (which must stay zero).
 	if simulated.CommRounds <= analytic.CommRounds {
 		t.Fatalf("simulated CommRounds %d vs analytic %d", simulated.CommRounds, analytic.CommRounds)
+	}
+}
+
+// TestApproxExtremeWeights: a cut's value is the sum of its crossing
+// edges, never a difference, so +Inf weights make no NaN and huge weights
+// do not cancel small ones. On random connected graphs of 2–11 vertices
+// with weights 1–9, unchanged, with a quarter of the edges at +Inf, or
+// with a quarter at 1e300, a two-respecting run at ε = 0.5 must keep a
+// non-empty proper side whose crossing weight is the reported value, no
+// lighter than the exact minimum, and equal to it in the families with
+// finite weights. A packed tree need not expose a finite cut of a graph
+// with +Inf edges as 1- or 2-respecting, so there the value may be +Inf.
+func TestApproxExtremeWeights(t *testing.T) {
+	graphs := 1000
+	if testing.Short() {
+		graphs = 200
+	}
+	for _, fam := range []struct {
+		name  string
+		heavy float64 // the weight of a quarter of the edges, 0 for none
+	}{{"ordinary", 0}, {"+Inf", math.Inf(1)}, {"1e300", 1e300}} {
+		rng := rand.New(rand.NewSource(29))
+		unexposed := 0 // graphs with a finite minimum reported at +Inf
+		for trial := 0; trial < graphs; trial++ {
+			n := 2 + rng.Intn(10)
+			g := gen.ErdosRenyiConnected(n, n-1+rng.Intn(n*(n-1)/2-n+2), rng)
+			for id := 0; id < g.M(); id++ {
+				w := float64(1 + rng.Intn(9))
+				if fam.heavy != 0 && rng.Intn(4) == 0 {
+					w = fam.heavy
+				}
+				g.SetWeight(id, w)
+			}
+			exact, _, err := graph.GlobalMinCut(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := mincut.Approx(g, mincut.Options{Eps: 0.5, TwoRespecting: true})
+			if err != nil {
+				t.Fatalf("%s graph %d: %v", fam.name, trial, err)
+			}
+			at := fmt.Sprintf("%s graph %d (n=%d, edges %v)", fam.name, trial, n, g.Edges())
+			if len(r.Side) == 0 || len(r.Side) >= n {
+				t.Fatalf("%s: side %v of %d vertices", at, r.Side, n)
+			}
+			if w := graph.CutWeight(g, r.Side); w != r.Value {
+				t.Fatalf("%s: reported %v, side %v cuts %v", at, r.Value, r.Side, w)
+			}
+			if r.Value < exact || (!math.IsInf(fam.heavy, 1) && r.Value != exact) {
+				t.Fatalf("%s: reported %v, exact minimum %v", at, r.Value, exact)
+			}
+			if math.IsInf(r.Value, 1) && !math.IsInf(exact, 1) {
+				unexposed++
+			}
+		}
+		t.Logf("%s: %d of %d graphs with a finite minimum cut reported +Inf", fam.name, unexposed, graphs)
 	}
 }

@@ -68,7 +68,10 @@ func Empty(g *graph.Graph, t *graph.Tree) Provider {
 // (congest.ConstructShortcut) at a fixed congestion cap: simulate runs the
 // actual protocol and returns its measured effective rounds; otherwise the
 // fixed point is computed sequentially and the framework's construction
-// budget is charged.
+// budget is charged. Either way the shortcut is measured at construction
+// and its flooding state is generated on first read, so an analytic
+// caller that reads only the quality, as the MST does, runs no flood pass
+// for a family of single vertices or at a covering cap.
 func Flood(g *graph.Graph, t *graph.Tree, cap int, simulate bool) Provider {
 	return func(p *partition.Parts) (*shortcut.Shortcut, Rounds, error) {
 		res, err := congest.ConstructShortcut(g, t, p, congest.ConstructOptions{Cap: cap, Simulate: simulate})

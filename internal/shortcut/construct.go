@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -109,23 +110,83 @@ func Construct(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int) *Shor
 // (CapViews). The ranking must be a permutation of 0..NumParts-1
 // (ValidPriorities).
 //
-// One children-first pass computes the fixed point, runs FromFloodState's
-// checks on it and measures it. The shortcut is flood-built: it keeps the
-// admitted lists (FloodState) and assembles its per-part edge lists from
-// them only on the first Edges call, so a caller that reads nothing but
-// Measure and MaxAugmentedEcc, which probes the admitted lists, never
-// builds them.
+// The shortcut is measured at construction, and its state is generated on
+// first read. Write S(v) for the parts with a member in v's subtree and M
+// for the largest |S(v)| over non-root v. Whatever the ranking, the fixed
+// point admits over a non-root v's parent edge the cap best-ranked parts
+// of S(v), so its congestion is min(cap, M). When every part is one
+// vertex, each part's flood is one path; when cap ≥ M, every flood reaches
+// the root. Either way every part has one block, and the quality is
+// d_T + min(cap, M). ConstructPrio computes M in one O(n + Σ|Pᵢ|) sweep
+// (closedForm) and, in those two cases, stores that measurement and builds
+// nothing else. Otherwise one children-first pass computes the fixed
+// point, runs FromFloodState's checks on it and measures it.
+//
+// The shortcut is flood-built: its admitted lists (FloodState) come from
+// that pass, run on the first read that needs them where the closed form
+// applied, and its per-part edge lists are assembled from them only on the
+// first Edges call. A caller that reads nothing but Measure builds neither
+// where the closed form applies, and no edge lists elsewhere;
+// MaxAugmentedEcc probes the admitted lists. The ranking is copied, so a
+// caller may reuse prio once ConstructPrio returns.
 func ConstructPrio(g *graph.Graph, t *graph.Tree, p *partition.Parts, cap int, prio []int32) *Shortcut {
 	if err := checkFloodInput(g, t, p, prio); err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: %v", err))
 	}
 	cap = max(cap, 1)
+	if m, ok := closedForm(t, p, cap); ok {
+		return &Shortcut{G: g, T: t, P: p, flood: &floodLists{cap: cap, rank: slices.Clone(prio), m: m}}
+	}
 	f, err := measureFloodState(t, p, nil, prio, cap)
 	if err != nil {
 		panic(fmt.Sprintf("shortcut.ConstructPrio: internal error: %v", err))
 	}
 	f.cap = cap
 	return &Shortcut{G: g, T: t, P: p, flood: f}
+}
+
+// closedForm returns the measurement of the flooding fixed point at cap
+// when every part of p is one vertex or cap is at least M, the most parts
+// with a member in one non-root vertex's subtree (see ConstructPrio), and
+// reports whether it did. S(v) only grows toward the root, so M is the
+// largest |S(ch)| over the root's children ch: one top-down pass finds
+// each vertex's root-child ancestor, and one sweep over the parts counts,
+// per root child, the parts with a member under it, with a stamp per root
+// child so that each part counts once.
+func closedForm(t *graph.Tree, p *partition.Parts, cap int) (Measurement, bool) {
+	kids := t.Children[t.Root]
+	under := make([]int32, len(t.Parent)) // v -> its root-child ancestor's slot in kids, -1 at the root
+	under[t.Root] = -1
+	for k, ch := range kids {
+		under[ch] = int32(k)
+	}
+	for _, v := range t.Order {
+		if par := t.Parent[v]; par != -1 && par != t.Root {
+			under[v] = under[par]
+		}
+	}
+	stamp := make([]int32, len(kids)) // by slot: 1 + the last part counted
+	count := make([]int, len(kids))   // by slot: |S(ch)|
+	most, singles := 0, true
+	for i, set := range p.Sets {
+		singles = singles && len(set) == 1
+		for _, x := range set {
+			if k := under[x]; k >= 0 && stamp[k] != int32(i+1) {
+				stamp[k] = int32(i + 1)
+				count[k]++
+				most = max(most, count[k])
+			}
+		}
+	}
+	if !singles && cap < most {
+		return Measurement{}, false
+	}
+	m := Measurement{Congestion: min(cap, most), Blocks: make([]int, p.NumParts()), TreeDiameter: treeDiameter(t)}
+	for i := range m.Blocks {
+		m.Blocks[i] = 1
+	}
+	m.finish()
+	return m, true
 }
 
 // CapViews returns the cap-c view of s for every c in caps, which must
@@ -161,6 +222,7 @@ func (s *Shortcut) CapViews(caps []int) ([]*Shortcut, error) {
 			return nil, fmt.Errorf("shortcut: cap views at caps %v of a cap-%d state", caps, f.cap)
 		}
 	}
+	f = s.state()
 	t, p := s.T, s.P
 	np, nc := len(f.rank), len(caps)
 	// from[k+1] is the index of the first cap above k, for k from -1 to
@@ -353,7 +415,10 @@ func checkFloodInput(g *graph.Graph, t *graph.Tree, p *partition.Parts, prio []i
 // floodLists is a flood-built shortcut's flooding state with what its
 // readers need: list(v) holds the ranks admitted over v's parent edge,
 // size[r] the edge count of rank r's part, rank maps part to rank, and m is
-// the state's measurement.
+// the state's measurement. The measurement and the ranking are set at
+// construction. admitted and size are nil in a state ConstructPrio
+// measured in closed form until its shortcut's first read generates them
+// (Shortcut.state); every other state holds them from the start.
 //
 // cap is the cap of the flooding fixed point the state is, the one
 // ConstructPrio generated it at, or 0 for a state FromFloodState was
@@ -425,6 +490,10 @@ func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
 	return edges
 }
 
+// passes counts measureFloodState's passes; the package's tests read it
+// to check which constructions and reads run one.
+var passes atomic.Int64
+
 // measureFloodState is the one children-first walk over a flooding state.
 // With cap 0 it checks and measures admitted, a state of one list per
 // vertex (see FromFloodState). With cap ≥ 1 admitted must be nil: the pass
@@ -441,6 +510,7 @@ func fillEdges(g *graph.Graph, t *graph.Tree, f *floodLists) [][]int {
 // one rank-indexed stamp array in place of a per-part union-find, and
 // subtracts the edge counts at the end.
 func measureFloodState(t *graph.Tree, p *partition.Parts, admitted [][]int32, prio []int32, cap int) (*floodLists, error) {
+	passes.Add(1)
 	np := p.NumParts()
 	generate := cap > 0
 	if generate {

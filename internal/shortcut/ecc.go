@@ -217,7 +217,7 @@ type augWalk struct {
 }
 
 func (s *Shortcut) newAugWalk() *augWalk {
-	g, p, f := s.G, s.P, s.flood
+	g, p, f := s.G, s.P, s.state() // the state thread and connected read
 	w := &augWalk{s: s}
 	largest := 0 // |V(G[Pᵢ] + Hᵢ)|, or a bound on it
 	if f != nil {

@@ -4,6 +4,11 @@ package shortcut
 // lists so far.
 func Fills() int64 { return fills.Load() }
 
+// Passes returns how many flood passes (measureFloodState) have run so
+// far: one per construction the closed form does not measure, one per
+// generated state and one per FromFloodState check.
+func Passes() int64 { return passes.Load() }
+
 // Filled reports whether s holds its edge lists: an edge-built shortcut
 // always does, a flood-built one after its first Edges call.
 func Filled(s *Shortcut) bool { return s.flood == nil || s.edges != nil }

@@ -64,9 +64,10 @@ func lazyInstance(t *testing.T, rng *rand.Rand) (string, *graph.Graph, *graph.Tr
 	return name, g, tr, p
 }
 
-// TestConstructPrioLazyMatchesEager: ConstructPrio builds, checks and
-// measures its fixed point in one pass and fills its edge lists only when
-// they are read. Its measurement must equal both the check-only pass of
+// TestConstructPrioLazyMatchesEager: ConstructPrio measures its fixed
+// point at construction, in closed form or in the one pass that builds and
+// checks it, and fills its edge lists only when they are read. Its
+// measurement must equal both the check-only pass of
 // FromFloodState over its state and the union-find recount of its own
 // lists, and the lists it fills must equal the ones the FromFloodState
 // shortcut fills — on random graphs, part families, every cap from 1 to
@@ -109,11 +110,15 @@ func TestConstructPrioLazyMatchesEager(t *testing.T) {
 }
 
 // TestEdgesConcurrentFirstRead: the first Edges call of a ConstructPrio
-// shortcut fills its lists; goroutines that make it at once must all get
-// the same, complete lists. Other goroutines probe the shortcut meanwhile,
-// reading the flooding state, which the fill reads and keeps; they must
-// all get the probe's value. Under -race this is the check that the fill
-// is synchronized with the readers of both, so it runs under -short too.
+// shortcut fills its lists, and the first read of the flooding state of
+// one measured in closed form generates that state. Goroutines that read
+// a fresh shortcut at once, through Edges, FloodState, both probes and
+// CapViews, must all get what a shortcut read on one goroutine gives, and
+// the state must be generated once: one pass, at construction or at the
+// first read. Under -race this is the check that the fill and the
+// generation are synchronized with every reader, so it runs under -short
+// too. Two instances: a cap below the part count, whose pass runs at
+// construction, and the covering cap, measured in closed form.
 func TestEdgesConcurrentFirstRead(t *testing.T) {
 	g := gen.Grid(12, 12).G
 	tr, err := graph.BFSTree(g, 0)
@@ -125,44 +130,79 @@ func TestEdgesConcurrentFirstRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	prio := shortcut.TreeBlockPriorities(tr, p)
-	ref := shortcut.ConstructPrio(g, tr, p, 3, prio)
-	wantEcc, err := shortcut.MaxAugmentedEccUnpruned(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cloneEdges(ref.Edges())
-	s := shortcut.ConstructPrio(g, tr, p, 3, prio)
 	probe := shortcut.NewEccProbe(g, tr, p)
-	readers := max(4, 2*runtime.GOMAXPROCS(0))
-	got := make([][][]int, readers)
-	eccs := make([]int, readers)
-	errs := make([]error, readers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			switch i % 4 {
-			case 0, 2:
-				got[i] = s.Edges()
-			case 1:
-				eccs[i], errs[i] = probe.MaxAugmentedEcc(s)
+	for _, c := range []int{3, p.NumParts()} {
+		if applies := closedFormApplies(tr, p, c); applies != (c == p.NumParts()) {
+			t.Fatalf("cap %d: closed form applies: %t; want it at the part count only", c, applies)
+		}
+		ref := shortcut.ConstructPrio(g, tr, p, c, prio)
+		wantEcc, err := shortcut.MaxAugmentedEccUnpruned(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEdges, wantState := cloneEdges(ref.Edges()), cloneState(ref.FloodState())
+		caps := doublingCaps(c)
+		refViews, err := ref.CapViews(caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := shortcut.Passes()
+		s := shortcut.ConstructPrio(g, tr, p, c, prio)
+		readers := max(10, 2*runtime.GOMAXPROCS(0))
+		edges := make([][][]int, readers)
+		states := make([][][]int32, readers)
+		views := make([][]*shortcut.Shortcut, readers)
+		eccs := make([]int, readers)
+		errs := make([]error, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch i % 5 {
+				case 0:
+					edges[i] = s.Edges()
+				case 1:
+					eccs[i], errs[i] = probe.MaxAugmentedEcc(s)
+				case 2:
+					states[i] = s.FloodState()
+				case 3:
+					eccs[i], errs[i] = s.MaxAugmentedEcc()
+				default:
+					views[i], errs[i] = s.CapViews(caps)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if ran := shortcut.Passes() - before; ran != 1 {
+			t.Fatalf("cap %d: construction and %d concurrent first reads ran %d passes; want 1", c, readers, ran)
+		}
+		for i := range readers {
+			at := fmt.Sprintf("cap %d, reader %d of %d", c, i, readers)
+			switch i % 5 {
+			case 0:
+				if !slices.EqualFunc(edges[i], wantEdges, slices.Equal[[]int]) {
+					t.Fatalf("%s: edge lists %v, want %v", at, edges[i], wantEdges)
+				}
+			case 1, 3:
+				if errs[i] != nil || eccs[i] != wantEcc {
+					t.Fatalf("%s: probe %d, %v; want %d", at, eccs[i], errs[i], wantEcc)
+				}
+			case 2:
+				if !slices.EqualFunc(states[i], wantState, slices.Equal[[]int32]) {
+					t.Fatalf("%s: state %v, want %v", at, states[i], wantState)
+				}
 			default:
-				eccs[i], errs[i] = s.MaxAugmentedEcc()
+				if errs[i] != nil {
+					t.Fatalf("%s: %v", at, errs[i])
+				}
+				for k, v := range views[i] {
+					checkSameShortcut(t, fmt.Sprintf("%s, view at cap %d", at, caps[k]), v, refViews[k], probe)
+				}
 			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i := range got {
-		if i%2 == 0 {
-			if !slices.EqualFunc(got[i], want, slices.Equal[[]int]) {
-				t.Fatalf("reader %d of %d got %v, want %v", i, readers, got[i], want)
-			}
-		} else if errs[i] != nil || eccs[i] != wantEcc {
-			t.Fatalf("prober %d of %d got %d, %v; want %d", i, readers, eccs[i], errs[i], wantEcc)
 		}
 	}
 }
@@ -188,12 +228,16 @@ func sqrtFragmentPhase(tb testing.TB, g *graph.Graph) ([]partition.BoruvkaPhase,
 }
 
 // BenchmarkFloodConstruct prices one flooding construction on the 160×160
-// grid at seed-7 weights over the canonical BFS tree from vertex 0, at cap
-// 512, for two part families: the MST's phase-0 family of n single
-// vertices, and the Borůvka decomposition's family of about √n fragments
-// (the last phase with at least √n). measure is ConstructPrio plus
-// Measure, all an analytic phase reads; edges also reads Edges, which
-// fills the per-part lists. Both report the admitted slots Σᵥ|admitted(v)|.
+// grid at seed-7 weights over the canonical BFS tree from vertex 0, for
+// three part families: the MST's phase-0 family of n single vertices and
+// the Borůvka decomposition's family of about √n fragments (the last phase
+// with at least √n), both at cap 512, and that family again at cap = its
+// part count (covering). The family has 494 parts, so cap 512 covers it
+// too. measure is ConstructPrio plus Measure, all an analytic phase reads,
+// and all three families are measured in closed form; edges also reads
+// Edges, which fills the per-part lists and so first generates the state
+// in the one flood pass. All report the admitted slots Σᵥ|admitted(v)| and
+// the flood passes per op.
 func BenchmarkFloodConstruct(b *testing.B) {
 	g := gen.DistinctWeightsCSR(gen.UniformWeightsCSR(gen.GridCSR(160, 160), xrand.New(7))).Graph()
 	parent, parentEdge, err := congest.CanonicalBFSParents(g, 0)
@@ -205,21 +249,23 @@ func BenchmarkFloodConstruct(b *testing.B) {
 		b.Fatal(err)
 	}
 	trace, frag := sqrtFragmentPhase(b, g)
-	const cap = 512
+	fragments := trace[frag].Parts(g)
 	for _, fam := range []struct {
 		name string
 		p    *partition.Parts
-	}{{"singletons", trace[0].Parts(g)}, {"fragments", trace[frag].Parts(g)}} {
+		cap  int
+	}{{"singletons", trace[0].Parts(g), 512}, {"fragments", fragments, 512}, {"covering", fragments, fragments.NumParts()}} {
 		prio := shortcut.TreeBlockPriorities(tr, fam.p)
 		slots := 0
-		for _, ids := range shortcut.ConstructPrio(g, tr, fam.p, cap, prio).Edges() {
+		for _, ids := range shortcut.ConstructPrio(g, tr, fam.p, fam.cap, prio).Edges() {
 			slots += len(ids)
 		}
 		for _, read := range []string{"measure", "edges"} {
 			b.Run(fam.name+"/"+read, func(b *testing.B) {
 				b.ReportAllocs()
+				before := shortcut.Passes()
 				for b.Loop() {
-					s := shortcut.ConstructPrio(g, tr, fam.p, cap, prio)
+					s := shortcut.ConstructPrio(g, tr, fam.p, fam.cap, prio)
 					s.Measure()
 					if read == "edges" {
 						s.Edges()
@@ -227,6 +273,7 @@ func BenchmarkFloodConstruct(b *testing.B) {
 				}
 				b.ReportMetric(float64(fam.p.NumParts()), "parts")
 				b.ReportMetric(float64(slots), "slots/op")
+				b.ReportMetric(float64(shortcut.Passes()-before)/float64(b.N), "passes/op")
 			})
 		}
 	}

@@ -7,16 +7,19 @@
 //
 // A shortcut is one of two kinds, fixed when it is built. A flood-built
 // shortcut (ConstructPrio, FromFloodState) is the state a part-wise flood
-// leaves, each vertex's admitted parts over its parent edge, and keeps that
-// state for life: it is measured in the one children-first pass that
-// builds or checks the state, with no union-find at all, the cap search's
+// leaves, each vertex's admitted parts over its parent edge. It is
+// measured at construction, with no union-find at all: in closed form
+// where every part is one vertex or the cap covers every subtree's parts
+// (ConstructPrio), and otherwise in the one children-first pass that
+// builds or checks the state. Its state is generated on the first read
+// that needs it, by that same pass, and kept for life: the cap search's
 // probe walks the state, and the per-part edge lists are assembled from it
 // only when Edges is first called. A cap view (CapViews) is a flood-built
-// shortcut that reads a larger cap's state cut to its own cap. An edge-built shortcut (New,
-// NewNormalized, Empty) is its edge lists, measured over epoch-stamped
-// scratch slices (graph.Scratch) and a single reused union-find forest, so
-// measuring it allocates O(parts) memory rather than O(parts · n) map
-// churn.
+// shortcut that reads a larger cap's state cut to its own cap. An
+// edge-built shortcut (New, NewNormalized, Empty) is its edge lists,
+// measured over epoch-stamped scratch slices (graph.Scratch) and a single
+// reused union-find forest, so measuring it allocates O(parts) memory
+// rather than O(parts · n) map churn.
 package shortcut
 
 import (
@@ -39,9 +42,12 @@ type Shortcut struct {
 	P *partition.Parts
 
 	// flood is the flooding state and measurement of a flood-built
-	// shortcut, never modified after construction; nil for an edge-built
-	// one.
+	// shortcut; nil for an edge-built one. Its measurement is fixed at
+	// construction. Its admitted lists and edge counts are generated under
+	// gen by the first read that needs them (state), and never modified
+	// after that.
 	flood *floodLists
+	gen   sync.Once
 	// edges holds the per-part sorted tree edge IDs: an edge-built
 	// shortcut's from construction, a flood-built one's filled from flood
 	// under once by the first Edges call.
@@ -53,10 +59,40 @@ type Shortcut struct {
 // tests read it to check that a read path leaves them unfilled.
 var fills atomic.Int64
 
+// state returns s.flood with its admitted lists and edge counts in place,
+// generating them on the first call for a shortcut ConstructPrio measured
+// in closed form. Every reader of the lists and counts gets them here, so
+// any number of goroutines may make the first call at once; Measure reads
+// neither and never calls it.
+func (s *Shortcut) state() *floodLists {
+	s.gen.Do(s.generate)
+	return s.flood
+}
+
+// generate runs the flood pass of a shortcut ConstructPrio measured in
+// closed form, under the ranking it copied, and keeps the state. The pass
+// measures what it generates, and that measurement must be the stored
+// one. See state.
+func (s *Shortcut) generate() {
+	f := s.flood
+	if f == nil || f.admitted != nil {
+		return
+	}
+	built, err := measureFloodState(s.T, s.P, nil, f.rank, f.cap)
+	if err == nil && !built.m.equal(f.m) {
+		err = fmt.Errorf("generated state measures %+v, closed form %+v", built.m, f.m)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("shortcut: generating a flooding state: internal error: %v", err))
+	}
+	f.admitted, f.size = built.admitted, built.size
+}
+
 // Edges returns the per-part edge lists: Edges()[i] is part i's Hᵢ, sorted
 // tree edge IDs. The lists are the shortcut's own, not copies. A flood-built
 // shortcut assembles them from its flooding state on the first call, which
-// any number of goroutines may make at once, and keeps the state. Only an
+// any number of goroutines may make at once, and keeps the state; that
+// first call also generates the state if no read has yet. Only an
 // edge-built shortcut's lists may be rewritten in place; a flood-built
 // shortcut's measurement and probe read the state, not the lists.
 func (s *Shortcut) Edges() [][]int {
@@ -67,19 +103,20 @@ func (s *Shortcut) Edges() [][]int {
 // fill assembles a flood-built shortcut's edge lists; see Edges.
 func (s *Shortcut) fill() {
 	if s.flood != nil {
-		s.edges = fillEdges(s.G, s.T, s.flood)
+		s.edges = fillEdges(s.G, s.T, s.state())
 		fills.Add(1)
 	}
 }
 
 // FloodState returns a flood-built shortcut's flooding state: FloodState()[v]
 // lists, ascending in rank space, the ranks admitted over v's parent edge
-// (nil at the root and at vertices no flood reaches). The lists are the
-// shortcut's own and must not be modified; a cap view's are prefixes of
-// the lists it shares, in an outer slice made per call. It returns nil for
-// an edge-built shortcut.
+// (nil at the root and at vertices no flood reaches). The first read of a
+// shortcut ConstructPrio measured in closed form generates the state. The
+// lists are the shortcut's own and must not be modified; a cap view's are
+// prefixes of the lists it shares, in an outer slice made per call. It
+// returns nil for an edge-built shortcut.
 func (s *Shortcut) FloodState() [][]int32 {
-	f := s.flood
+	f := s.state()
 	if f == nil {
 		return nil
 	}
@@ -179,12 +216,12 @@ type Measurement struct {
 }
 
 // Measure computes congestion, block parameters, and quality exactly. A
-// flood-built shortcut carries its measurement, derived in the pass that
-// built or checked its flooding state, and Measure returns a copy of it
-// with a fresh Blocks slice without assembling the edge lists. An
-// edge-built shortcut is measured here: a usage count over the edge lists
-// for the congestion and a union-find per part for the block counts
-// (BlockCounts).
+// flood-built shortcut carries its measurement, taken at construction in
+// closed form or by the pass that built or checked its flooding state, and
+// Measure returns a copy of it with a fresh Blocks slice: it neither
+// generates the state nor assembles the edge lists. An edge-built shortcut
+// is measured here: a usage count over the edge lists for the congestion
+// and a union-find per part for the block counts (BlockCounts).
 func (s *Shortcut) Measure() Measurement {
 	if s.flood != nil {
 		m := s.flood.m
@@ -213,6 +250,12 @@ func treeDiameter(t *graph.Tree) int {
 		return d
 	}
 	return 1
+}
+
+// equal reports whether m and o agree field by field, Blocks included.
+func (m Measurement) equal(o Measurement) bool {
+	return m.Congestion == o.Congestion && m.MaxBlocks == o.MaxBlocks && m.TreeDiameter == o.TreeDiameter &&
+		m.Quality == o.Quality && slices.Equal(m.Blocks, o.Blocks)
 }
 
 // finish derives the block parameter and the quality from the congestion,

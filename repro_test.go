@@ -515,6 +515,45 @@ func TestApproxMinCutAfterChurnDelete(t *testing.T) {
 	}
 }
 
+// TestMinCutExtremeWeightCycles: on the 4-cycle 0–1–2–3–0 weighted
+// (+Inf, 1, +Inf, 2), (1e300, 1, 1e300, 2) and (+Inf, 1, 5, 2), the
+// minimum cut separates {0, 1} from {2, 3} and weighs 3. Cut values were
+// differences of subtree sums, so +Inf − +Inf made NaN (no cut kept, an
+// empty side at +Inf), 1e300 cancelled the small weights (0 reported for
+// a side cutting 3), and the third cycle read 6. Every entry point must
+// return 3 and a side that cuts 3.
+func TestMinCutExtremeWeightCycles(t *testing.T) {
+	for _, ws := range [][4]float64{{math.Inf(1), 1, math.Inf(1), 2}, {1e300, 1, 1e300, 2}, {math.Inf(1), 1, 5, 2}} {
+		g := graph.New(4)
+		for v, w := range ws {
+			g.AddEdge(v, (v+1)%4, w)
+		}
+		nw, err := repro.NewNetwork(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact, _, err := nw.ExactMinCut(); err != nil || exact != 3 {
+			t.Fatalf("weights %v: exact min cut %v, %v; want 3", ws, exact, err)
+		}
+		for _, run := range []struct {
+			name string
+			cut  func() (*repro.CutResult, error)
+		}{
+			{"ApproxMinCut", func() (*repro.CutResult, error) { return nw.ApproxMinCut(0.5) }},
+			{"MinCutConstructed", func() (*repro.CutResult, error) { return nw.MinCutConstructed(0.5, false) }},
+			{"MinCutConstructed simulated", func() (*repro.CutResult, error) { return nw.MinCutConstructed(0.5, true) }},
+		} {
+			cut, err := run.cut()
+			if err != nil {
+				t.Fatalf("weights %v, %s: %v", ws, run.name, err)
+			}
+			if cut.Value != 3 || graph.CutWeight(g, cut.Side) != 3 {
+				t.Fatalf("weights %v, %s: cut %v with side %v; want 3", ws, run.name, cut.Value, cut.Side)
+			}
+		}
+	}
+}
+
 // TestMinCutWithInfiniteWeight: tree packing reweights every edge by its
 // load, scaled past the largest weight so the load decides first. It
 // scaled by the largest weight itself, so one +Inf weight made the scale
